@@ -144,14 +144,18 @@ class HabitStore:
 
     def observe(self, acted: int, competing: Sequence[int],
                 ctx_elements: Sequence[int], rate: float) -> None:
+        slot = self._slot
+        col = self._c  # _ensure appends to this same list
         for e in ctx_elements:
-            i = self._ensure(acted, e)
-            c = self._c[i]
-            self._c[i] = c + rate * (1.0 - c)
+            i = slot.get((acted, e))
+            if i is None:
+                i = self._ensure(acted, e)
+            c = col[i]
+            col[i] = c + rate * (1.0 - c)
             for a in competing:
-                j = self._slot.get((a, e))
+                j = slot.get((a, e))
                 if j is not None:
-                    self._c[j] = (1.0 - rate) * self._c[j]
+                    col[j] = (1.0 - rate) * col[j]
 
     def sums(self) -> tuple[int, float, float, float]:
         n = len(self._keys)

@@ -46,11 +46,11 @@ class DecisionTrace:
         return self.steps[-1].candidates if self.steps else (atomic,)
 
 
-def _ctx_indices(ctx: ContextSnapshot, scenario: Scenario) -> list[int]:
+def _pressure_elements(ctx: ContextSnapshot, scenario: Scenario) -> tuple[int, ...]:
+    # Pressure aggregates over the context, so it needs at least one element.
     if not ctx.present:
         raise ValueError("context snapshot is empty")
-    idx = scenario.index
-    return sorted(idx.element_index(e) for e in ctx.present)
+    return ctx.element_ids(scenario.index)
 
 
 def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
@@ -59,7 +59,7 @@ def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
     context. An element with no stored strength borrows from its nearest
     hierarchy ancestor that has one, discounted by attenuation per step."""
     g = scenario.globals
-    elems = _ctx_indices(ctx, scenario)
+    elems = _pressure_elements(ctx, scenario)
     ai = scenario.index.activity_index(activity)
     return state.habits.pressures(
         [ai], elems, g.attenuation, _AGG_CODES[g.pressure_aggregation]
@@ -119,7 +119,7 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
     fallback = False
     if g.extensions_enabled:
         cands, fallback = filter_candidates(cands, state.agent_id, ctx, scenario)
-    elems = _ctx_indices(ctx, scenario)
+    elems = _pressure_elements(ctx, scenario)
     idx = scenario.index
     pressures = state.habits.pressures(
         [idx.activity_index(c) for c in cands],

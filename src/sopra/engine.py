@@ -5,7 +5,7 @@ Each tick runs in five phases over agents in ascending id order:
 1. snapshot every agent's context from tick-start state,
 2. run every decision cycle against those snapshots,
 3. apply strength dynamics and personal-view tracking,
-4. deliver observations between co-located agent pairs,
+4. deliver each performance to every co-located agent,
 5. log events, replenish attention, record last activities, apply
    scheduled relocations, and advance the clock.
 
@@ -74,20 +74,25 @@ class MetricsRow:
     mean_collective_view: float
 
 
-def snapshot_context(world: World, agent_id: str) -> ContextSnapshot:
+def snapshot_context(world: World, agent_id: str,
+                     here: Sequence[str] | None = None) -> ContextSnapshot:
     """What `agent_id` perceives right now: its location, the current
     timepoint, resources placed there, co-located agents, and its own
-    previous activity."""
+    previous activity.
+
+    `here` lists the agents at the agent's location, the agent itself
+    included, as `World.step` buckets them once per tick; without it
+    every agent's location is scanned."""
     idx = world.scenario.index
     state = world.states[agent_id]
-    present = {state.location}
+    if here is None:
+        here = [ag for ag in idx.agent_ids if world.states[ag].location == state.location]
+    present = {other_id for other_id in here if other_id != agent_id}
+    present.add(state.location)
     tp = idx.timepoint_at(world.tick)
     if tp is not None:
         present.add(tp)
     present.update(idx.placements.get(state.location, ()))
-    for other_id in idx.agent_ids:
-        if other_id != agent_id and world.states[other_id].location == state.location:
-            present.add(other_id)
     if state.last_activity is not None:
         present.add(state.last_activity)
     return ContextSnapshot(frozenset(present))
@@ -120,7 +125,15 @@ class World:
         tick = self.tick
         timepoint = idx.timepoint_at(tick)
 
-        snaps = {ag: snapshot_context(self, ag) for ag in agent_ids}
+        # Location -> its id-sorted agents; relocations only apply at the
+        # end of the tick, so phases 1 and 4 share this map.
+        by_location: dict[str, list[str]] = {}
+        for ag in agent_ids:
+            by_location.setdefault(self.states[ag].location, []).append(ag)
+        snaps = {
+            ag: snapshot_context(self, ag, by_location[self.states[ag].location])
+            for ag in agent_ids
+        }
 
         performed: dict[str, str] = {}
         traces = {}
@@ -140,23 +153,21 @@ class World:
             habit_tick(self.states[ag], performed[ag], snaps[ag], s)
             update_personal_view(self.states[ag], s)
 
-        by_location: dict[str, list[str]] = {}
-        for ag in agent_ids:
-            by_location.setdefault(self.states[ag].location, []).append(ag)
+        # Each actor's performance goes to all other agents at its location
+        # in one event. Actors run in id order because each observer must
+        # apply them in that order (docs/model.md, Observation).
         for location in sorted(by_location):
-            here = by_location[location]  # already id-sorted
+            here = by_location[location]
             if len(here) < 2:
                 continue
-            for observer in here:
-                for actor in here:
-                    if observer == actor:
-                        continue
-                    event = ObservationEvent(
-                        observer, actor, performed[actor], snaps[actor], tick
-                    )
-                    observe(event, s, self.states,
-                            traces[actor].final_candidates(performed[actor]))
-                    self.observation_count += 1
+            for actor in here:
+                event = ObservationEvent(
+                    tuple(ag for ag in here if ag != actor),
+                    actor, performed[actor], snaps[actor], tick,
+                )
+                observe(event, s, self.states,
+                        traces[actor].final_candidates(performed[actor]))
+                self.observation_count += len(here) - 1
 
         new_events = []
         habitual = 0

@@ -18,20 +18,17 @@ from .state import AgentState, ContextSnapshot
 
 @dataclass(frozen=True)
 class ObservationEvent:
-    observer: str
+    """One performance and everyone who saw it."""
+
+    observers: tuple[str, ...]
     actor: str
     activity: str  # atomic activity the actor performed
     context: ContextSnapshot  # the actor's context at that tick
     tick: int
 
     def __post_init__(self):
-        if self.observer == self.actor:
+        if self.actor in self.observers:
             raise ValueError("an agent does not observe itself")
-
-
-def _ctx_indices(ctx: ContextSnapshot, scenario: Scenario) -> list[int]:
-    idx = scenario.index
-    return sorted(idx.element_index(e) for e in ctx.present)
 
 
 def reinforce_habit(state: AgentState, activity: str, ctx: ContextSnapshot,
@@ -41,7 +38,7 @@ def reinforce_habit(state: AgentState, activity: str, ctx: ContextSnapshot,
     connections at 0 first."""
     rate = scenario.index.agent_specs[state.agent_id].habit_rate
     state.habits.reinforce(
-        scenario.index.activity_index(activity), _ctx_indices(ctx, scenario), rate
+        scenario.index.activity_index(activity), ctx.element_ids(scenario.index), rate
     )
 
 
@@ -50,7 +47,7 @@ def decay_habits(state: AgentState, performed: str, ctx: ContextSnapshot,
     """Scale every connection not reinforced this tick by (1 - decayRate)."""
     state.habits.decay(
         scenario.index.activity_index(performed),
-        _ctx_indices(ctx, scenario),
+        ctx.element_ids(scenario.index),
         scenario.globals.decay_rate,
     )
 
@@ -66,7 +63,7 @@ def habit_tick(state: AgentState, performed: str, ctx: ContextSnapshot,
     g = scenario.globals
     state.habits.habit_tick(
         scenario.index.activity_index(performed),
-        _ctx_indices(ctx, scenario),
+        ctx.element_ids(scenario.index),
         scenario.index.agent_specs[state.agent_id].habit_rate,
         g.decay_rate,
         g.decay_all,
@@ -82,28 +79,29 @@ def update_personal_view(state: AgentState, scenario: Scenario) -> None:
 def observe(event: ObservationEvent, scenario: Scenario,
             states: Mapping[str, AgentState],
             candidates: Sequence[str] = ()) -> None:
-    """Fold one observed performance into the observer's collective views.
+    """Fold one observed performance into each observer's collective views.
 
-    The observer strengthens its collective view of (activity, element)
+    Every observer strengthens its collective view of (activity, element)
     for every element of the actor's context, and weakens existing views
     for the `candidates` the actor could have picked instead. Connections
-    the negative update would create are left absent.
+    the negative update would create are left absent. Observers must
+    share the actor's location; if one does not, nobody is updated.
     """
-    observer = states[event.observer]
     actor = states[event.actor]
-    if observer.location != actor.location:
-        raise ValueError(
-            f"{event.observer!r} cannot observe {event.actor!r} from another location"
-        )
+    for name in event.observers:
+        if states[name].location != actor.location:
+            raise ValueError(
+                f"{name!r} cannot observe {event.actor!r} from another location"
+            )
     idx = scenario.index
     acted = idx.activity_index(event.activity)
     competing = sorted(
         idx.activity_index(c) for c in set(candidates) if c != event.activity
     )
-    observer.habits.observe(
-        acted, competing, _ctx_indices(event.context, scenario),
-        scenario.globals.social_learning_rate,
-    )
+    elements = event.context.element_ids(idx)
+    rate = scenario.globals.social_learning_rate
+    for name in event.observers:
+        states[name].habits.observe(acted, competing, elements, rate)
 
 
 def equilibrium_strength(habit_rate: float, decay_rate: float,

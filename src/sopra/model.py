@@ -378,6 +378,3 @@ class ScenarioIndex:
             return None
         return self.timepoints[tick % len(self.timepoints)]
 
-
-def mode_label(mode: DecisionMode) -> str:
-    return mode.value

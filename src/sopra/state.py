@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._kernel import get_backend
-from .model import Scenario
+from .model import Scenario, ScenarioIndex
 
 
 @dataclass(frozen=True)
@@ -16,10 +16,25 @@ class ContextSnapshot:
     agents, and its own previous activity."""
 
     present: frozenset[str]
+    # (index, element ids) memo of element_ids; not part of the value
+    _interned: tuple[ScenarioIndex, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not isinstance(self.present, frozenset):
             object.__setattr__(self, "present", frozenset(self.present))
+
+    def element_ids(self, index: ScenarioIndex) -> tuple[int, ...]:
+        """The present elements interned by `index`, ascending. Computed
+        once per snapshot and index; an unknown element raises
+        UnknownIdError."""
+        memo = self._interned
+        if memo is not None and memo[0] is index:
+            return memo[1]
+        ids = tuple(sorted(index.element_index(e) for e in self.present))
+        object.__setattr__(self, "_interned", (index, ids))
+        return ids
 
 
 @dataclass

@@ -4,8 +4,10 @@ import pytest
 from helpers import make_doc, mutation_fixtures
 
 from sopra import (
+    ContextSnapshot,
     DecisionMode,
     InvalidScenarioError,
+    UnknownIdError,
     World,
     build_scenario,
     collect_metrics,
@@ -42,6 +44,31 @@ def test_snapshot_contents():
     w.tick = 2
     assert "Morning" in snapshot_context(w, "ag1").present
 
+
+
+def test_snapshot_interns_once_per_index():
+    s = build_scenario(_two_agents_doc())
+    snap = ContextSnapshot(frozenset({"Home", "Morning", "ag2"}))
+    idx = s.index
+    ids = snap.element_ids(idx)
+    assert list(ids) == sorted(idx.element_index(e) for e in snap.present)
+    assert snap.element_ids(idx) is ids  # memoised
+    # Another scenario interns the same names to other ids.
+    doc = _two_agents_doc()
+    doc["contextElements"].append({"id": "Attic", "kind": "Location"})
+    other = build_scenario(doc).index
+    assert snap.element_ids(other) == tuple(
+        sorted(other.element_index(e) for e in snap.present)
+    )
+    assert snap.element_ids(other) != ids
+    # The memo is not part of the snapshot's value.
+    assert snap == ContextSnapshot(frozenset({"Home", "Morning", "ag2"}))
+
+
+def test_snapshot_with_unknown_element_fails_to_intern():
+    s = build_scenario(_two_agents_doc())
+    with pytest.raises(UnknownIdError):
+        ContextSnapshot(frozenset({"Home", "nowhere"})).element_ids(s.index)
 
 def test_event_rows_per_tick(commuting):
     events, metrics = run(commuting, 5)

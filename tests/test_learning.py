@@ -182,7 +182,7 @@ def test_observe_strengthens_acted_and_weakens_competitors():
     for st in states.values():
         project_collective_from_personal(st)
     ctx = ContextSnapshot(frozenset({"Home", "Morning"}))
-    ev = ObservationEvent(observer="ag2", actor="ag1", activity="opt_a",
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ctx, tick=3)
     observe(ev, s, states, candidates=("opt_a", "opt_b"))
     # New collective views form at 0 and move up by the learning rate.
@@ -206,7 +206,7 @@ def test_observe_requires_co_location():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
     states["ag1"].location = "Away"
-    ev = ObservationEvent(observer="ag2", actor="ag1", activity="opt_a",
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ContextSnapshot(frozenset({"Away"})), tick=0)
     with pytest.raises(ValueError):
         observe(ev, s, states)
@@ -214,7 +214,7 @@ def test_observe_requires_co_location():
 
 def test_observation_event_rejects_self():
     with pytest.raises(ValueError):
-        ObservationEvent(observer="ag1", actor="ag1", activity="opt_a",
+        ObservationEvent(observers=("ag1",), actor="ag1", activity="opt_a",
                          context=ContextSnapshot(frozenset({"Home"})), tick=0)
 
 
@@ -222,7 +222,7 @@ def test_observe_ignores_acted_among_candidates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
     ctx = ContextSnapshot(frozenset({"Home"}))
-    ev = ObservationEvent(observer="ag2", actor="ag1", activity="opt_a",
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ctx, tick=0)
     observe(ev, s, states, candidates=("opt_a",))
     # One positive update only; the acted activity is not its own competitor.
@@ -235,7 +235,7 @@ def test_repeated_observation_saturates():
     ctx = ContextSnapshot(frozenset({"Home"}))
     last = 0.0
     for t in range(80):
-        ev = ObservationEvent(observer="ag2", actor="ag1", activity="opt_a",
+        ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                               context=ctx, tick=t)
         observe(ev, s, states)
         cur = _views(states["ag2"], s, "opt_a", "Home")[2]
@@ -266,3 +266,82 @@ def test_views_stay_in_unit_interval_under_mixed_ops():
             assert 0.0 <= s <= 1.0
             assert 0.0 <= p <= 1.0
             assert 0.0 <= c <= 1.0 or math.isnan(c)
+
+
+def _crowd_scenario():
+    """Four agents at Home, one Away, with overlapping seeded habits."""
+    doc = make_doc()
+    for name, loc in (("ag2", "Home"), ("ag3", "Home"), ("ag4", "Home"), ("ag5", "Away")):
+        doc["agents"].append(
+            {"id": name, "habitRate": 0.1, "attentionBudget": 1, "location": loc}
+        )
+    doc["habitualConnections"] = [
+        {"agent": "ag2", "activity": "opt_b", "contextElement": "Home",
+         "strength": 0.6, "personalView": 0.6},
+        {"agent": "ag3", "activity": "opt_a", "contextElement": "Morning",
+         "strength": 0.3, "personalView": 0.2},
+        {"agent": "ag3", "activity": "opt_b", "contextElement": "ag1",
+         "strength": 0.5, "personalView": 0.7},
+        {"agent": "ag4", "activity": "opt_a", "contextElement": "Home",
+         "strength": 0.9, "personalView": 0.4},
+    ]
+    doc["globals"] = {"socialLearningRate": 0.37}
+    s = build_scenario(doc)
+    states = {a.id: init_agent_state(s, a.id) for a in s.agents}
+    for st in states.values():
+        project_collective_from_personal(st)
+    return s, states
+
+
+# actor -> (performed activity, context, final candidates)
+_PERFORMANCES = {
+    "ag1": ("opt_a", {"Home", "Morning", "ag2", "ag3", "ag4"}, ("opt_a", "opt_b")),
+    "ag2": ("opt_b", {"Home", "ag1", "ag3", "ag4", "opt_b"}, ("opt_a", "opt_b")),
+    "ag3": ("opt_a", {"Home", "Morning", "ag1", "ag2", "ag4", "opt_a"}, ("opt_a",)),
+    "ag4": ("opt_b", {"Home", "ag1", "ag2", "ag3"}, ("opt_b", "opt_a")),
+}
+
+
+def test_fan_out_equals_pairwise_observation_in_id_order():
+    s, fanned = _crowd_scenario()
+    _, paired = _crowd_scenario()
+    here = ("ag1", "ag2", "ag3", "ag4")
+    for actor in here:
+        activity, ctx, cands = _PERFORMANCES[actor]
+        observers = tuple(ag for ag in here if ag != actor)
+        ev = ObservationEvent(observers=observers, actor=actor, activity=activity,
+                              context=ContextSnapshot(frozenset(ctx)), tick=0)
+        observe(ev, s, fanned, candidates=cands)
+    for observer in here:
+        for actor in here:
+            if actor == observer:
+                continue
+            activity, ctx, cands = _PERFORMANCES[actor]
+            ev = ObservationEvent(observers=(observer,), actor=actor, activity=activity,
+                                  context=ContextSnapshot(frozenset(ctx)), tick=0)
+            observe(ev, s, paired, candidates=cands)
+    for ag in fanned:
+        assert same_items(fanned[ag].habits.items(), paired[ag].habits.items())
+    # Each observer did learn something from the others.
+    idx = s.index
+    for observer in here:
+        assert fanned[observer].habits.has(idx.activity_index("opt_a"),
+                                           idx.element_index("Home"))
+
+
+def test_observation_event_rejects_actor_among_observers():
+    with pytest.raises(ValueError):
+        ObservationEvent(observers=("ag2", "ag1", "ag3"), actor="ag1",
+                         activity="opt_a",
+                         context=ContextSnapshot(frozenset({"Home"})), tick=0)
+
+
+def test_fan_out_rejects_non_co_located_observer_and_updates_nobody():
+    s, states = _crowd_scenario()
+    before = {ag: states[ag].habits.items() for ag in states}
+    ev = ObservationEvent(observers=("ag2", "ag5"), actor="ag1", activity="opt_a",
+                          context=ContextSnapshot(frozenset({"Home"})), tick=0)
+    with pytest.raises(ValueError, match="ag5"):
+        observe(ev, s, states, candidates=("opt_a", "opt_b"))
+    for ag in states:
+        assert same_items(states[ag].habits.items(), before[ag])

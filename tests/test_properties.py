@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import sopra.engine
 from sopra import (
     ActivityType,
+    World,
     build_scenario,
     descendants,
     equilibrium_strength,
     run,
     serialize_scenario,
+    snapshot_context,
     validate_scenario,
 )
 from sopra._kernel import AGG_MAX, AGG_MEAN, AGG_SUM, get_backend
@@ -156,3 +160,48 @@ def test_choices_invariant_under_priority_scaling(seed, factor):
     assert [(e.agent, e.activity, e.mode) for e in a] == [
         (e.agent, e.activity, e.mode) for e in b
     ]
+
+
+@st.composite
+def relocating_worlds(draw):
+    """A generated scenario with a resource placed at one location and
+    agents hopping between locations at drawn ticks."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    n_agents = draw(st.integers(min_value=1, max_value=6))
+    n_locations = draw(st.integers(min_value=1, max_value=3))
+    doc = random_scenario_document(random.Random(seed), n_agents=n_agents,
+                                   n_locations=n_locations)
+    doc["contextElements"].append({"id": "res0", "kind": "Resource"})
+    doc["environment"]["placements"] = {"loc0": ["res0"]}
+    doc["environment"]["relocations"] = draw(st.lists(
+        st.fixed_dictionaries({
+            "agent": st.sampled_from([f"ag{i}" for i in range(n_agents)]),
+            "tick": st.integers(min_value=0, max_value=5),
+            "location": st.sampled_from([f"loc{i}" for i in range(n_locations)]),
+        }),
+        max_size=8,
+        unique_by=lambda r: (r["agent"], r["tick"]),
+    ))
+    return build_scenario(doc), seed
+
+
+@given(relocating_worlds())
+@settings(max_examples=40, deadline=None)
+def test_bucketed_snapshot_equals_standalone_scan(world_and_seed):
+    scenario, seed = world_and_seed
+    world = World(scenario, seed)
+    taken = []
+
+    def check(w, agent_id, here):
+        snap = snapshot_context(w, agent_id, here)
+        alone = snapshot_context(w, agent_id)
+        assert snap == alone
+        assert snap.element_ids(w.scenario.index) == tuple(
+            sorted(w.scenario.index.element_index(e) for e in alone.present)
+        )
+        taken.append(agent_id)
+        return snap
+
+    with mock.patch.object(sopra.engine, "snapshot_context", check):
+        world.run(7)
+    assert taken == list(scenario.index.agent_ids) * 7
