@@ -6,10 +6,19 @@ ancestor chains, and implements the per-tick hot loops: pressure
 aggregation, reinforcement/decay, view tracking, and observation
 smoothing.
 
+Layout: each entry has a slot, its position in three parallel value
+columns `_s`, `_p` and `_c`. `_rows[activity][element]` maps an entry to
+its slot, so the hot loops fetch an activity's row once and then look
+elements up by small int. `_keys[slot]` is the entry's (activity,
+element), in creation order.
+
 This is the reference implementation. The compiled backend in
-`_chabits.pyx` mirrors it operation for operation; the two must stay
-bit-identical, so any arithmetic change here has to be copied there
-verbatim (same expressions, same iteration order).
+`_chabits.pyx` mirrors it, and the two must stay bit-identical. The
+invariant is: the same expression for each entry, the same order of
+entry creation, and the same order of updates within each entry
+(`observe` strengthens the acted entry before it weakens competing
+ones, element by element). Passes over independent entries may run in
+any order. Any arithmetic change here has to be copied there verbatim.
 """
 
 from __future__ import annotations
@@ -25,12 +34,14 @@ AGG_SUM = 2
 class HabitStore:
     backend = "python"
 
-    __slots__ = ("_chain_data", "_chain_start", "_slot", "_keys", "_s", "_p", "_c")
+    __slots__ = ("_chain_data", "_chain_start", "_rows", "_keys", "_s", "_p", "_c")
 
     def __init__(self, chain_data: Sequence[int], chain_start: Sequence[int]):
-        self._chain_data = list(chain_data)
-        self._chain_start = list(chain_start)
-        self._slot: dict[tuple[int, int], int] = {}
+        # tuple() returns a tuple argument itself, so stores built from
+        # one index share its chains.
+        self._chain_data = tuple(chain_data)
+        self._chain_start = tuple(chain_start)
+        self._rows: dict[int, dict[int, int]] = {}  # activity -> element -> slot
         self._keys: list[tuple[int, int]] = []  # creation order
         self._s: list[float] = []
         self._p: list[float] = []
@@ -39,20 +50,30 @@ class HabitStore:
     def __len__(self) -> int:
         return len(self._keys)
 
+    def _row(self, activity: int) -> dict[int, int]:
+        row = self._rows.get(activity)
+        if row is None:
+            row = self._rows[activity] = {}
+        return row
+
+    def _add(self, row: dict[int, int], activity: int, element: int) -> int:
+        i = row[element] = len(self._keys)
+        self._keys.append((activity, element))
+        self._s.append(0.0)
+        self._p.append(0.0)
+        self._c.append(0.0)
+        return i
+
     def _ensure(self, activity: int, element: int) -> int:
-        key = (activity, element)
-        i = self._slot.get(key)
+        row = self._row(activity)
+        i = row.get(element)
         if i is None:
-            i = len(self._keys)
-            self._slot[key] = i
-            self._keys.append(key)
-            self._s.append(0.0)
-            self._p.append(0.0)
-            self._c.append(0.0)
+            i = self._add(row, activity, element)
         return i
 
     def has(self, activity: int, element: int) -> bool:
-        return (activity, element) in self._slot
+        row = self._rows.get(activity)
+        return row is not None and element in row
 
     def set_views(self, activity: int, element: int, strength: float,
                   personal: float, collective: float) -> None:
@@ -62,46 +83,46 @@ class HabitStore:
         self._c[i] = collective  # NaN marks "not yet formed"
 
     def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
-        i = self._slot.get((activity, element))
+        i = self._rows.get(activity, {}).get(element)
         if i is None:
             return (0.0, 0.0, 0.0)
         return (self._s[i], self._p[i], self._c[i])
 
     def project_collective(self) -> None:
-        for i in range(len(self._keys)):
-            if math.isnan(self._c[i]):
-                self._c[i] = self._p[i]
-
-    def _effective(self, activity: int, element: int, attenuation: float) -> float:
-        # Nearest ancestor holding a nonzero strength wins, discounted by
-        # attenuation per hierarchy step. Zero-strength entries behave
-        # exactly like absent ones.
-        factor = 1.0
-        for j in range(self._chain_start[element], self._chain_start[element + 1]):
-            i = self._slot.get((activity, self._chain_data[j]))
-            if i is not None:
-                v = self._s[i]
-                if v > 0.0:
-                    return factor * v
-            factor = factor * attenuation
-        return 0.0
+        self._c = [p if math.isnan(c) else c for c, p in zip(self._c, self._p)]
 
     def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
                   attenuation: float, aggregation: int) -> list[float]:
-        n = len(ctx_elements)
+        # Per element: the nearest ancestor holding a nonzero strength
+        # wins, discounted by attenuation per hierarchy step. Zero-strength
+        # entries behave exactly like absent ones.
+        data = self._chain_data
+        start = self._chain_start
+        chains = [data[start[e]:start[e + 1]] for e in ctx_elements]
+        n = len(chains)
+        s = self._s
+        rows = self._rows
         out = []
         for a in activities:
             acc = 0.0
-            if aggregation == AGG_MAX:
-                for e in ctx_elements:
-                    v = self._effective(a, e, attenuation)
-                    if v > acc:
-                        acc = v
-            else:
-                for e in ctx_elements:
-                    acc = acc + self._effective(a, e, attenuation)
-                if aggregation == AGG_MEAN:
-                    acc = acc / n
+            row = rows.get(a)
+            if row is not None:
+                for chain in chains:
+                    v = 0.0
+                    factor = 1.0
+                    for anc in chain:
+                        i = row.get(anc)
+                        if i is not None and s[i] > 0.0:
+                            v = factor * s[i]
+                            break
+                        factor = factor * attenuation
+                    if aggregation == AGG_MAX:
+                        if v > acc:
+                            acc = v
+                    else:
+                        acc = acc + v
+            if aggregation == AGG_MEAN:
+                acc = acc / n
             out.append(acc)
         return out
 
@@ -113,63 +134,66 @@ class HabitStore:
 
     def decay(self, performed: int, ctx_elements: Iterable[int], rate: float) -> None:
         # Default mode: pairs reinforced this tick keep their value.
-        skip = set(ctx_elements)
-        for i, (a, e) in enumerate(self._keys):
-            if a == performed and e in skip:
-                continue
-            self._s[i] = (1.0 - rate) * self._s[i]
+        row = self._rows.get(performed, {})
+        skip = {row[e] for e in ctx_elements if e in row}
+        keep = 1.0 - rate
+        self._s = [v if i in skip else keep * v for i, v in enumerate(self._s)]
 
     def habit_tick(self, performed: int, ctx_elements: Sequence[int], rate: float,
                    decay_rate: float, decay_all: bool) -> None:
         # One-step update from tick-start values. Reinforced pairs get
         # h + r(1-h), or (1-d)h + r(1-h) when decay applies to all;
         # every other pair gets (1-d)h.
-        for e in ctx_elements:
-            self._ensure(performed, e)
-        member = set(ctx_elements)
-        for i, (a, e) in enumerate(self._keys):
-            s = self._s[i]
-            if a == performed and e in member:
-                if decay_all:
-                    self._s[i] = (1.0 - decay_rate) * s + rate * (1.0 - s)
-                else:
-                    self._s[i] = s + rate * (1.0 - s)
-            else:
-                self._s[i] = (1.0 - decay_rate) * s
+        slots = [self._ensure(performed, e) for e in ctx_elements]
+        s = self._s
+        keep = 1.0 - decay_rate
+        if decay_all:
+            fresh = {i: keep * s[i] + rate * (1.0 - s[i]) for i in slots}
+        else:
+            fresh = {i: s[i] + rate * (1.0 - s[i]) for i in slots}
+        s = self._s = [keep * v for v in s]
+        for i, v in fresh.items():
+            s[i] = v
 
     def track_personal(self, awareness: float) -> None:
-        for i in range(len(self._keys)):
-            p = self._p[i]
-            self._p[i] = p + awareness * (self._s[i] - p)
+        self._p = [p + awareness * (s - p) for p, s in zip(self._p, self._s)]
 
     def observe(self, acted: int, competing: Sequence[int],
                 ctx_elements: Sequence[int], rate: float) -> None:
-        slot = self._slot
-        col = self._c  # _ensure appends to this same list
+        rows = self._rows
+        row = self._row(acted)
+        # Taken after the acted row exists: an acted activity listed among
+        # the competing ones is weakened right after its own update.
+        others = [rows[a] for a in competing if a in rows]
+        col = self._c  # _add appends to this same list
+        keep = 1.0 - rate
         for e in ctx_elements:
-            i = slot.get((acted, e))
+            i = row.get(e)
             if i is None:
-                i = self._ensure(acted, e)
+                i = self._add(row, acted, e)
             c = col[i]
             col[i] = c + rate * (1.0 - c)
-            for a in competing:
-                j = slot.get((a, e))
+            for other in others:
+                j = other.get(e)
                 if j is not None:
-                    col[j] = (1.0 - rate) * col[j]
+                    col[j] = keep * col[j]
 
     def sums(self) -> tuple[int, float, float, float]:
-        n = len(self._keys)
+        # Plain left-to-right loops: builtin sum() compensates from
+        # Python 3.12 on, which would change the bits.
         ts = 0.0
+        for v in self._s:
+            ts = ts + v
         tp = 0.0
+        for v in self._p:
+            tp = tp + v
         tc = 0.0
-        for i in range(n):
-            ts = ts + self._s[i]
-            tp = tp + self._p[i]
-            tc = tc + self._c[i]
-        return (n, ts, tp, tc)
+        for v in self._c:
+            tc = tc + v
+        return (len(self._keys), ts, tp, tc)
 
     def items(self) -> list[tuple[int, int, float, float, float]]:
         return [
-            (a, e, self._s[i], self._p[i], self._c[i])
-            for i, (a, e) in enumerate(self._keys)
+            (a, e, s, p, c)
+            for (a, e), s, p, c in zip(self._keys, self._s, self._p, self._c)
         ]

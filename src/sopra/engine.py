@@ -170,7 +170,6 @@ class World:
                 self.observation_count += len(here) - 1
 
         new_events = []
-        habitual = 0
         for ag in agent_ids:
             state = self.states[ag]
             trace = traces[ag]
@@ -183,8 +182,6 @@ class World:
                 mode = DecisionMode.HABITUAL
                 pressure = root_pressures[ag]
                 score = _norm_score(state, performed[ag], s)
-            if mode is DecisionMode.HABITUAL:
-                habitual += 1
             new_events.append(
                 Event(tick, ag, performed[ag], mode, pressure, _snap_score(score),
                       state.location, timepoint)

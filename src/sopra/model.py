@@ -274,8 +274,9 @@ class ScenarioIndex:
                 if steps > _MAX_CHAIN:
                     raise ScenarioError(f"context hierarchy cycle at {e!r}")
             chain_start.append(len(chain_data))
-        self.chain_data = chain_data
-        self.chain_start = chain_start
+        # Tuples, so every agent's habit store can share them uncopied.
+        self.chain_data = tuple(chain_data)
+        self.chain_start = tuple(chain_start)
 
         children: dict[tuple[str, RelationType], list[str]] = {}
         for c in s.activity_connections:

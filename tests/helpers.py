@@ -1,10 +1,13 @@
-"""Shared document builders for the test suite."""
+"""Shared document builders and the reference habit store for the test
+suite."""
 
 from __future__ import annotations
 
 import copy
-from typing import Any
+import math
+from typing import Any, Iterable, Sequence
 
+from sopra._kernel import AGG_MAX, AGG_MEAN
 from sopra.scenarios import bundled_document
 
 
@@ -132,3 +135,159 @@ def mutation_fixtures() -> dict[str, tuple[dict[str, Any], str]]:
     fixtures["view-range"] = (d, "view-range")
 
     return fixtures
+
+
+class ReferenceHabitStore:
+    """The tuple-keyed habit store the row-indexed `pyhabits.HabitStore`
+    replaced, kept as its bit-for-bit reference."""
+
+    backend = "reference"
+
+    __slots__ = ("_chain_data", "_chain_start", "_slot", "_keys", "_s", "_p", "_c")
+
+    def __init__(self, chain_data: Sequence[int], chain_start: Sequence[int]):
+        self._chain_data = list(chain_data)
+        self._chain_start = list(chain_start)
+        self._slot: dict[tuple[int, int], int] = {}
+        self._keys: list[tuple[int, int]] = []  # creation order
+        self._s: list[float] = []
+        self._p: list[float] = []
+        self._c: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _ensure(self, activity: int, element: int) -> int:
+        key = (activity, element)
+        i = self._slot.get(key)
+        if i is None:
+            i = len(self._keys)
+            self._slot[key] = i
+            self._keys.append(key)
+            self._s.append(0.0)
+            self._p.append(0.0)
+            self._c.append(0.0)
+        return i
+
+    def has(self, activity: int, element: int) -> bool:
+        return (activity, element) in self._slot
+
+    def set_views(self, activity: int, element: int, strength: float,
+                  personal: float, collective: float) -> None:
+        i = self._ensure(activity, element)
+        self._s[i] = strength
+        self._p[i] = personal
+        self._c[i] = collective  # NaN marks "not yet formed"
+
+    def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
+        i = self._slot.get((activity, element))
+        if i is None:
+            return (0.0, 0.0, 0.0)
+        return (self._s[i], self._p[i], self._c[i])
+
+    def project_collective(self) -> None:
+        for i in range(len(self._keys)):
+            if math.isnan(self._c[i]):
+                self._c[i] = self._p[i]
+
+    def _effective(self, activity: int, element: int, attenuation: float) -> float:
+        # Nearest ancestor holding a nonzero strength wins, discounted by
+        # attenuation per hierarchy step. Zero-strength entries behave
+        # exactly like absent ones.
+        factor = 1.0
+        for j in range(self._chain_start[element], self._chain_start[element + 1]):
+            i = self._slot.get((activity, self._chain_data[j]))
+            if i is not None:
+                v = self._s[i]
+                if v > 0.0:
+                    return factor * v
+            factor = factor * attenuation
+        return 0.0
+
+    def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
+                  attenuation: float, aggregation: int) -> list[float]:
+        n = len(ctx_elements)
+        out = []
+        for a in activities:
+            acc = 0.0
+            if aggregation == AGG_MAX:
+                for e in ctx_elements:
+                    v = self._effective(a, e, attenuation)
+                    if v > acc:
+                        acc = v
+            else:
+                for e in ctx_elements:
+                    acc = acc + self._effective(a, e, attenuation)
+                if aggregation == AGG_MEAN:
+                    acc = acc / n
+            out.append(acc)
+        return out
+
+    def reinforce(self, activity: int, ctx_elements: Sequence[int], rate: float) -> None:
+        for e in ctx_elements:
+            i = self._ensure(activity, e)
+            s = self._s[i]
+            self._s[i] = s + rate * (1.0 - s)
+
+    def decay(self, performed: int, ctx_elements: Iterable[int], rate: float) -> None:
+        # Default mode: pairs reinforced this tick keep their value.
+        skip = set(ctx_elements)
+        for i, (a, e) in enumerate(self._keys):
+            if a == performed and e in skip:
+                continue
+            self._s[i] = (1.0 - rate) * self._s[i]
+
+    def habit_tick(self, performed: int, ctx_elements: Sequence[int], rate: float,
+                   decay_rate: float, decay_all: bool) -> None:
+        # One-step update from tick-start values. Reinforced pairs get
+        # h + r(1-h), or (1-d)h + r(1-h) when decay applies to all;
+        # every other pair gets (1-d)h.
+        for e in ctx_elements:
+            self._ensure(performed, e)
+        member = set(ctx_elements)
+        for i, (a, e) in enumerate(self._keys):
+            s = self._s[i]
+            if a == performed and e in member:
+                if decay_all:
+                    self._s[i] = (1.0 - decay_rate) * s + rate * (1.0 - s)
+                else:
+                    self._s[i] = s + rate * (1.0 - s)
+            else:
+                self._s[i] = (1.0 - decay_rate) * s
+
+    def track_personal(self, awareness: float) -> None:
+        for i in range(len(self._keys)):
+            p = self._p[i]
+            self._p[i] = p + awareness * (self._s[i] - p)
+
+    def observe(self, acted: int, competing: Sequence[int],
+                ctx_elements: Sequence[int], rate: float) -> None:
+        slot = self._slot
+        col = self._c  # _ensure appends to this same list
+        for e in ctx_elements:
+            i = slot.get((acted, e))
+            if i is None:
+                i = self._ensure(acted, e)
+            c = col[i]
+            col[i] = c + rate * (1.0 - c)
+            for a in competing:
+                j = slot.get((a, e))
+                if j is not None:
+                    col[j] = (1.0 - rate) * col[j]
+
+    def sums(self) -> tuple[int, float, float, float]:
+        n = len(self._keys)
+        ts = 0.0
+        tp = 0.0
+        tc = 0.0
+        for i in range(n):
+            ts = ts + self._s[i]
+            tp = tp + self._p[i]
+            tc = tc + self._c[i]
+        return (n, ts, tp, tc)
+
+    def items(self) -> list[tuple[int, int, float, float, float]]:
+        return [
+            (a, e, self._s[i], self._p[i], self._c[i])
+            for i, (a, e) in enumerate(self._keys)
+        ]

@@ -253,6 +253,13 @@ def test_store_collective_projection_only_fills_nan():
     assert store.get_views(0, 1)[2] == 0.9
 
 
+def test_store_observe_weakens_acted_listed_as_competing():
+    # Strengthened first, then weakened as a competitor: 0 -> 0.5 -> 0.25.
+    store = get_backend("python")([0, 1], [0, 1, 2])
+    store.observe(0, [0], [1], 0.5)
+    assert store.get_views(0, 1)[2] == 0.25
+
+
 def test_views_stay_in_unit_interval_under_mixed_ops():
     store = get_backend("python")([0, 1, 2], [0, 1, 2, 3])
     store.set_views(0, 0, 0.999, 0.001, 0.5)

@@ -4,6 +4,7 @@ import math
 import random
 from unittest import mock
 
+from helpers import ReferenceHabitStore
 from hypothesis import given, settings, strategies as st
 
 import sopra.engine
@@ -30,12 +31,13 @@ def store_ops(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
-        kind = draw(st.integers(min_value=0, max_value=4))
+        kind = draw(st.integers(min_value=0, max_value=6))
         a = draw(st.integers(min_value=0, max_value=3))
         elems = draw(st.lists(st.integers(min_value=0, max_value=2),
                               min_size=1, max_size=3, unique=True))
         if kind == 0:
-            ops.append(("set", a, elems[0], draw(unit), draw(unit), draw(unit)))
+            ops.append(("set", a, elems[0], draw(unit), draw(unit),
+                        draw(unit | st.just(math.nan))))
         elif kind == 1:
             ops.append(("reinforce", a, sorted(elems), draw(unit)))
         elif kind == 2:
@@ -44,16 +46,21 @@ def store_ops(draw):
                         draw(st.booleans())))
         elif kind == 3:
             ops.append(("track", draw(unit)))
-        else:
+        elif kind == 4:
+            # The competing list may hold the acted activity itself.
             comp = draw(st.lists(st.integers(min_value=0, max_value=3),
                                  max_size=2, unique=True))
             ops.append(("observe", a, sorted(comp), sorted(elems), draw(unit)))
+        elif kind == 5:
+            ops.append(("project",))
+        else:
+            ops.append(("decay", a, sorted(elems), draw(unit)))
     return ops
 
 
-def _fresh_store():
+def _fresh_store(store_cls=None):
     # elements 0..2, 2 has parent 1 has parent 0
-    return get_backend("python")([0, 1, 0, 2, 1, 0], [0, 1, 3, 6])
+    return (store_cls or get_backend("python"))([0, 1, 0, 2, 1, 0], [0, 1, 3, 6])
 
 
 def _apply(store, ops):
@@ -64,6 +71,8 @@ def _apply(store, ops):
             "tick": store.habit_tick,
             "track": store.track_personal,
             "observe": store.observe,
+            "project": store.project_collective,
+            "decay": store.decay,
         }
         getattr_map[op[0]](*op[1:])
 
@@ -91,6 +100,31 @@ def test_pressures_bounded(ops, attenuation):
             assert 0.0 <= v <= stored_max + 1e-12
     for v in store.pressures([0, 1, 2, 3], elems, attenuation, AGG_SUM):
         assert 0.0 <= v <= len(elems) * stored_max + 1e-12
+
+
+@given(store_ops())
+@settings(max_examples=200, deadline=None)
+def test_store_matches_reference_bit_for_bit(ops):
+    # float.hex compares bits, and prints every NaN as "nan".
+    store = _fresh_store()
+    ref = _fresh_store(ReferenceHabitStore)
+    _apply(store, ops)
+    _apply(ref, ops)
+
+    def table(s):
+        return [(a, e) + tuple(v.hex() for v in views) for a, e, *views in s.items()]
+
+    assert table(store) == table(ref)  # creation order included
+    n, *totals = store.sums()
+    ref_n, *ref_totals = ref.sums()
+    assert (n, [v.hex() for v in totals]) == (ref_n, [v.hex() for v in ref_totals])
+    # Activity 4 never gets an entry.
+    for attenuation in (0.0, 0.5, 1.0):
+        for agg in (AGG_MEAN, AGG_MAX, AGG_SUM):
+            for elems in ([0, 1, 2], [2], [1, 0]):
+                got = store.pressures([0, 1, 2, 3, 4], elems, attenuation, agg)
+                want = ref.pressures([0, 1, 2, 3, 4], elems, attenuation, agg)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @given(rate, st.floats(min_value=0.0, max_value=0.9), unit)
