@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import ScenarioError, UnknownIdError
@@ -290,20 +291,20 @@ class ScenarioIndex:
         for hc in s.habitual_connections:
             by_agent.setdefault(hc.agent, []).append(hc)
         self.habitual_by_agent: dict[str, tuple[HabitualConnection, ...]] = {
-            ag: tuple(sorted(rows, key=lambda h: (h.activity, h.context_element)))
+            ag: tuple(sorted(rows, key=attrgetter("activity", "context_element")))
             for ag, rows in by_agent.items()
         }
         prio: dict[str, list[ValuePriority]] = {}
         for vp in s.value_priorities:
             prio.setdefault(vp.agent, []).append(vp)
         self.priorities_by_agent = {
-            ag: tuple(sorted(rows, key=lambda p: p.value)) for ag, rows in prio.items()
+            ag: tuple(sorted(rows, key=attrgetter("value"))) for ag, rows in prio.items()
         }
         conn: dict[str, list[ValueConnection]] = {}
         for vc in s.value_connections:
             conn.setdefault(vc.agent, []).append(vc)
         self.connections_by_agent = {
-            ag: tuple(sorted(rows, key=lambda c: (c.activity, c.value)))
+            ag: tuple(sorted(rows, key=attrgetter("activity", "value")))
             for ag, rows in conn.items()
         }
 
@@ -331,7 +332,7 @@ class ScenarioIndex:
         for r in s.environment.relocations:
             reloc.setdefault(r.tick, []).append(r)
         self.relocations_by_tick = {
-            t: tuple(sorted(rs, key=lambda r: r.agent)) for t, rs in reloc.items()
+            t: tuple(sorted(rs, key=attrgetter("agent"))) for t, rs in reloc.items()
         }
         self.timepoints = s.environment.timepoints
 

@@ -11,8 +11,10 @@ builder usable on documents you want to diagnose rather than refuse.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ScenarioError
 from .model import (
@@ -73,72 +75,101 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _num(obj: Mapping[str, Any], key: str, where: str, errs: list[str], default: float | None = None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        errs.append(f"{where}: missing {key!r}")
-        return 0.0
-    v = obj[key]
-    if not _is_number(v):
-        errs.append(f"{where}: {key!r} must be a number, got {v!r}")
-        return 0.0
-    return float(v)
+class _Reader:
+    """Field readers for one `build_scenario` call.
 
+    Every problem is appended to `errs`. A row's location, `section[i]`,
+    and the message are formatted only when a check fails, so a clean
+    document pays for no error text. Identifier strings that passed the
+    check are remembered for the rest of the build, so an id repeated
+    across rows is checked once.
+    """
 
-def _int(obj: Mapping[str, Any], key: str, where: str, errs: list[str]) -> int:
-    v = obj.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        errs.append(f"{where}: {key!r} must be an integer, got {v!r}")
-        return 0
-    return v
+    __slots__ = ("errs", "_idents")
 
+    def __init__(self) -> None:
+        self.errs: list[str] = []
+        self._idents: set[str] = set()
 
-def _ident(obj: Mapping[str, Any], key: str, where: str, errs: list[str]) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str) or not v or v != v.strip() or "," in v or "\n" in v:
-        errs.append(f"{where}: {key!r} must be a plain identifier string, got {v!r}")
-        return ""
-    return v
+    def fail(self, section: str, i: int, problem: str) -> None:
+        self.errs.append(f"{section}[{i}]: {problem}")
 
+    def rows(self, doc: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+        """The section's object rows; every other entry is reported. Rows
+        are numbered among the object rows, as callers enumerate them."""
+        raw = doc.get(key, [])
+        if not isinstance(raw, list):
+            self.errs.append(f"{key!r} must be a list")
+            return []
+        out = [row for row in raw if type(row) is dict]
+        if len(out) == len(raw):
+            return out
+        out = []
+        for i, row in enumerate(raw):
+            if isinstance(row, Mapping):
+                out.append(row)
+            else:
+                self.errs.append(f"{key}[{i}] must be an object")
+        return out
 
-def _opt_ident(obj: Mapping[str, Any], key: str, where: str, errs: list[str]) -> str | None:
-    if obj.get(key) is None:
-        return None
-    return _ident(obj, key, where, errs)
+    def ident(self, obj: Mapping[str, Any], key: str, section: str, i: int) -> str:
+        v = obj.get(key)
+        if type(v) is str and v in self._idents:
+            return v
+        if not isinstance(v, str) or not v or v != v.strip() or "," in v or "\n" in v:
+            self.fail(section, i, f"{key!r} must be a plain identifier string, got {v!r}")
+            return ""
+        self._idents.add(v)
+        return v
 
+    def opt_ident(self, obj: Mapping[str, Any], key: str, section: str, i: int) -> str | None:
+        if obj.get(key) is None:
+            return None
+        return self.ident(obj, key, section, i)
 
-def _rows(doc: Mapping[str, Any], key: str, errs: list[str]) -> list[Mapping[str, Any]]:
-    raw = doc.get(key, [])
-    if not isinstance(raw, list):
-        errs.append(f"{key!r} must be a list")
-        return []
-    out = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, Mapping):
-            errs.append(f"{key}[{i}] must be an object")
-        else:
-            out.append(row)
-    return out
+    def num(self, obj: Mapping[str, Any], key: str, section: str, i: int,
+            default: float | None = None) -> float:
+        v = obj.get(key)
+        if type(v) is float:
+            return v
+        if key not in obj:
+            if default is not None:
+                return default
+            self.fail(section, i, f"missing {key!r}")
+            return 0.0
+        if not _is_number(v):
+            self.fail(section, i, f"{key!r} must be a number, got {v!r}")
+            return 0.0
+        return float(v)
 
+    def integer(self, obj: Mapping[str, Any], key: str, section: str, i: int) -> int:
+        v = obj.get(key)
+        if isinstance(v, bool) or not isinstance(v, int):
+            self.fail(section, i, f"{key!r} must be an integer, got {v!r}")
+            return 0
+        return v
 
-def _views(obj: Mapping[str, Any], where: str, errs: list[str]) -> ViewTriple:
-    strength = _num(obj, "strength", where, errs, default=0.0)
-    personal = _num(obj, "personalView", where, errs, default=0.0)
-    collective: float | None = None
-    if obj.get("myCollectiveView") is not None:
-        collective = _num(obj, "myCollectiveView", where, errs)
-    return ViewTriple(strength, personal, collective)
+    def views(self, obj: Mapping[str, Any], section: str, i: int) -> ViewTriple:
+        strength = obj.get("strength", 0.0)
+        personal = obj.get("personalView", 0.0)
+        collective = obj.get("myCollectiveView")
+        if (type(strength) is float and type(personal) is float
+                and (collective is None or type(collective) is float)):
+            return ViewTriple(strength, personal, collective)
+        strength = self.num(obj, "strength", section, i, default=0.0)
+        personal = self.num(obj, "personalView", section, i, default=0.0)
+        if collective is not None:
+            collective = self.num(obj, "myCollectiveView", section, i)
+        return ViewTriple(strength, personal, collective)
 
-
-def _enum(obj: Mapping[str, Any], key: str, enum_cls: type, where: str, errs: list[str]):
-    v = obj.get(key)
-    try:
-        return enum_cls(v)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        errs.append(f"{where}: {key!r} must be one of {allowed}, got {v!r}")
-        return next(iter(enum_cls))
+    def enum(self, obj: Mapping[str, Any], key: str, enum_cls: type, section: str, i: int):
+        v = obj.get(key)
+        try:
+            return enum_cls(v)
+        except ValueError:
+            allowed = ", ".join(m.value for m in enum_cls)
+            self.fail(section, i, f"{key!r} must be one of {allowed}, got {v!r}")
+            return next(iter(enum_cls))
 
 
 def _parse_globals(doc: Mapping[str, Any], errs: list[str]) -> Globals:
@@ -194,7 +225,8 @@ _GLOBAL_RANGES: dict[str, tuple[tuple[bool, float], tuple[bool, float]]] = {
 }
 
 
-def _parse_environment(doc: Mapping[str, Any], errs: list[str]) -> Environment:
+def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
+    errs = f.errs
     raw = doc.get("environment", {})
     if not isinstance(raw, Mapping):
         errs.append("'environment' must be an object")
@@ -227,18 +259,18 @@ def _parse_environment(doc: Mapping[str, Any], errs: list[str]) -> Environment:
     if not isinstance(rl, list):
         errs.append("environment.relocations must be a list")
         rl = []
+    section = "environment.relocations"
     for i, row in enumerate(rl):
-        where = f"environment.relocations[{i}]"
         if not isinstance(row, Mapping):
-            errs.append(f"{where} must be an object")
+            errs.append(f"{section}[{i}] must be an object")
             continue
-        tick = _int(row, "tick", where, errs)
+        tick = f.integer(row, "tick", section, i)
         if tick < 0:
-            errs.append(f"{where}: 'tick' must be non-negative")
+            f.fail(section, i, "'tick' must be non-negative")
         relocations.append(
-            Relocation(tick, _ident(row, "agent", where, errs), _ident(row, "location", where, errs))
+            Relocation(tick, f.ident(row, "agent", section, i), f.ident(row, "location", section, i))
         )
-    relocations.sort(key=lambda r: (r.tick, r.agent, r.location))
+    relocations.sort(key=attrgetter("tick", "agent", "location"))
     return Environment(tuple(timepoints), tuple(placements), tuple(relocations))
 
 
@@ -252,43 +284,39 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
     """
     if not isinstance(document, Mapping):
         raise ScenarioError("scenario document must be an object")
-    errs: list[str] = []
+    f = _Reader()
+    errs = f.errs
     unknown = set(document) - _TOP_KEYS
     if unknown:
         errs.append(f"unknown top-level keys: {sorted(unknown)}")
 
     elements = []
-    for i, row in enumerate(_rows(document, "contextElements", errs)):
-        where = f"contextElements[{i}]"
-        eid = _ident(row, "id", where, errs)
-        kind = _enum(row, "kind", ElementKind, where, errs)
+    for i, row in enumerate(f.rows(document, "contextElements")):
+        eid = f.ident(row, "id", "contextElements", i)
+        kind = f.enum(row, "kind", ElementKind, "contextElements", i)
         if kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
-            errs.append(f"{where}: declare {kind.value} tokens under their own section")
-        elements.append(ContextElement(eid, kind, _opt_ident(row, "parent", where, errs)))
+            f.fail("contextElements", i, f"declare {kind.value} tokens under their own section")
+        elements.append(ContextElement(eid, kind, f.opt_ident(row, "parent", "contextElements", i)))
 
-    activities = []
-    for i, row in enumerate(_rows(document, "activities", errs)):
-        where = f"activities[{i}]"
-        activities.append(
-            Activity(
-                _ident(row, "id", where, errs),
-                _enum(row, "type", ActivityType, where, errs),
-                _opt_ident(row, "parent", where, errs),
-            )
+    activities = [
+        Activity(
+            f.ident(row, "id", "activities", i),
+            f.enum(row, "type", ActivityType, "activities", i),
+            f.opt_ident(row, "parent", "activities", i),
         )
+        for i, row in enumerate(f.rows(document, "activities"))
+    ]
     if not activities:
         errs.append("no activities declared")
 
-    connections = []
-    for i, row in enumerate(_rows(document, "activityConnections", errs)):
-        where = f"activityConnections[{i}]"
-        connections.append(
-            ActivityConnection(
-                _ident(row, "child", where, errs),
-                _ident(row, "parent", where, errs),
-                _enum(row, "relation", RelationType, where, errs),
-            )
+    connections = [
+        ActivityConnection(
+            f.ident(row, "child", "activityConnections", i),
+            f.ident(row, "parent", "activityConnections", i),
+            f.enum(row, "relation", RelationType, "activityConnections", i),
         )
+        for i, row in enumerate(f.rows(document, "activityConnections"))
+    ]
 
     values_raw = document.get("values", [])
     values: list[str] = []
@@ -301,56 +329,55 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             errs.append(f"duplicate value ids: {sorted(dup)}")
 
     agents = []
-    for i, row in enumerate(_rows(document, "agents", errs)):
-        where = f"agents[{i}]"
-        aid = _ident(row, "id", where, errs)
-        rate = _num(row, "habitRate", where, errs)
+    for i, row in enumerate(f.rows(document, "agents")):
+        aid = f.ident(row, "id", "agents", i)
+        rate = f.num(row, "habitRate", "agents", i)
         if not 0.0 < rate <= 1.0:
-            errs.append(f"{where}: 'habitRate' must be in (0, 1], got {rate!r}")
-        budget = _int(row, "attentionBudget", where, errs)
+            f.fail("agents", i, f"'habitRate' must be in (0, 1], got {rate!r}")
+        budget = f.integer(row, "attentionBudget", "agents", i)
         if budget < 0:
-            errs.append(f"{where}: 'attentionBudget' must be non-negative")
+            f.fail("agents", i, "'attentionBudget' must be non-negative")
         resources: int | None = None
         if row.get("attentionalResources") is not None:
-            resources = _int(row, "attentionalResources", where, errs)
+            resources = f.integer(row, "attentionalResources", "agents", i)
             if not 0 <= resources <= budget:
-                errs.append(f"{where}: 'attentionalResources' must lie in [0, attentionBudget]")
+                f.fail("agents", i, "'attentionalResources' must lie in [0, attentionBudget]")
         agents.append(
             AgentSpec(
                 aid,
                 rate,
                 budget,
-                _ident(row, "location", where, errs),
+                f.ident(row, "location", "agents", i),
                 resources,
-                _opt_ident(row, "parent", where, errs),
+                f.opt_ident(row, "parent", "agents", i),
             )
         )
 
     habitual = [
         HabitualConnection(
-            _ident(row, "agent", (w := f"habitualConnections[{i}]"), errs),
-            _ident(row, "activity", w, errs),
-            _ident(row, "contextElement", w, errs),
-            _views(row, w, errs),
+            f.ident(row, "agent", "habitualConnections", i),
+            f.ident(row, "activity", "habitualConnections", i),
+            f.ident(row, "contextElement", "habitualConnections", i),
+            f.views(row, "habitualConnections", i),
         )
-        for i, row in enumerate(_rows(document, "habitualConnections", errs))
+        for i, row in enumerate(f.rows(document, "habitualConnections"))
     ]
     priorities = [
         ValuePriority(
-            _ident(row, "agent", (w := f"valuePriorities[{i}]"), errs),
-            _ident(row, "value", w, errs),
-            _views(row, w, errs),
+            f.ident(row, "agent", "valuePriorities", i),
+            f.ident(row, "value", "valuePriorities", i),
+            f.views(row, "valuePriorities", i),
         )
-        for i, row in enumerate(_rows(document, "valuePriorities", errs))
+        for i, row in enumerate(f.rows(document, "valuePriorities"))
     ]
     value_connections = [
         ValueConnection(
-            _ident(row, "agent", (w := f"valueConnections[{i}]"), errs),
-            _ident(row, "activity", w, errs),
-            _ident(row, "value", w, errs),
-            _views(row, w, errs),
+            f.ident(row, "agent", "valueConnections", i),
+            f.ident(row, "activity", "valueConnections", i),
+            f.ident(row, "value", "valueConnections", i),
+            f.views(row, "valueConnections", i),
         )
-        for i, row in enumerate(_rows(document, "valueConnections", errs))
+        for i, row in enumerate(f.rows(document, "valueConnections"))
     ]
 
     roots_raw = document.get("roots", [])
@@ -362,11 +389,11 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
 
     affordances = [
         AffordanceConnection(
-            _ident(row, "contextElement", (w := f"affordances[{i}]"), errs),
-            _ident(row, "activity", w, errs),
-            _num(row, "strength", w, errs),
+            f.ident(row, "contextElement", "affordances", i),
+            f.ident(row, "activity", "affordances", i),
+            f.num(row, "strength", "affordances", i),
         )
-        for i, row in enumerate(_rows(document, "affordances", errs))
+        for i, row in enumerate(f.rows(document, "affordances"))
     ]
 
     comp_raw = document.get("competences", {})
@@ -380,41 +407,40 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             errs.append(f"competences: unknown keys {sorted(unknown)}")
         levels = [
             CompetenceLevel(
-                _ident(row, "agent", (w := f"competences.levels[{i}]"), errs),
-                _ident(row, "competence", w, errs),
-                _num(row, "level", w, errs),
+                f.ident(row, "agent", "competences.levels", i),
+                f.ident(row, "competence", "competences.levels", i),
+                f.num(row, "level", "competences.levels", i),
             )
-            for i, row in enumerate(_rows(comp_raw, "levels", errs))
+            for i, row in enumerate(f.rows(comp_raw, "levels"))
         ]
         requirements = [
             CompetenceRequirement(
-                _ident(row, "activity", (w := f"competences.requirements[{i}]"), errs),
-                _ident(row, "competence", w, errs),
-                _num(row, "required", w, errs),
+                f.ident(row, "activity", "competences.requirements", i),
+                f.ident(row, "competence", "competences.requirements", i),
+                f.num(row, "required", "competences.requirements", i),
             )
-            for i, row in enumerate(_rows(comp_raw, "requirements", errs))
+            for i, row in enumerate(f.rows(comp_raw, "requirements"))
         ]
 
     beliefs = []
-    for i, row in enumerate(_rows(document, "activityBeliefs", errs)):
-        where = f"activityBeliefs[{i}]"
+    for i, row in enumerate(f.rows(document, "activityBeliefs")):
         rels: list[RelationType | None] = []
         for key in ("personalView", "myCollectiveView"):
             if row.get(key) is None:
                 rels.append(None)
             else:
-                rels.append(_enum(row, key, RelationType, where, errs))
+                rels.append(f.enum(row, key, RelationType, "activityBeliefs", i))
         beliefs.append(
             ActivityBelief(
-                _ident(row, "agent", where, errs),
-                _ident(row, "child", where, errs),
-                _ident(row, "parent", where, errs),
+                f.ident(row, "agent", "activityBeliefs", i),
+                f.ident(row, "child", "activityBeliefs", i),
+                f.ident(row, "parent", "activityBeliefs", i),
                 rels[0],
                 rels[1],
             )
         )
 
-    environment = _parse_environment(document, errs)
+    environment = _parse_environment(document, f)
     globals_ = _parse_globals(document, errs)
 
     # One token namespace across elements, activities and agents.
@@ -425,29 +451,29 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         seen.add(eid)
 
     scenario = Scenario(
-        context_elements=tuple(sorted(elements, key=lambda e: e.id)),
-        activities=tuple(sorted(activities, key=lambda a: a.id)),
+        context_elements=tuple(sorted(elements, key=attrgetter("id"))),
+        activities=tuple(sorted(activities, key=attrgetter("id"))),
         activity_connections=tuple(
-            sorted(connections, key=lambda c: (c.child, c.parent, c.relation))
+            sorted(connections, key=attrgetter("child", "parent", "relation"))
         ),
         values=tuple(sorted(values)),
-        agents=tuple(sorted(agents, key=lambda a: a.id)),
+        agents=tuple(sorted(agents, key=attrgetter("id"))),
         habitual_connections=tuple(
-            sorted(habitual, key=lambda h: (h.agent, h.activity, h.context_element))
+            sorted(habitual, key=attrgetter("agent", "activity", "context_element"))
         ),
-        value_priorities=tuple(sorted(priorities, key=lambda p: (p.agent, p.value))),
+        value_priorities=tuple(sorted(priorities, key=attrgetter("agent", "value"))),
         value_connections=tuple(
-            sorted(value_connections, key=lambda c: (c.agent, c.activity, c.value))
+            sorted(value_connections, key=attrgetter("agent", "activity", "value"))
         ),
         roots=tuple(roots),
         environment=environment,
         globals=globals_,
-        affordances=tuple(sorted(affordances, key=lambda a: (a.context_element, a.activity))),
-        competence_levels=tuple(sorted(levels, key=lambda l: (l.agent, l.competence))),
+        affordances=tuple(sorted(affordances, key=attrgetter("context_element", "activity"))),
+        competence_levels=tuple(sorted(levels, key=attrgetter("agent", "competence"))),
         competence_requirements=tuple(
-            sorted(requirements, key=lambda r: (r.activity, r.competence))
+            sorted(requirements, key=attrgetter("activity", "competence"))
         ),
-        activity_beliefs=tuple(sorted(beliefs, key=lambda b: (b.agent, b.child, b.parent))),
+        activity_beliefs=tuple(sorted(beliefs, key=attrgetter("agent", "child", "parent"))),
     )
     if check_refs and not errs:
         from .validate import check_references

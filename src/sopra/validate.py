@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import Any, Callable
 
 from .errors import ScenarioError
-from .model import ActivityType, ElementKind, RelationType, Scenario, ViewTriple
+from .model import ActivityType, ElementKind, RelationType, Scenario
 
 
 class ViolationKind(str, Enum):
@@ -50,50 +52,58 @@ def _kinds(s: Scenario) -> dict[str, ElementKind]:
 
 def check_references(s: Scenario) -> list[Violation]:
     """Every id used anywhere must be declared somewhere."""
-    kinds = _kinds(s)
+    return _check_references(s, _kinds(s))
+
+
+def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violation]:
+    # Each row tests membership first; its location and message are
+    # formatted only for a row with a dangling id.
     activities = {a.id for a in s.activities}
     agents = {a.id for a in s.agents}
     values = set(s.values)
     out: list[Violation] = []
     seen: set[str] = set()
 
-    def miss(message: str) -> None:
-        if message not in seen:
-            seen.add(message)
-            out.append(Violation(ViolationKind.DANGLING_REFERENCE, message))
-
     def need(token: str, pool: set[str] | dict, what: str, where: str) -> None:
         if token not in pool:
-            miss(f"{where}: unknown {what} {token!r}")
+            message = f"{where}: unknown {what} {token!r}"
+            if message not in seen:
+                seen.add(message)
+                out.append(Violation(ViolationKind.DANGLING_REFERENCE, message))
 
     for e in s.context_elements:
-        if e.parent is not None:
+        if e.parent is not None and e.parent not in kinds:
             need(e.parent, kinds, "element", f"contextElements[{e.id}].parent")
     for a in s.activities:
-        if a.parent is not None:
+        if a.parent is not None and a.parent not in kinds:
             need(a.parent, kinds, "element", f"activities[{a.id}].parent")
     for ag in s.agents:
-        if ag.parent is not None:
+        if ag.parent is not None and ag.parent not in kinds:
             need(ag.parent, kinds, "element", f"agents[{ag.id}].parent")
-        need(ag.location, kinds, "element", f"agents[{ag.id}].location")
+        if ag.location not in kinds:
+            need(ag.location, kinds, "element", f"agents[{ag.id}].location")
     for c in s.activity_connections:
-        where = f"activityConnections[{c.child}->{c.parent}]"
-        need(c.child, activities, "activity", where)
-        need(c.parent, activities, "activity", where)
+        if c.child not in activities or c.parent not in activities:
+            where = f"activityConnections[{c.child}->{c.parent}]"
+            need(c.child, activities, "activity", where)
+            need(c.parent, activities, "activity", where)
     for h in s.habitual_connections:
-        where = f"habitualConnections[{h.agent}]"
-        need(h.agent, agents, "agent", where)
-        need(h.activity, activities, "activity", where)
-        need(h.context_element, kinds, "element", where)
+        if h.agent not in agents or h.activity not in activities or h.context_element not in kinds:
+            where = f"habitualConnections[{h.agent}]"
+            need(h.agent, agents, "agent", where)
+            need(h.activity, activities, "activity", where)
+            need(h.context_element, kinds, "element", where)
     for p in s.value_priorities:
-        where = f"valuePriorities[{p.agent}]"
-        need(p.agent, agents, "agent", where)
-        need(p.value, values, "value", where)
+        if p.agent not in agents or p.value not in values:
+            where = f"valuePriorities[{p.agent}]"
+            need(p.agent, agents, "agent", where)
+            need(p.value, values, "value", where)
     for c in s.value_connections:
-        where = f"valueConnections[{c.agent}]"
-        need(c.agent, agents, "agent", where)
-        need(c.activity, activities, "activity", where)
-        need(c.value, values, "value", where)
+        if c.agent not in agents or c.activity not in activities or c.value not in values:
+            where = f"valueConnections[{c.agent}]"
+            need(c.agent, agents, "agent", where)
+            need(c.activity, activities, "activity", where)
+            need(c.value, values, "value", where)
     for r in s.roots:
         need(r, activities, "activity", "roots")
     env = s.environment
@@ -102,24 +112,31 @@ def check_references(s: Scenario) -> list[Violation]:
     for loc, resources in env.placements:
         need(loc, kinds, "element", "environment.placements")
         for res in resources:
-            need(res, kinds, "element", f"environment.placements[{loc}]")
+            if res not in kinds:
+                need(res, kinds, "element", f"environment.placements[{loc}]")
     for r in env.relocations:
-        where = f"environment.relocations[tick={r.tick}]"
-        need(r.agent, agents, "agent", where)
-        need(r.location, kinds, "element", where)
+        if r.agent not in agents or r.location not in kinds:
+            where = f"environment.relocations[tick={r.tick}]"
+            need(r.agent, agents, "agent", where)
+            need(r.location, kinds, "element", where)
     for a in s.affordances:
-        where = f"affordances[{a.activity}]"
-        need(a.context_element, kinds, "element", where)
-        need(a.activity, activities, "activity", where)
+        if a.context_element not in kinds or a.activity not in activities:
+            where = f"affordances[{a.activity}]"
+            need(a.context_element, kinds, "element", where)
+            need(a.activity, activities, "activity", where)
     for lv in s.competence_levels:
-        need(lv.agent, agents, "agent", f"competences.levels[{lv.competence}]")
+        if lv.agent not in agents:
+            need(lv.agent, agents, "agent", f"competences.levels[{lv.competence}]")
     for rq in s.competence_requirements:
-        need(rq.activity, activities, "activity", f"competences.requirements[{rq.competence}]")
+        if rq.activity not in activities:
+            need(rq.activity, activities, "activity",
+                 f"competences.requirements[{rq.competence}]")
     for b in s.activity_beliefs:
-        where = f"activityBeliefs[{b.agent}]"
-        need(b.agent, agents, "agent", where)
-        need(b.child, activities, "activity", where)
-        need(b.parent, activities, "activity", where)
+        if b.agent not in agents or b.child not in activities or b.parent not in activities:
+            where = f"activityBeliefs[{b.agent}]"
+            need(b.agent, agents, "agent", where)
+            need(b.child, activities, "activity", where)
+            need(b.parent, activities, "activity", where)
     return out
 
 
@@ -285,26 +302,36 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
     return out
 
 
-def _view_range(views: ViewTriple, where: str, out: list[Violation]) -> None:
-    for label, v in (
-        ("strength", views.strength),
-        ("personalView", views.personal_view),
-        ("myCollectiveView", views.my_collective_view),
-    ):
-        if v is not None and not 0.0 <= v <= 1.0:
-            out.append(
-                Violation(ViolationKind.VIEW_RANGE, f"{where}: {label} {v!r} outside [0, 1]")
-            )
+def _check_view_ranges(rows, where: Callable[[Any], str], out: list[Violation]) -> None:
+    """Flag every number of each row's views outside [0, 1] (NaN included);
+    `where(row)` is formatted only for a row that has one."""
+    for row in rows:
+        v = row.views
+        c = v.my_collective_view
+        try:
+            if (0.0 <= v.strength <= 1.0 and 0.0 <= v.personal_view <= 1.0
+                    and (c is None or 0.0 <= c <= 1.0)):
+                continue
+        except TypeError:  # a None field, skipped below
+            pass
+        at = where(row)
+        for label, x in (("strength", v.strength), ("personalView", v.personal_view),
+                         ("myCollectiveView", c)):
+            if x is not None and not 0.0 <= x <= 1.0:
+                out.append(
+                    Violation(ViolationKind.VIEW_RANGE, f"{at}: {label} {x!r} outside [0, 1]")
+                )
 
 
 def _check_ranges(s: Scenario) -> list[Violation]:
     out: list[Violation] = []
-    for h in s.habitual_connections:
-        _view_range(h.views, f"habitualConnections[{h.agent}:{h.activity}:{h.context_element}]", out)
-    for p in s.value_priorities:
-        _view_range(p.views, f"valuePriorities[{p.agent}:{p.value}]", out)
-    for c in s.value_connections:
-        _view_range(c.views, f"valueConnections[{c.agent}:{c.activity}:{c.value}]", out)
+    _check_view_ranges(
+        s.habitual_connections,
+        lambda h: f"habitualConnections[{h.agent}:{h.activity}:{h.context_element}]", out)
+    _check_view_ranges(s.value_priorities, lambda p: f"valuePriorities[{p.agent}:{p.value}]", out)
+    _check_view_ranges(
+        s.value_connections,
+        lambda c: f"valueConnections[{c.agent}:{c.activity}:{c.value}]", out)
     for a in s.affordances:
         if not 0.0 <= a.strength <= 1.0:
             out.append(
@@ -338,7 +365,10 @@ def _check_ranges(s: Scenario) -> list[Violation]:
 def _check_multiplicity(s: Scenario) -> list[Violation]:
     out: list[Violation] = []
 
-    def dups(keys: list, what: str) -> None:
+    def dups(rows, fields: tuple[str, ...], what: str) -> None:
+        keys = list(map(attrgetter(*fields), rows))
+        if len(set(keys)) == len(keys):
+            return
         seen: set = set()
         flagged: set = set()
         for k in keys:
@@ -348,15 +378,13 @@ def _check_multiplicity(s: Scenario) -> list[Violation]:
                 out.append(Violation(ViolationKind.MULTIPLICITY, f"duplicate {what} {label!r}"))
             seen.add(k)
 
-    dups([(h.agent, h.activity, h.context_element) for h in s.habitual_connections],
-         "habitual connection")
-    dups([(p.agent, p.value) for p in s.value_priorities], "value priority")
-    dups([(c.agent, c.activity, c.value) for c in s.value_connections], "value connection")
-    dups([(a.context_element, a.activity) for a in s.affordances], "affordance")
-    dups([(l.agent, l.competence) for l in s.competence_levels], "competence level")
-    dups([(r.activity, r.competence) for r in s.competence_requirements],
-         "competence requirement")
-    dups([(b.agent, b.child, b.parent) for b in s.activity_beliefs], "activity belief")
+    dups(s.habitual_connections, ("agent", "activity", "context_element"), "habitual connection")
+    dups(s.value_priorities, ("agent", "value"), "value priority")
+    dups(s.value_connections, ("agent", "activity", "value"), "value connection")
+    dups(s.affordances, ("context_element", "activity"), "affordance")
+    dups(s.competence_levels, ("agent", "competence"), "competence level")
+    dups(s.competence_requirements, ("activity", "competence"), "competence requirement")
+    dups(s.activity_beliefs, ("agent", "child", "parent"), "activity belief")
     return out
 
 
@@ -364,7 +392,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Full structural check; empty report means the scenario is runnable."""
     kinds = _kinds(s)
     report: list[Violation] = []
-    report.extend(check_references(s))
+    report.extend(_check_references(s, kinds))
     report.extend(_check_kind_usage(s, kinds))
     report.extend(_check_parent_forests(s))
     report.extend(_check_activity_graph(s))
