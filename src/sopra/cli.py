@@ -12,7 +12,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .engine import World, events_csv, metrics_csv, write_text_atomic
 from .errors import ScenarioError, UnknownIdError
@@ -88,15 +88,23 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _refusal(paths: Iterable[Path]) -> str | None:
+    """The refusal for the first of `paths` that exists, if any."""
+    for p in paths:
+        if p.exists():
+            return f"refusing to overwrite {p} (use --force)"
+    return None
+
+
 def _write_run_outputs(out: Path, events: list, metrics: list, atomic_ids,
                        force: bool) -> str | None:
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.csv"
     metrics_path = out / "metrics.csv"
     if not force:
-        existing = [p for p in (events_path, metrics_path) if p.exists()]
-        if existing:
-            return f"refusing to overwrite {existing[0]} (use --force)"
+        problem = _refusal((events_path, metrics_path))
+        if problem:
+            return problem
     write_text_atomic(events_csv(events), events_path)
     write_text_atomic(metrics_csv(metrics, atomic_ids), metrics_path)
     return None
@@ -154,6 +162,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.ticks < 0:
+        return _fail("--ticks must be non-negative")
     grid: list[tuple[str, list[str]]] = []
     for token in args.param:
         key, sep, raw = token.partition("=")
@@ -162,11 +172,15 @@ def _cmd_sweep(args) -> int:
         grid.append((key, raw.split(",")))
     out = Path(args.out)
     sweep_path = out / "sweep.csv"
-    if sweep_path.exists() and not args.force:
-        return _fail(f"refusing to overwrite {sweep_path} (use --force)")
-
     names = [k for k, _ in grid]
     combos = list(itertools.product(*(vals for _, vals in grid)))
+    if not args.force:
+        # Refuse before simulating anything, so a refused sweep writes nothing.
+        targets = [sweep_path] + [out / f"run_{i:03d}" / name for i in range(len(combos))
+                                  for name in ("events.csv", "metrics.csv")]
+        problem = _refusal(targets)
+        if problem:
+            return _fail(problem)
 
     def one(combo: tuple[str, ...]):
         overrides = [f"{k}={v}" for k, v in zip(names, combo)]

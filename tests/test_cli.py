@@ -202,6 +202,31 @@ def test_sweep_refuses_overwrite(scenario_file, tmp_path, capsys):
     assert main(args + ["--force"]) == 0
 
 
+def test_sweep_rejects_negative_ticks(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "-3",
+                 "--out", str(out), "--param", "decayRate=0.0,0.1"]) == 1
+    assert "--ticks must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_overwrite_before_simulating(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    existing = out / "run_001" / "events.csv"
+    existing.parent.mkdir(parents=True)
+    existing.write_text("keep me\n")
+    args = ["sweep", "--scenario", scenario_file, "--ticks", "2",
+            "--out", str(out), "--param", "decayRate=0.0,0.1"]
+    assert main(args) == 1
+    assert f"refusing to overwrite {existing}" in capsys.readouterr().err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "run_001", "run_001/events.csv"]
+    assert existing.read_text() == "keep me\n"
+    assert main(args + ["--force"]) == 0
+    assert (out / "run_000" / "events.csv").exists()
+    assert existing.read_text().startswith("tick,")
+
+
 def test_unknown_command_and_empty_argv():
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
