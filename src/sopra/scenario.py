@@ -101,12 +101,10 @@ class _Reader:
         if not isinstance(raw, list):
             self.errs.append(f"{key!r} must be a list")
             return []
-        out = [row for row in raw if type(row) is dict]
-        if len(out) == len(raw):
-            return out
         out = []
         for i, row in enumerate(raw):
-            if isinstance(row, Mapping):
+            # JSON rows are dicts; the exact-type test spares them the ABC check.
+            if type(row) is dict or isinstance(row, Mapping):
                 out.append(row)
             else:
                 self.errs.append(f"{key}[{i}] must be an object")
