@@ -14,7 +14,6 @@ from .cognition import (
     decide_step,
     decision_cycle,
     habitual_pressure,
-    intentional_score,
 )
 from .engine import (
     Event,
@@ -31,19 +30,15 @@ from .extensions import afforded, competent, filter_candidates
 from .hierarchy import (
     activity_belief,
     atomic_leaves,
-    children,
-    context_ancestors,
     descendants,
     project_collective_from_personal,
     propagate_value_connection,
 )
 from .learning import (
     ObservationEvent,
-    decay_habits,
     equilibrium_strength,
     habit_tick,
     observe,
-    reinforce_habit,
     update_personal_view,
 )
 from .model import (
@@ -115,11 +110,8 @@ __all__ = [
     "build_scenario",
     "build_score_cache",
     "candidate_set",
-    "children",
-    "context_ancestors",
     "collect_metrics",
     "competent",
-    "decay_habits",
     "decide_step",
     "decision_cycle",
     "descendants",
@@ -129,13 +121,11 @@ __all__ = [
     "habit_tick",
     "habitual_pressure",
     "init_agent_state",
-    "intentional_score",
     "load_scenario",
     "metrics_csv",
     "observe",
     "project_collective_from_personal",
     "propagate_value_connection",
-    "reinforce_habit",
     "run",
     "save_scenario",
     "serialize_scenario",

@@ -26,6 +26,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """Ends a command with exit code `code`; the reason is already printed."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; this CLI reserves 2 for
     # validation failures, so remap to 1.
@@ -70,20 +78,26 @@ def _build_with_overrides(path: str, overrides: Sequence[str]):
     return build_scenario(doc, check_refs=False)
 
 
-def _report(violations) -> None:
-    for v in violations:
-        print(f"{v.kind.value}: {v.message}")
+def _valid_scenario(path: str, overrides: Sequence[str] = ()):
+    """Build the scenario at `path` with `overrides` and validate it.
+
+    A document that cannot be read or built ends the command with exit
+    code 1 and the problem on stderr; violations end it with exit code 2
+    and the report, one violation per line, on stdout."""
+    try:
+        scenario = _build_with_overrides(path, overrides)
+    except (OSError, json.JSONDecodeError, ScenarioError, _UsageError) as exc:
+        raise _Exit(_fail(str(exc))) from None
+    violations = validate_scenario(scenario)
+    if violations:
+        for v in violations:
+            print(f"{v.kind.value}: {v.message}")
+        raise _Exit(2)
+    return scenario
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = _build_with_overrides(args.scenario, ())
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        return _fail(str(exc))
-    violations = validate_scenario(scenario)
-    if violations:
-        _report(violations)
-        return 2
+    _valid_scenario(args.scenario)
     print("OK")
     return 0
 
@@ -113,14 +127,7 @@ def _write_run_outputs(out: Path, events: list, metrics: list, atomic_ids,
 def _cmd_run(args) -> int:
     if args.ticks < 0:
         return _fail("--ticks must be non-negative")
-    try:
-        scenario = _build_with_overrides(args.scenario, args.override)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        return _fail(str(exc))
-    violations = validate_scenario(scenario)
-    if violations:
-        _report(violations)
-        return 2
+    scenario = _valid_scenario(args.scenario, args.override)
     world = World(scenario, args.seed, validate=False)
     events, metrics = world.run(args.ticks)
     problem = _write_run_outputs(Path(args.out), events, metrics,
@@ -136,14 +143,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    try:
-        scenario = _build_with_overrides(args.scenario, ())
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        return _fail(str(exc))
-    violations = validate_scenario(scenario)
-    if violations:
-        _report(violations)
-        return 2
+    scenario = _valid_scenario(args.scenario)
     try:
         if args.op == "leaves":
             for leaf in sorted(atomic_leaves(args.activity, scenario)):
@@ -164,6 +164,8 @@ def _cmd_infer(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.ticks < 0:
         return _fail("--ticks must be non-negative")
+    if args.jobs < 1:
+        return _fail("--jobs must be at least 1")
     grid: list[tuple[str, list[str]]] = []
     for token in args.param:
         key, sep, raw = token.partition("=")
@@ -174,36 +176,33 @@ def _cmd_sweep(args) -> int:
     sweep_path = out / "sweep.csv"
     names = [k for k, _ in grid]
     combos = list(itertools.product(*(vals for _, vals in grid)))
+    # Build and validate every run and check every output path before
+    # simulating anything, so a sweep that fails writes nothing.
+    scenarios = [
+        _valid_scenario(args.scenario, [f"{k}={v}" for k, v in zip(names, combo)])
+        for combo in combos
+    ]
     if not args.force:
-        # Refuse before simulating anything, so a refused sweep writes nothing.
         targets = [sweep_path] + [out / f"run_{i:03d}" / name for i in range(len(combos))
                                   for name in ("events.csv", "metrics.csv")]
         problem = _refusal(targets)
         if problem:
             return _fail(problem)
 
-    def one(combo: tuple[str, ...]):
-        overrides = [f"{k}={v}" for k, v in zip(names, combo)]
-        scenario = _build_with_overrides(args.scenario, overrides)
-        violations = validate_scenario(scenario)
-        if violations:
-            raise ScenarioError([f"{v.kind.value}: {v.message}" for v in violations])
-        world = World(scenario, args.seed, validate=False)
-        return world.run(args.ticks), scenario.index.atomic_ids
+    def one(scenario):
+        return World(scenario, args.seed, validate=False).run(args.ticks)
 
-    try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(one, combos))
-        else:
-            results = [one(c) for c in combos]
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        return _fail(str(exc))
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(one, scenarios))
+    else:
+        results = [one(s) for s in scenarios]
 
     rows = [",".join(["run"] + names + ["final_habitual_fraction", "final_mean_strength"])]
-    for i, (combo, ((events, metrics), atomic_ids)) in enumerate(zip(combos, results)):
+    for i, (combo, scenario, (events, metrics)) in enumerate(zip(combos, scenarios, results)):
         label = f"run_{i:03d}"
-        problem = _write_run_outputs(out / label, events, metrics, atomic_ids, args.force)
+        problem = _write_run_outputs(out / label, events, metrics,
+                                     scenario.index.atomic_ids, args.force)
         if problem:
             return _fail(problem)
         fraction = metrics[-1].habitual_fraction if metrics else 0.0
@@ -261,6 +260,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except _UsageError:
         return 1
+    except _Exit as exc:
+        return exc.code
 
 
 if __name__ == "__main__":

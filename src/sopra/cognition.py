@@ -1,5 +1,6 @@
-"""Decision making: habitual pressure, intentional scores, and the
-root-to-atomic decision walk.
+"""Decision making: habitual pressure and the root-to-atomic decision
+walk. Intentional scores are precomputed per agent by
+`state.build_score_cache`.
 
 A decision cycle starts from the deepest unfinished sequential activity
 (or the scenario root) and repeatedly picks one child until an atomic
@@ -66,19 +67,6 @@ def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
     )[0]
 
 
-def intentional_score(state: AgentState, activity: str, scenario: Scenario) -> float:
-    """Sum over the agent's values of priority x connection, both read
-    from explicit personal views."""
-    idx = scenario.index
-    ai = idx.activity_index(activity)
-    acc = 0.0
-    for vi in sorted(state.value_priorities):
-        rec = state.value_connections.get((ai, vi))
-        if rec is not None:
-            acc = acc + state.value_priorities[vi][1] * rec[1]
-    return acc
-
-
 def candidate_set(node: str, exec_state: ExecutionState, scenario: Scenario) -> set[str]:
     """Children eligible at `node`: implementations of an abstract node,
     or the not-yet-completed parts of a sequential one."""
@@ -111,7 +99,9 @@ def _argmax(values: list[float], rng: random.Random, uniform: bool) -> int:
 def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
                 exec_state: ExecutionState, scenario: Scenario,
                 rng: random.Random) -> DecisionStep:
-    """Pick one child of `node`, habitually or intentionally."""
+    """Pick one child of `node`, habitually or intentionally. Scores are
+    read from `state.score_raw`/`score_norm`, which `build_score_cache`
+    fills."""
     g = scenario.globals
     cands = sorted(candidate_set(node, exec_state, scenario))
     if not cands:
@@ -134,7 +124,7 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
         pick = _argmax(pressures, rng, uniform)
     else:
         mode = DecisionMode.INTENTIONAL
-        scores = [_raw_score(state, c, scenario) for c in cands]
+        scores = [state.score_raw[c] for c in cands]
         pick = _argmax(scores, rng, uniform)
         state.resources -= g.deliberation_cost
     chosen = cands[pick]
@@ -143,26 +133,10 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
         chosen=chosen,
         mode=mode,
         pressure=pressures[pick],
-        score=_norm_score(state, chosen, scenario),
+        score=state.score_norm[chosen],
         candidates=tuple(cands),
         feasibility_fallback=fallback,
     )
-
-
-def _raw_score(state: AgentState, activity: str, scenario: Scenario) -> float:
-    if state.score_raw is not None:
-        return state.score_raw[activity]
-    return intentional_score(state, activity, scenario)
-
-
-def _norm_score(state: AgentState, activity: str, scenario: Scenario) -> float:
-    if state.score_norm is not None:
-        return state.score_norm[activity]
-    total = 0.0
-    for vi in sorted(state.value_priorities):
-        total = total + state.value_priorities[vi][1]
-    raw = intentional_score(state, activity, scenario)
-    return raw / total if total > 0.0 else 0.0
 
 
 def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,

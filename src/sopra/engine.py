@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cognition import decision_cycle, habitual_pressure, _norm_score
+from .cognition import decision_cycle, habitual_pressure
 from .learning import ObservationEvent, habit_tick, observe, update_personal_view
 from .hierarchy import project_collective_from_personal
 from .model import DecisionMode, Scenario
@@ -181,7 +181,7 @@ class World:
                 # pressure and score are reported for observability.
                 mode = DecisionMode.HABITUAL
                 pressure = root_pressures[ag]
-                score = _norm_score(state, performed[ag], s)
+                score = state.score_norm[performed[ag]]
             new_events.append(
                 Event(tick, ag, performed[ag], mode, pressure, _snap_score(score),
                       state.location, timepoint)

@@ -10,16 +10,6 @@ from .model import ActivityBelief, ActivityType, RelationType, Scenario
 from .state import AgentState
 
 
-def context_ancestors(element: str, scenario: Scenario) -> list[str]:
-    """Parents of a context element walking outward, nearest first."""
-    return list(scenario.index.ancestors(element))
-
-
-def children(activity: str, scenario: Scenario, relation: RelationType | None = None) -> set[str]:
-    """Direct children of `activity`, optionally restricted to one relation."""
-    return set(scenario.index.children(activity, relation))
-
-
 def descendants(activity: str, scenario: Scenario, relation: RelationType | None = None) -> set[str]:
     """Everything reachable downward from `activity` (excluding it)."""
     idx = scenario.index

@@ -31,27 +31,6 @@ class ObservationEvent:
             raise ValueError("an agent does not observe itself")
 
 
-def reinforce_habit(state: AgentState, activity: str, ctx: ContextSnapshot,
-                    scenario: Scenario) -> None:
-    """Performing `activity` in `ctx` pulls each (activity, element)
-    strength toward 1 by the agent's habit rate, creating missing
-    connections at 0 first."""
-    rate = scenario.index.agent_specs[state.agent_id].habit_rate
-    state.habits.reinforce(
-        scenario.index.activity_index(activity), ctx.element_ids(scenario.index), rate
-    )
-
-
-def decay_habits(state: AgentState, performed: str, ctx: ContextSnapshot,
-                 scenario: Scenario) -> None:
-    """Scale every connection not reinforced this tick by (1 - decayRate)."""
-    state.habits.decay(
-        scenario.index.activity_index(performed),
-        ctx.element_ids(scenario.index),
-        scenario.globals.decay_rate,
-    )
-
-
 def habit_tick(state: AgentState, performed: str, ctx: ContextSnapshot,
                scenario: Scenario) -> None:
     """One tick of strength dynamics from tick-start values.

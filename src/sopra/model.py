@@ -79,9 +79,6 @@ class ViewTriple:
     personal_view: float = 0.0
     my_collective_view: float | None = None  # None = not yet formed
 
-    def as_tuple(self) -> tuple[float, float, float | None]:
-        return (self.strength, self.personal_view, self.my_collective_view)
-
 
 @dataclass(frozen=True)
 class HabitualConnection:

@@ -94,9 +94,10 @@ class _Reader:
     def fail(self, section: str, i: int, problem: str) -> None:
         self.errs.append(f"{section}[{i}]: {problem}")
 
-    def rows(self, doc: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-        """The section's object rows; every other entry is reported. Rows
-        are numbered among the object rows, as callers enumerate them."""
+    def rows(self, doc: Mapping[str, Any], key: str) -> list[tuple[int, Mapping[str, Any]]]:
+        """(position in the list, row) for the section's object rows; every
+        other entry is reported. All entries are checked before any row
+        is read, so their reports come first."""
         raw = doc.get(key, [])
         if not isinstance(raw, list):
             self.errs.append(f"{key!r} must be a list")
@@ -105,7 +106,7 @@ class _Reader:
         for i, row in enumerate(raw):
             # JSON rows are dicts; the exact-type test spares them the ABC check.
             if type(row) is dict or isinstance(row, Mapping):
-                out.append(row)
+                out.append((i, row))
             else:
                 self.errs.append(f"{key}[{i}] must be an object")
         return out
@@ -289,7 +290,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         errs.append(f"unknown top-level keys: {sorted(unknown)}")
 
     elements = []
-    for i, row in enumerate(f.rows(document, "contextElements")):
+    for i, row in f.rows(document, "contextElements"):
         eid = f.ident(row, "id", "contextElements", i)
         kind = f.enum(row, "kind", ElementKind, "contextElements", i)
         if kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
@@ -302,7 +303,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.enum(row, "type", ActivityType, "activities", i),
             f.opt_ident(row, "parent", "activities", i),
         )
-        for i, row in enumerate(f.rows(document, "activities"))
+        for i, row in f.rows(document, "activities")
     ]
     if not activities:
         errs.append("no activities declared")
@@ -313,7 +314,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.ident(row, "parent", "activityConnections", i),
             f.enum(row, "relation", RelationType, "activityConnections", i),
         )
-        for i, row in enumerate(f.rows(document, "activityConnections"))
+        for i, row in f.rows(document, "activityConnections")
     ]
 
     values_raw = document.get("values", [])
@@ -327,7 +328,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             errs.append(f"duplicate value ids: {sorted(dup)}")
 
     agents = []
-    for i, row in enumerate(f.rows(document, "agents")):
+    for i, row in f.rows(document, "agents"):
         aid = f.ident(row, "id", "agents", i)
         rate = f.num(row, "habitRate", "agents", i)
         if not 0.0 < rate <= 1.0:
@@ -358,7 +359,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.ident(row, "contextElement", "habitualConnections", i),
             f.views(row, "habitualConnections", i),
         )
-        for i, row in enumerate(f.rows(document, "habitualConnections"))
+        for i, row in f.rows(document, "habitualConnections")
     ]
     priorities = [
         ValuePriority(
@@ -366,7 +367,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.ident(row, "value", "valuePriorities", i),
             f.views(row, "valuePriorities", i),
         )
-        for i, row in enumerate(f.rows(document, "valuePriorities"))
+        for i, row in f.rows(document, "valuePriorities")
     ]
     value_connections = [
         ValueConnection(
@@ -375,7 +376,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.ident(row, "value", "valueConnections", i),
             f.views(row, "valueConnections", i),
         )
-        for i, row in enumerate(f.rows(document, "valueConnections"))
+        for i, row in f.rows(document, "valueConnections")
     ]
 
     roots_raw = document.get("roots", [])
@@ -391,7 +392,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             f.ident(row, "activity", "affordances", i),
             f.num(row, "strength", "affordances", i),
         )
-        for i, row in enumerate(f.rows(document, "affordances"))
+        for i, row in f.rows(document, "affordances")
     ]
 
     comp_raw = document.get("competences", {})
@@ -409,7 +410,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
                 f.ident(row, "competence", "competences.levels", i),
                 f.num(row, "level", "competences.levels", i),
             )
-            for i, row in enumerate(f.rows(comp_raw, "levels"))
+            for i, row in f.rows(comp_raw, "levels")
         ]
         requirements = [
             CompetenceRequirement(
@@ -417,11 +418,11 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
                 f.ident(row, "competence", "competences.requirements", i),
                 f.num(row, "required", "competences.requirements", i),
             )
-            for i, row in enumerate(f.rows(comp_raw, "requirements"))
+            for i, row in f.rows(comp_raw, "requirements")
         ]
 
     beliefs = []
-    for i, row in enumerate(f.rows(document, "activityBeliefs")):
+    for i, row in f.rows(document, "activityBeliefs"):
         rels: list[RelationType | None] = []
         for key in ("personalView", "myCollectiveView"):
             if row.get(key) is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ._kernel import get_backend
@@ -73,6 +72,7 @@ class AgentState:
     resources: int
     location: str
     last_activity: str | None = None
+    # activity -> intentional score, raw and normalised; set by build_score_cache
     score_raw: dict[str, float] | None = None
     score_norm: dict[str, float] | None = None
 
@@ -120,19 +120,27 @@ def init_agent_state(scenario: Scenario, agent_id: str, backend: str | None = No
 
 
 def build_score_cache(state: AgentState, scenario: Scenario) -> None:
-    """Precompute intentional scores; they only change when view tables do,
-    which in the current dynamics is never during a run."""
-    from .cognition import intentional_score
-
-    idx = scenario.index
+    """Compute every activity's intentional score: the sum over the
+    agent's values, in ascending value order, of the priority's personal
+    view times the connection's. `score_norm` divides it by the sum of
+    the priorities' personal views (0 when that sum is not positive).
+    The scores only change when view tables do, which in the current
+    dynamics is never during a run, so the decision walk reads them
+    from here."""
+    priorities = [(vi, rec[1]) for vi, rec in sorted(state.value_priorities.items())]
     total = 0.0
-    for vi in sorted(state.value_priorities):
-        total = total + state.value_priorities[vi][1]
+    for _, p in priorities:
+        total = total + p
+    connections = state.value_connections
     raw: dict[str, float] = {}
     norm: dict[str, float] = {}
-    for a in idx.activity_ids:
-        r = intentional_score(state, a, scenario)
-        raw[a] = r
-        norm[a] = r / total if total > 0.0 else 0.0
+    for ai, a in enumerate(scenario.index.activity_ids):
+        acc = 0.0
+        for vi, p in priorities:
+            rec = connections.get((ai, vi))
+            if rec is not None:
+                acc = acc + p * rec[1]
+        raw[a] = acc
+        norm[a] = acc / total if total > 0.0 else 0.0
     state.score_raw = raw
     state.score_norm = norm

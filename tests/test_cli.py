@@ -111,9 +111,10 @@ def test_run_rejects_out_of_range_override(scenario_file, tmp_path, capsys):
     assert "habitThreshold" in capsys.readouterr().err
 
 
-def test_run_rejects_malformed_override(scenario_file, tmp_path):
+def test_run_rejects_malformed_override(scenario_file, tmp_path, capsys):
     assert main(["run", "--scenario", scenario_file, "--ticks", "2",
                  "--out", str(tmp_path / "x"), "--override", "habitThreshold"]) == 1
+    assert "override must look like key=value" in capsys.readouterr().err
 
 
 def test_string_override_accepted(scenario_file, tmp_path):
@@ -207,6 +208,37 @@ def test_sweep_rejects_negative_ticks(scenario_file, tmp_path, capsys):
     assert main(["sweep", "--scenario", scenario_file, "--ticks", "-3",
                  "--out", str(out), "--param", "decayRate=0.0,0.1"]) == 1
     assert "--ticks must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(scenario_file, tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "2",
+                 "--out", str(out), "--param", "decayRate=0.0,0.1",
+                 "--jobs", jobs]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_dangling_reference_is_a_validation_failure(tmp_path, capsys):
+    doc, _ = mutation_fixtures()["dangling-reference"]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", _write(tmp_path, doc), "--ticks", "2",
+                 "--out", str(out), "--param", "decayRate=0.0,0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("dangling-reference:")
+    assert captured.err == ""
+    assert not out.exists()
+
+
+def test_sweep_validates_every_run_before_simulating(scenario_file, tmp_path, capsys):
+    # The second run's override is out of range: nothing may be written,
+    # not even the first run's outputs.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "2",
+                 "--out", str(out), "--param", "decayRate=0.0,1.5"]) == 1
+    assert "decayRate" in capsys.readouterr().err
     assert not out.exists()
 
 

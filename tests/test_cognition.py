@@ -15,7 +15,6 @@ from sopra import (
     decision_cycle,
     habitual_pressure,
     init_agent_state,
-    intentional_score,
 )
 from sopra.state import ExecutionState
 
@@ -23,9 +22,16 @@ from sopra.state import ExecutionState
 RNG = lambda: random.Random(0)
 
 
+def _agent(scenario, agent_id):
+    """An agent's initial state with its scores computed, as World makes it."""
+    state = init_agent_state(scenario, agent_id)
+    build_score_cache(state, scenario)
+    return state
+
+
 @pytest.fixture
 def bob(commuting):
-    return init_agent_state(commuting, "bob")
+    return _agent(commuting, "bob")
 
 
 def test_pressure_is_mean_over_context(commuting, bob):
@@ -99,22 +105,15 @@ def test_empty_context_is_an_error(commuting, bob):
 
 def test_intentional_score_examples(commuting, bob):
     # priorities: environmentalism 1.0, efficiency 0.2
-    assert intentional_score(bob, "ride_bike_to_work", commuting) == pytest.approx(1.0)
-    assert intentional_score(bob, "drive_car_to_work", commuting) == pytest.approx(0.2)
-    assert intentional_score(bob, "take_train_to_work", commuting) == pytest.approx(0.14)
-    alice = init_agent_state(commuting, "alice")
-    assert intentional_score(alice, "drive_car_to_work", commuting) == pytest.approx(
-        0.9 * 0.95
-    )
-
-
-def test_score_cache_matches_direct_computation(commuting, bob):
-    direct = {a.id: intentional_score(bob, a.id, commuting) for a in commuting.activities}
-    build_score_cache(bob, commuting)
-    assert bob.score_raw == direct
+    assert bob.score_raw["ride_bike_to_work"] == pytest.approx(1.0)
+    assert bob.score_raw["drive_car_to_work"] == pytest.approx(0.2)
+    assert bob.score_raw["take_train_to_work"] == pytest.approx(0.14)
+    assert set(bob.score_raw) == set(commuting.index.activity_ids)
     total = 1.0 + 0.2
-    for a, raw in direct.items():
+    for a, raw in bob.score_raw.items():
         assert bob.score_norm[a] == pytest.approx(raw / total)
+    alice = _agent(commuting, "alice")
+    assert alice.score_raw["drive_car_to_work"] == pytest.approx(0.9 * 0.95)
 
 
 def test_candidate_set(commuting):
@@ -175,7 +174,7 @@ def test_decide_step_lexicographic_ties():
     doc["valueConnections"][1]["strength"] = 0.9
     doc["valueConnections"][1]["personalView"] = 0.9
     s = build_scenario(doc)
-    state = init_agent_state(s, "ag1")
+    state = _agent(s, "ag1")
     step = decide_step(state, "act_root", _ctx(), ExecutionState(), s, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
     assert step.chosen == "opt_a"
@@ -189,7 +188,7 @@ def test_decide_step_uniform_ties_use_rng():
     s = build_scenario(doc)
     picks = set()
     for seed in range(12):
-        state = init_agent_state(s, "ag1")
+        state = _agent(s, "ag1")
         step = decide_step(state, "act_root", _ctx(), ExecutionState(), s,
                            random.Random(seed))
         picks.add(step.chosen)
@@ -200,7 +199,7 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
     doc = make_doc()
     doc["globals"] = {"tieBreak": "uniform"}
     s = build_scenario(doc)
-    state = init_agent_state(s, "ag1")
+    state = _agent(s, "ag1")
     rng = random.Random(5)
     before = rng.getstate()
     step = decide_step(state, "act_root", _ctx(), ExecutionState(), s, rng)
@@ -241,7 +240,7 @@ def test_decision_cycle_atomic_root():
     doc["valueConnections"] = []
     doc["roots"] = ["only"]
     s = build_scenario(doc)
-    state = init_agent_state(s, "ag1")
+    state = _agent(s, "ag1")
     atomic, trace = decision_cycle(state, _ctx(), s, RNG())
     assert atomic == "only"
     assert trace.steps == []
@@ -290,7 +289,7 @@ def test_nested_sequential_completion():
     doc["agents"][0]["attentionBudget"] = 10
     doc["roots"] = ["outer"]
     s = build_scenario(doc)
-    state = init_agent_state(s, "ag1")
+    state = _agent(s, "ag1")
     performed = [decision_cycle(state, _ctx(), s, RNG())[0] for _ in range(3)]
     assert performed == ["a1", "a2", "tail"]
     assert state.exec_state.pending == []

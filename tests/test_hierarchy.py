@@ -12,8 +12,6 @@ from sopra import (
     activity_belief,
     atomic_leaves,
     build_scenario,
-    children,
-    context_ancestors,
     descendants,
     init_agent_state,
     project_collective_from_personal,
@@ -39,17 +37,20 @@ def brute_descendants(doc, activity, relation=None):
 
 
 def test_children_by_relation(commuting, commuting_doc):
-    assert children("commuting", commuting) == {"bring_kids_to_school", "go_to_work"}
-    assert children("commuting", commuting, RelationType.PART_OF) == {
+    children = commuting.index.children
+    assert children("commuting") == ("bring_kids_to_school", "go_to_work")
+    assert children("commuting", RelationType.PART_OF) == (
         "bring_kids_to_school",
         "go_to_work",
-    }
-    assert children("commuting", commuting, RelationType.IS_A) == set()
-    assert children("go_to_work", commuting) == {
+    )
+    assert children("commuting", RelationType.IS_A) == ()
+    assert children("go_to_work") == tuple(sorted(
         r["child"] for r in commuting_doc["activityConnections"]
         if r["parent"] == "go_to_work"
-    }
-    assert children("walk_to_work", commuting) == set()
+    ))
+    assert children("walk_to_work") == ()
+    with pytest.raises(ScenarioError):
+        children("no_such")
 
 
 def test_descendants_match_bruteforce(commuting, commuting_doc):
@@ -88,9 +89,12 @@ def test_unknown_activity_rejected(commuting):
 
 
 def test_context_ancestors(commuting):
-    assert context_ancestors("bobs_car", commuting) == ["car"]
-    assert context_ancestors("car", commuting) == []
-    assert context_ancestors("Home", commuting) == []
+    ancestors = commuting.index.ancestors
+    assert ancestors("bobs_car") == ("car",)
+    assert ancestors("car") == ()
+    assert ancestors("Home") == ()
+    with pytest.raises(ScenarioError):
+        ancestors("no_such")
 
 
 def test_context_ancestors_long_chain():
@@ -102,7 +106,7 @@ def test_context_ancestors_long_chain():
         {"id": "c4", "kind": "Resource", "parent": "c3"},
     ]
     s = build_scenario(doc)
-    assert context_ancestors("c4", s) == ["c3", "c2", "c1"]
+    assert s.index.ancestors("c4") == ("c3", "c2", "c1")
 
 
 def test_propagate_commuting_examples(commuting):

@@ -9,21 +9,26 @@ from sopra import (
     ContextSnapshot,
     ObservationEvent,
     build_scenario,
-    decay_habits,
     equilibrium_strength,
     habit_tick,
     init_agent_state,
     observe,
     project_collective_from_personal,
-    reinforce_habit,
     update_personal_view,
 )
-from sopra._kernel import get_backend
+from sopra._kernel import available_backends, get_backend
 
 
 def _views(state, scenario, activity, element):
     idx = scenario.index
     return state.habits.get_views(idx.activity_index(activity), idx.element_index(element))
+
+
+def _reinforce(state, scenario, activity, ctx):
+    """Reinforce `activity` over `ctx` at the agent's habit rate."""
+    idx = scenario.index
+    state.habits.reinforce(idx.activity_index(activity), ctx.element_ids(idx),
+                           idx.agent_specs[state.agent_id].habit_rate)
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ def bob(commuting):
 
 def test_reinforce_closes_gap_to_one(commuting, bob):
     ctx = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"}))
-    reinforce_habit(bob, "drive_car_to_work", ctx, commuting)
+    _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[0] == pytest.approx(
         0.8 + 0.1 * 0.2
     )
@@ -48,7 +53,7 @@ def test_reinforce_closes_gap_to_one(commuting, bob):
 
 def test_reinforce_leaves_personal_views_alone(commuting, bob):
     ctx = ContextSnapshot(frozenset({"bobs_car"}))
-    reinforce_habit(bob, "drive_car_to_work", ctx, commuting)
+    _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[1] == 0.8
 
 
@@ -65,7 +70,8 @@ def test_decay_skips_reinforced_pairs():
     doc["globals"] = {"decayRate": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    decay_habits(state, "opt_a", ContextSnapshot(frozenset({"Home"})), s)
+    state.habits.decay(s.index.activity_index("opt_a"),
+                       [s.index.element_index("Home")], 0.5)
     assert _views(state, s, "opt_a", "Home")[0] == 0.6  # reinforced pair kept
     assert _views(state, s, "opt_a", "Morning")[0] == 0.25
     assert _views(state, s, "opt_b", "Home")[0] == 0.2
@@ -84,14 +90,25 @@ def same_items(xs, ys):
     return True
 
 
-def test_habit_tick_default_equals_reinforce_then_decay(commuting):
-    a = init_agent_state(commuting, "bob")
-    b = init_agent_state(commuting, "bob")
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"}))
-    reinforce_habit(a, "drive_car_to_work", ctx, commuting)
-    decay_habits(a, "drive_car_to_work", ctx, commuting)
-    habit_tick(b, "drive_car_to_work", ctx, commuting)
-    assert same_items(a.habits.items(), b.habits.items())  # bit-exact, not approx
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_habit_tick_default_equals_reinforce_then_decay(backend, commuting):
+    idx = commuting.index
+    elems = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"})).element_ids(idx)
+    stepped = init_agent_state(commuting, "bob", backend).habits
+    ticked = init_agent_state(commuting, "bob", backend).habits
+    # Alternate activities so some ticks reinforce existing pairs and
+    # decay the ones the previous tick created.
+    for activity in ("drive_car_to_work", "walk_to_work", "drive_car_to_work"):
+        ai = idx.activity_index(activity)
+        stepped.reinforce(ai, elems, 0.1)
+        stepped.decay(ai, elems, 0.05)
+        ticked.habit_tick(ai, elems, 0.1, 0.05, False)
+
+    # float.hex compares bits, and prints every NaN as "nan".
+    def table(store):
+        return [(a, e) + tuple(v.hex() for v in views) for a, e, *views in store.items()]
+
+    assert table(stepped) == table(ticked)
 
 
 def test_habit_tick_decay_all_uses_fused_update():
@@ -146,7 +163,7 @@ def test_faster_habit_rate_reinforces_more():
         doc["agents"][0]["habitRate"] = rate
         s = build_scenario(doc)
         state = init_agent_state(s, "ag1")
-        reinforce_habit(state, "opt_a", ContextSnapshot(frozenset({"Home"})), s)
+        habit_tick(state, "opt_a", ContextSnapshot(frozenset({"Home"})), s)
         h = _views(state, s, "opt_a", "Home")[0]
         assert h > prev
         prev = h
@@ -154,7 +171,7 @@ def test_faster_habit_rate_reinforces_more():
 
 def test_update_personal_view_tracks_strength(commuting, bob):
     ctx = ContextSnapshot(frozenset({"bobs_car"}))
-    reinforce_habit(bob, "drive_car_to_work", ctx, commuting)  # s: 0.8 -> 0.82
+    _reinforce(bob, commuting, "drive_car_to_work", ctx)  # s: 0.8 -> 0.82
     update_personal_view(bob, commuting)  # awareness 0.5
     s, p, _ = _views(bob, commuting, "drive_car_to_work", "bobs_car")
     assert p == pytest.approx(0.8 + 0.5 * (0.82 - 0.8))

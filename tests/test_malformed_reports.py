@@ -148,8 +148,9 @@ CASES: dict[str, Callable[[Doc], None]] = {
         _append("agents", None),
         lambda doc: doc["activities"].insert(0, ["commuting"]),
     ),
-    # Rows are numbered among the object rows only: the bad id is reported
-    # at valueConnections[3], its position once the string is skipped.
+    # Rows are numbered by their position in the list: the bad id, moved
+    # from valueConnections[3] to [4] by the inserted string, is reported
+    # at [4].
     "bad_row_after_non_object": _all(
         _set("valueConnections", 3, "agent", ""),
         lambda doc: doc["valueConnections"].insert(1, "not a row"),
@@ -241,11 +242,11 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "bad_row_after_non_object": (
         [
             'valueConnections[1] must be an object',
-            "valueConnections[3]: 'agent' must be a plain identifier string, got ''",
+            "valueConnections[4]: 'agent' must be a plain identifier string, got ''",
         ],
         [
             'valueConnections[1] must be an object',
-            "valueConnections[3]: 'agent' must be a plain identifier string, got ''",
+            "valueConnections[4]: 'agent' must be a plain identifier string, got ''",
         ],
         None,
     ),
