@@ -1,36 +1,21 @@
 """Build hook for the optional compiled kernel.
 
 The package is fully functional without the extension (a pure-Python
-fallback is selected at import time), so a failed or skipped extension
-build must not fail the install. Set SOPRA_SKIP_EXT=1 to force a
-pure-Python install.
+fallback is selected at import time), so the extension is optional: a
+failed build leaves a pure-Python install instead of failing it.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-
-def _extensions():
-    if os.environ.get("SOPRA_SKIP_EXT") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "sopra._kernel._chabits",
-        sources=["src/sopra/_kernel/_chabits.pyx"],
-        language="c++",
-        # -ffp-contract=off: no fused multiply-add, so results stay
-        # bit-identical with the pure-Python backend.
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize(
-        [ext],
-        language_level=3,
-        compiler_directives={"boundscheck": False, "wraparound": False},
-    )
-
-
-setup(ext_modules=_extensions())
+setup(
+    ext_modules=[
+        Extension(
+            "sopra._kernel._chabits",
+            sources=["src/sopra/_kernel/_chabits.cpp"],
+            # -ffp-contract=off: no fused multiply-add, so results stay
+            # bit-identical with the pure-Python backend.
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

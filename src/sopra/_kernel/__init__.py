@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-The compiled extension is used when present; the pure-Python fallback is
+The compiled extension (`_chabits.cpp`, backend "compiled") is used when
+present; the pure-Python fallback (`pyhabits.py`, backend "python") is
 always available and produces bit-identical results. Set SOPRA_KERNEL to
-"python" or "cython" to force one.
+"python" or "compiled" to force one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ except ImportError:
 def available_backends() -> dict[str, type]:
     backends: dict[str, type] = {"python": PyHabitStore}
     if CHabitStore is not None:
-        backends["cython"] = CHabitStore
+        backends["compiled"] = CHabitStore
     return backends
 
 
@@ -34,4 +35,4 @@ def get_backend(name: str | None = None) -> type:
 
 
 def default_backend() -> str:
-    return "cython" if CHabitStore is not None else "python"
+    return "compiled" if CHabitStore is not None else "python"

@@ -13,7 +13,7 @@ elements up by small int. `_keys[slot]` is the entry's (activity,
 element), in creation order.
 
 This is the reference implementation. The compiled backend in
-`_chabits.pyx` mirrors it, and the two must stay bit-identical. The
+`_chabits.cpp` mirrors it, and the two must stay bit-identical. The
 invariant is: the same expression for each entry, the same order of
 entry creation, and the same order of updates within each entry
 (`observe` strengthens the acted entry before it weakens competing

@@ -474,7 +474,7 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         ),
         activity_beliefs=tuple(sorted(beliefs, key=attrgetter("agent", "child", "parent"))),
     )
-    if check_refs and not errs:
+    if check_refs:
         from .validate import check_references
 
         errs.extend(v.message for v in check_references(scenario))

@@ -51,8 +51,14 @@ def _kinds(s: Scenario) -> dict[str, ElementKind]:
 
 
 def check_references(s: Scenario) -> list[Violation]:
-    """Every id used anywhere must be declared somewhere."""
-    return _check_references(s, _kinds(s))
+    """Every id used anywhere must be declared somewhere.
+
+    This is the builder's check, so the empty id is left out: `build_scenario`
+    puts it in place of an id that failed the identifier check, which is
+    already reported. `validate_scenario` reports every dangling id.
+    """
+    empty = f" {''!r}"  # need() ends each message with the id's repr
+    return [v for v in _check_references(s, _kinds(s)) if not v.message.endswith(empty)]
 
 
 def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violation]:

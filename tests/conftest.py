@@ -1,9 +1,49 @@
 from __future__ import annotations
 
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+
 import pytest
 
+import sopra._kernel
 from sopra import build_scenario
 from sopra.scenarios import bundled_document, load_bundled
+
+
+def pytest_sessionstart(session):
+    """Build the compiled kernel when it is not importable and g++ is.
+
+    Runs before collection, so the parity tests' skip marks see the result.
+    The extension is compiled into a temporary directory, never into src/,
+    with the flags setup.py uses, then loaded as sopra._kernel._chabits. A
+    compile error ends the session; only a missing compiler leaves the
+    parity tests skipped.
+    """
+    if "compiled" in sopra._kernel.available_backends():
+        return
+    cxx = shutil.which("g++")
+    if cxx is None:
+        return
+    name = "sopra._kernel._chabits"
+    source = Path(sopra._kernel.__file__).with_name("_chabits.cpp")
+    with tempfile.TemporaryDirectory(prefix="sopra-kernel-") as tmp:
+        target = Path(tmp) / ("_chabits" + sysconfig.get_config_var("EXT_SUFFIX"))
+        cmd = [cxx, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+               "-I" + sysconfig.get_paths()["include"], str(source), "-o", str(target)]
+        built = subprocess.run(cmd, capture_output=True, text=True)
+        if built.returncode != 0:
+            pytest.exit(f"compiled kernel failed to build:\n{built.stderr}", returncode=1)
+        spec = importlib.util.spec_from_file_location(name, target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    sys.modules[name] = module
+    importlib.reload(sopra._kernel)  # re-runs backend selection
+
 
 # (criterion, passed, detail) records from tests using the `acceptance`
 # fixture; replayed as one line each in the terminal summary.

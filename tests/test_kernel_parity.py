@@ -3,7 +3,6 @@ same results bit for bit, in any operation order, on any scenario."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -21,8 +20,8 @@ from sopra._kernel import (
 from sopra.scenarios import load_bundled
 from sopra.testing import random_scenario_document
 
-needs_cython = pytest.mark.skipif(
-    "cython" not in available_backends(), reason="compiled kernel not built"
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in available_backends(), reason="compiled kernel not built"
 )
 
 
@@ -39,10 +38,10 @@ def test_env_var_selects_backend(monkeypatch):
     assert get_backend().backend == default_backend()
 
 
-@needs_cython
+@needs_compiled
 def test_backend_names():
-    assert get_backend("cython").backend == "cython"
-    assert default_backend() == "cython"
+    assert get_backend("compiled").backend == "compiled"
+    assert default_backend() == "compiled"
 
 
 def _chains():
@@ -55,7 +54,7 @@ def _chains():
 def _random_ops(rng, n=400):
     ops = []
     for _ in range(n):
-        kind = rng.randrange(6)
+        kind = rng.randrange(7)
         if kind == 0:
             ops.append(("set", rng.randrange(4), rng.randrange(5),
                         rng.random(), rng.random(), rng.random()))
@@ -72,6 +71,9 @@ def _random_ops(rng, n=400):
             ops.append(("observe", rng.randrange(4),
                         sorted(rng.sample(range(4), rng.randint(0, 2))),
                         sorted(rng.sample(range(5), rng.randint(1, 3))), rng.random()))
+        elif kind == 5:
+            ops.append(("decay", rng.randrange(4),
+                        sorted(rng.sample(range(5), rng.randint(0, 3))), rng.random() * 0.9))
         else:
             ops.append(("project",))
     return ops
@@ -89,20 +91,23 @@ def _apply(store, ops):
             store.track_personal(op[1])
         elif op[0] == "observe":
             store.observe(*op[1:])
+        elif op[0] == "decay":
+            store.decay(*op[1:])
         else:
             store.project_collective()
 
 
 def _same_floats(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
+    # float.hex tells -0.0 from 0.0 and writes every NaN as "nan".
+    return a.hex() == b.hex()
 
 
-@needs_cython
+@needs_compiled
 @pytest.mark.parametrize("seed", range(10))
 def test_operation_sequences_bit_identical(seed):
     chain_data, chain_start = _chains()
     py = get_backend("python")(chain_data, chain_start)
-    cy = get_backend("cython")(chain_data, chain_start)
+    cy = get_backend("compiled")(chain_data, chain_start)
     rng = random.Random(seed)
     ops = _random_ops(rng)
     _apply(py, ops)
@@ -120,6 +125,14 @@ def test_operation_sequences_bit_identical(seed):
     for u, v in zip(ps[1:], cs[1:]):
         assert _same_floats(u, v)
 
+    # Every key of the grid, absent ones included (they read as zeros):
+    # the operations never touch activity 4 or element 5.
+    for a in range(5):
+        for e in range(6):
+            assert py.has(a, e) == cy.has(a, e)
+            for u, v in zip(py.get_views(a, e), cy.get_views(a, e)):
+                assert _same_floats(u, v)
+
     acts = list(range(4))
     for agg in (AGG_MEAN, AGG_MAX, AGG_SUM):
         for atten in (0.0, 0.25, 0.5, 1.0):
@@ -127,39 +140,54 @@ def test_operation_sequences_bit_identical(seed):
                 cy.pressures(acts, [0, 1, 2, 3, 4], atten, agg)
 
 
-@needs_cython
+@needs_compiled
 @pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
 def test_bundled_runs_byte_identical(name):
     s = load_bundled(name)
     ep, mp = run(s, 120, seed=5, backend="python")
-    ec, mc = run(s, 120, seed=5, backend="cython")
+    ec, mc = run(s, 120, seed=5, backend="compiled")
     atomic = s.index.atomic_ids
     assert events_csv(ep) == events_csv(ec)
     assert metrics_csv(mp, atomic) == metrics_csv(mc, atomic)
 
 
-@needs_cython
+@needs_compiled
 @pytest.mark.parametrize("seed", range(8))
 def test_random_scenarios_byte_identical(seed):
     rng = random.Random(seed)
     doc = random_scenario_document(rng, n_agents=3, habit_seeds=4)
     s = build_scenario(doc)
     ep, mp = run(s, 60, seed=seed, backend="python")
-    ec, mc = run(s, 60, seed=seed, backend="cython")
+    ec, mc = run(s, 60, seed=seed, backend="compiled")
     atomic = s.index.atomic_ids
     assert events_csv(ep) == events_csv(ec)
     assert metrics_csv(mp, atomic) == metrics_csv(mc, atomic)
 
 
-@needs_cython
+@needs_compiled
 def test_effective_strength_walk_matches():
     # Strength stored only on the grandparent: both backends must walk the
     # chain with the same attenuation product and nonzero-skip rule.
     chain_data, chain_start = _chains()
-    for backend in ("python", "cython"):
+    for backend in ("python", "compiled"):
         st = get_backend(backend)(chain_data, chain_start)
         st.set_views(7, 0, 0.64, 0.0, 0.0)
         st.set_views(7, 1, 0.0, 0.0, 0.0)  # zero entry must be skipped
         assert st.pressures([7], [2], 0.5, AGG_MEAN) == [0.16]
         assert st.pressures([7], [2], 0.5, AGG_MAX) == [0.16]
         assert st.pressures([7], [4], 0.5, AGG_SUM) == [0.0]
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_pressures_reject_unknown_context_elements(backend):
+    # Two elements; the queried activity has an entry, so the chain walk
+    # would run. The compiled store used to read past its chain offsets.
+    store = get_backend(backend)([0, 1], [0, 1, 2])
+    store.set_views(0, 0, 0.5, 0.0, 0.0)
+    for element in (2, 7000000):
+        with pytest.raises(IndexError):
+            store.pressures([0], [element], 0.5, AGG_MEAN)
+    assert store.pressures([0], [1, 0], 0.5, AGG_MAX) == [0.5]
+    with pytest.raises(ZeroDivisionError):
+        store.pressures([0], [], 0.5, AGG_MEAN)
+    assert store.pressures([0], [], 0.5, AGG_SUM) == [0.0]

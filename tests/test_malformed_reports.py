@@ -233,6 +233,7 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "bad_id_after_good": (
         [
             "valueConnections[2]: 'value' must be a plain identifier string, got 'speed '",
+            "valueConnections[bob]: unknown value 'speed'",
         ],
         [
             "valueConnections[2]: 'value' must be a plain identifier string, got 'speed '",
@@ -465,6 +466,7 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "good_id_after_bad": (
         [
             "valueConnections[0]: 'value' must be a plain identifier string, got 'speed '",
+            "valueConnections[bob]: unknown value 'speed'",
         ],
         [
             "valueConnections[0]: 'value' must be a plain identifier string, got 'speed '",
@@ -474,6 +476,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_bool_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got True",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got True",
@@ -519,6 +524,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_comma_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bo,b'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bo,b'",
@@ -564,6 +572,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_dict_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got {'id': 'bob'}",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got {'id': 'bob'}",
@@ -609,6 +620,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_empty_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got ''",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got ''",
@@ -654,6 +668,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_int_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got 5",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got 5",
@@ -699,6 +716,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_lead_space_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got ' bob'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got ' bob'",
@@ -744,6 +764,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_list_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got ['bob']",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got ['bob']",
@@ -789,6 +812,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_missing_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got None",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got None",
@@ -830,6 +856,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_newline_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bo\\nb'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bo\\nb'",
@@ -875,6 +904,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_none_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got None",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got None",
@@ -916,6 +948,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "id_trail_space_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bob '",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
         ],
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bob '",
@@ -972,6 +1007,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "valueConnections[9]: 'strength' must be a number, got 'high'",
             "'roots' must be a list of activity ids",
             "globals: 'decayRate' out of range: 2.0",
+            "agents[alice].location: unknown element 'Home'",
+            "agents[bob].location: unknown element 'Home'",
+            "environment.placements: unknown element 'Home'",
         ],
         [
             "activities[2]: 'type' must be one of Atomic, Sequential, Abstract, got 'Composite'",

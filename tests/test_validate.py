@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from helpers import make_doc, mutation_fixtures
 
@@ -27,6 +29,17 @@ def test_report_is_pure_and_stable():
     first = validate_scenario(s)
     second = validate_scenario(s)
     assert first == second
+
+
+def test_empty_id_in_a_scenario_built_in_code_is_dangling():
+    # The builder reports an empty id as a malformed identifier and leaves it
+    # out of its reference check; the validator still reports it.
+    s = build_scenario(make_doc())
+    agent = dataclasses.replace(s.agents[0], location="")
+    s = dataclasses.replace(s, agents=(agent,) + s.agents[1:])
+    report = validate_scenario(s)
+    assert (f"dangling-reference: agents[{agent.id}].location: unknown element ''"
+            in [f"{v.kind.value}: {v.message}" for v in report])
 
 
 def test_duplicate_habitual_triple():
