@@ -218,6 +218,52 @@ def test_atomic_root_logs_without_spending_attention():
     assert w.states["ag1"].resources == 1
 
 
+def test_atomic_root_logs_pinned():
+    # Two agents who see each other, with habits and a value connection on
+    # the root: pressures are sampled before the tick's strength dynamics,
+    # scores come from the value table, and each observes the other.
+    doc = make_doc()
+    doc["activities"] = [{"id": "only", "type": "Atomic"}]
+    doc["activityConnections"] = []
+    doc["agents"].append(
+        {"id": "ag2", "habitRate": 0.2, "attentionBudget": 2, "location": "Home"}
+    )
+    doc["habitualConnections"] = [
+        {"agent": "ag1", "activity": "only", "contextElement": "Home",
+         "strength": 0.6, "personalView": 0.5},
+        {"agent": "ag2", "activity": "only", "contextElement": "Morning",
+         "strength": 0.3, "personalView": 0.3},
+    ]
+    doc["valueConnections"] = [
+        {"agent": "ag1", "activity": "only", "value": "thrift",
+         "strength": 0.8, "personalView": 0.7},
+    ]
+    doc["roots"] = ["only"]
+    s = build_scenario(doc)
+    w = World(s)
+    events, rows = w.run(4)
+    assert events_csv(events) == (
+        "tick,agent,activity,mode,pressure,score,location,timepoint\n"
+        "0,ag1,only,Habitual,0.200000,0.700000,Home,Morning\n"
+        "0,ag2,only,Habitual,0.100000,0.000000,Home,Morning\n"
+        "1,ag1,only,Habitual,0.210000,0.700000,Home,Morning\n"
+        "1,ag2,only,Habitual,0.210000,0.000000,Home,Morning\n"
+        "2,ag1,only,Habitual,0.289000,0.700000,Home,Morning\n"
+        "2,ag2,only,Habitual,0.368000,0.000000,Home,Morning\n"
+        "3,ag1,only,Habitual,0.360100,0.700000,Home,Morning\n"
+        "3,ag2,only,Habitual,0.494400,0.000000,Home,Morning\n"
+    )
+    assert metrics_csv(rows, s.index.atomic_ids) == (
+        "tick,habitual_fraction,count_only,mean_strength,mean_personal_view,"
+        "mean_collective_view\n"
+        "0,1.000000,2,0.210000,0.155000,0.295000\n"
+        "1,1.000000,2,0.262800,0.193400,0.405200\n"
+        "2,1.000000,2,0.341800,0.267600,0.523640\n"
+        "3,1.000000,2,0.407844,0.337722,0.606548\n"
+    )
+    assert [w.states[ag].resources for ag in ("ag1", "ag2")] == [1, 2]
+
+
 def test_module_run_equals_world_run(commuting):
     a = run(commuting, 10, seed=7)
     b = World(commuting, seed=7).run(10)
