@@ -9,7 +9,6 @@ their connection strengths.
 
 from .cognition import (
     DecisionStep,
-    DecisionTrace,
     candidate_set,
     decide_step,
     decision_cycle,
@@ -83,7 +82,6 @@ __all__ = [
     "ContextSnapshot",
     "DecisionMode",
     "DecisionStep",
-    "DecisionTrace",
     "ElementKind",
     "Environment",
     "Event",

@@ -2,7 +2,7 @@
 //
 // Operation-for-operation mirror of `pyhabits.HabitStore`, written against
 // the public CPython C API. Each entry has a slot in the parallel columns
-// `s`, `p` and `c`; `slot` maps the key (activity << 32) | element to it and
+// `s`, `p` and `c`; `rows[activity][element]` maps the entry to it and
 // `ka`/`ke` hold each slot's activity and element in creation order. The
 // arithmetic expressions are those of pyhabits.py, and the module must be
 // compiled with -ffp-contract=off (no fused multiply-add), so both backends
@@ -22,13 +22,10 @@ namespace {
 
 typedef long long i64;
 
-inline i64 key(i64 a, i64 e) {
-    // (a << 32) | e, shifted as unsigned so a negative id is not undefined.
-    return (i64)(((unsigned long long)a << 32) | (unsigned long long)e);
-}
+typedef std::unordered_map<i64, Py_ssize_t> Row;  // element -> slot
 
 struct Table {
-    std::unordered_map<i64, Py_ssize_t> slot;
+    std::unordered_map<i64, Row> rows;  // activity -> its row
     std::vector<i64> ka;  // slot -> activity, creation order
     std::vector<i64> ke;  // slot -> element
     std::vector<double> s;
@@ -39,14 +36,30 @@ struct Table {
 
     Py_ssize_t size() const { return (Py_ssize_t)ka.size(); }
 
-    Py_ssize_t ensure(i64 a, i64 e) {
-        i64 k = key(a, e);
-        auto it = slot.find(k);
-        if (it != slot.end()) {
+    const Row *row(i64 a) const {
+        auto it = rows.find(a);
+        return it == rows.end() ? NULL : &it->second;
+    }
+
+    // The slot of (a, e), or -1 when there is no such entry.
+    Py_ssize_t find(i64 a, i64 e) const {
+        const Row *r = row(a);
+        if (r == NULL) {
+            return -1;
+        }
+        auto it = r->find(e);
+        return it == r->end() ? -1 : it->second;
+    }
+
+    // Rows are node-based map values: a reference to one stays valid
+    // while other rows are added.
+    Py_ssize_t ensure(Row &r, i64 a, i64 e) {
+        auto it = r.find(e);
+        if (it != r.end()) {
             return it->second;
         }
         Py_ssize_t i = size();
-        slot[k] = i;
+        r[e] = i;
         ka.push_back(a);
         ke.push_back(e);
         s.push_back(0.0);
@@ -55,13 +68,15 @@ struct Table {
         return i;
     }
 
+    Py_ssize_t ensure(i64 a, i64 e) { return ensure(rows[a], a, e); }
+
     // Strength of the nearest ancestor of `element` with a nonzero entry
-    // for activity `a`, discounted by attenuation per hierarchy step.
-    double effective(i64 a, Py_ssize_t element, double attenuation) const {
+    // in activity row `r`, discounted by attenuation per hierarchy step.
+    double effective(const Row &r, Py_ssize_t element, double attenuation) const {
         double factor = 1.0;
         for (Py_ssize_t j = chain_start[element]; j < chain_start[element + 1]; j++) {
-            auto it = slot.find(key(a, (i64)chain_data[j]));
-            if (it != slot.end()) {
+            auto it = r.find((i64)chain_data[j]);
+            if (it != r.end()) {
                 double v = s[it->second];
                 if (v > 0.0) {
                     return factor * v;
@@ -118,7 +133,7 @@ PyObject *has(Table &t, PyObject *const *args) {
     if (!as_int(args[0], a) || !as_int(args[1], e)) {
         return NULL;
     }
-    return PyBool_FromLong(t.slot.count(key(a, e)) > 0);
+    return PyBool_FromLong(t.find(a, e) >= 0);
 }
 
 PyObject *set_views(Table &t, PyObject *const *args) {
@@ -140,11 +155,10 @@ PyObject *get_views(Table &t, PyObject *const *args) {
     if (!as_int(args[0], a) || !as_int(args[1], e)) {
         return NULL;
     }
-    auto it = t.slot.find(key(a, e));
-    if (it == t.slot.end()) {
+    Py_ssize_t i = t.find(a, e);
+    if (i < 0) {
         return Py_BuildValue("(ddd)", 0.0, 0.0, 0.0);
     }
-    Py_ssize_t i = it->second;
     return Py_BuildValue("(ddd)", t.s[i], t.p[i], t.c[i]);
 }
 
@@ -188,22 +202,22 @@ PyObject *pressures(Table &t, PyObject *const *args) {
         return NULL;
     }
     for (size_t k = 0; k < acts.size(); k++) {
-        i64 a = acts[k];
+        const Row *r = t.row(acts[k]);
         double acc = 0.0;
-        if (aggregation == 1) {  // max
+        if (r != NULL) {
             for (Py_ssize_t j = 0; j < n; j++) {
-                double v = t.effective(a, ctx[j], attenuation);
-                if (v > acc) {
-                    acc = v;
+                double v = t.effective(*r, ctx[j], attenuation);
+                if (aggregation == 1) {  // max
+                    if (v > acc) {
+                        acc = v;
+                    }
+                } else {
+                    acc = acc + v;
                 }
             }
-        } else {
-            for (Py_ssize_t j = 0; j < n; j++) {
-                acc = acc + t.effective(a, ctx[j], attenuation);
-            }
-            if (aggregation == 0) {  // mean
-                acc = acc / n;
-            }
+        }
+        if (aggregation == 0) {  // mean
+            acc = acc / n;
         }
         PyObject *v = PyFloat_FromDouble(acc);
         if (v == NULL) {
@@ -305,13 +319,23 @@ PyObject *observe(Table &t, PyObject *const *args) {
         || !as_double(args[3], rate)) {
         return NULL;
     }
+    Row &row = t.rows[acted];
+    // Taken after the acted row exists: an acted activity listed among
+    // the competing ones is weakened right after its own update.
+    std::vector<const Row *> others;
+    for (i64 a : comp) {
+        const Row *r = t.row(a);
+        if (r != NULL) {
+            others.push_back(r);
+        }
+    }
     for (i64 e : ctx) {
-        Py_ssize_t i = t.ensure(acted, e);
+        Py_ssize_t i = t.ensure(row, acted, e);
         double c = t.c[i];
         t.c[i] = c + rate * (1.0 - c);
-        for (i64 a : comp) {
-            auto it = t.slot.find(key(a, e));
-            if (it != t.slot.end()) {
+        for (const Row *r : others) {
+            auto it = r->find(e);
+            if (it != r->end()) {
                 Py_ssize_t j = it->second;
                 t.c[j] = (1.0 - rate) * t.c[j];
             }

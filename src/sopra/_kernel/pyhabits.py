@@ -98,6 +98,10 @@ class HabitStore:
         # entries behave exactly like absent ones.
         data = self._chain_data
         start = self._chain_start
+        # A negative id would index the chain offsets from the end.
+        if ctx_elements and min(ctx_elements) < 0:
+            raise IndexError(f"context element {min(ctx_elements)} out of range "
+                             f"for {len(start) - 1} elements")
         chains = [data[start[e]:start[e + 1]] for e in ctx_elements]
         n = len(chains)
         s = self._s

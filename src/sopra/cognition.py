@@ -14,7 +14,8 @@ smallest candidate id unless the scenario opts into uniform tie-breaks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from ._kernel import AGG_MAX, AGG_MEAN, AGG_SUM
 from .extensions import filter_candidates
@@ -26,6 +27,8 @@ _AGG_CODES = {"mean": AGG_MEAN, "max": AGG_MAX, "sum": AGG_SUM}
 
 @dataclass(frozen=True)
 class DecisionStep:
+    """One decision of a cycle: the pick at `node` among `candidates`."""
+
     node: str
     chosen: str
     mode: DecisionMode
@@ -35,23 +38,20 @@ class DecisionStep:
     feasibility_fallback: bool = False
 
 
-@dataclass
-class DecisionTrace:
-    steps: list[DecisionStep] = field(default_factory=list)
-
-    @property
-    def feasibility_fallback(self) -> bool:
-        return any(s.feasibility_fallback for s in self.steps)
-
-    def final_candidates(self, atomic: str) -> tuple[str, ...]:
-        return self.steps[-1].candidates if self.steps else (atomic,)
-
-
-def _pressure_elements(ctx: ContextSnapshot, scenario: Scenario) -> tuple[int, ...]:
+def _pressures(state: AgentState, activities: Sequence[str], ctx: ContextSnapshot,
+               scenario: Scenario) -> list[float]:
     # Pressure aggregates over the context, so it needs at least one element.
     if not ctx.present:
         raise ValueError("context snapshot is empty")
-    return ctx.element_ids(scenario.index)
+    g = scenario.globals
+    idx = scenario.index
+    elems = ctx.element_ids(idx)
+    return state.habits.pressures(
+        [idx.activity_index(a) for a in activities],
+        elems,
+        g.attenuation,
+        _AGG_CODES[g.pressure_aggregation],
+    )
 
 
 def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
@@ -59,29 +59,24 @@ def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
     """Aggregate effective habit strength of `activity` over the present
     context. An element with no stored strength borrows from its nearest
     hierarchy ancestor that has one, discounted by attenuation per step."""
-    g = scenario.globals
-    elems = _pressure_elements(ctx, scenario)
-    ai = scenario.index.activity_index(activity)
-    return state.habits.pressures(
-        [ai], elems, g.attenuation, _AGG_CODES[g.pressure_aggregation]
-    )[0]
+    return _pressures(state, (activity,), ctx, scenario)[0]
 
 
-def candidate_set(node: str, exec_state: ExecutionState, scenario: Scenario) -> set[str]:
-    """Children eligible at `node`: implementations of an abstract node,
-    or the not-yet-completed parts of a sequential one."""
+def candidate_set(node: str, exec_state: ExecutionState,
+                  scenario: Scenario) -> tuple[str, ...]:
+    """Children eligible at `node`, in id order: implementations of an
+    abstract node, or the not-yet-completed parts of a sequential one."""
     idx = scenario.index
     t = idx.type_of(node)
     if t is ActivityType.ATOMIC:
         raise ValueError(f"atomic activity {node!r} has no candidates")
     if t is ActivityType.ABSTRACT:
-        return set(idx.children(node, RelationType.IS_A))
-    completed: set[str] = set()
+        return idx.children(node, RelationType.IS_A)
+    parts = idx.children(node, RelationType.PART_OF)
     for frame in reversed(exec_state.pending):
         if frame.activity == node:
-            completed = frame.completed
-            break
-    return set(idx.children(node, RelationType.PART_OF)) - completed
+            return tuple(p for p in parts if p not in frame.completed)
+    return parts
 
 
 def _argmax(values: list[float], rng: random.Random, uniform: bool) -> int:
@@ -103,20 +98,13 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
     read from `state.score_raw`/`score_norm`, which `build_score_cache`
     fills."""
     g = scenario.globals
-    cands = sorted(candidate_set(node, exec_state, scenario))
+    cands = candidate_set(node, exec_state, scenario)
     if not cands:
         raise ValueError(f"no candidates at {node!r}")
     fallback = False
     if g.extensions_enabled:
         cands, fallback = filter_candidates(cands, state.agent_id, ctx, scenario)
-    elems = _pressure_elements(ctx, scenario)
-    idx = scenario.index
-    pressures = state.habits.pressures(
-        [idx.activity_index(c) for c in cands],
-        elems,
-        g.attenuation,
-        _AGG_CODES[g.pressure_aggregation],
-    )
+    pressures = _pressures(state, cands, ctx, scenario)
     uniform = g.tie_break == "uniform"
     top = _argmax(pressures, rng, False)
     if pressures[top] >= g.habit_threshold or state.resources < g.deliberation_cost:
@@ -140,9 +128,13 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
 
 
 def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
-                   rng: random.Random) -> tuple[str, DecisionTrace]:
+                   rng: random.Random) -> list[DecisionStep]:
     """Walk from the resume point down to an atomic activity, maintaining
-    the sequential execution stack, and return the activity to perform.
+    the sequential execution stack, and return the steps taken; the last
+    step's `chosen` is the activity to perform.
+
+    An atomic root is one habitual step with itself as its only
+    candidate: nothing is chosen, so no attention is spent.
 
     Completing an atomic marks the part it was reached through in the
     innermost sequential frame; frames whose parts are all done pop and
@@ -150,45 +142,47 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     """
     idx = scenario.index
     exec_state = state.exec_state
-    trace = DecisionTrace()
+    pending = exec_state.pending
 
-    if exec_state.pending:
-        node = exec_state.pending[-1].activity
+    if pending:
+        node = pending[-1].activity
     else:
         if not scenario.roots:
             raise ValueError("scenario declares no root activity")
         node = scenario.roots[0]
-        if idx.type_of(node) is ActivityType.SEQUENTIAL:
-            exec_state.pending.append(SequentialFrame(node))
+        root_type = idx.type_of(node)
+        if root_type is ActivityType.ATOMIC:
+            pressure = habitual_pressure(state, node, ctx, scenario)
+            return [DecisionStep(node, node, DecisionMode.HABITUAL, pressure,
+                                 state.score_norm[node], (node,))]
+        if root_type is ActivityType.SEQUENTIAL:
+            pending.append(SequentialFrame(node))
 
+    steps: list[DecisionStep] = []
+    # The part chosen at the innermost frame. Every frame is decided at
+    # right after it is entered or resumed, so this is always current.
+    part = None
     guard = len(idx.activity_ids) + 1
     while idx.type_of(node) is not ActivityType.ATOMIC:
         guard -= 1
         if guard <= 0:
             raise RuntimeError(f"decision walk did not terminate at {node!r}")
         step = decide_step(state, node, ctx, exec_state, scenario, rng)
-        trace.steps.append(step)
-        top = exec_state.top()
-        if top is not None and top.activity == node:
-            top.pending_part = step.chosen
+        steps.append(step)
+        if pending and pending[-1].activity == node:
+            part = step.chosen
         if idx.type_of(step.chosen) is ActivityType.SEQUENTIAL:
-            entered_through = top.pending_part if top is not None else None
-            exec_state.pending.append(
-                SequentialFrame(step.chosen, part_in_parent=entered_through)
-            )
+            pending.append(SequentialFrame(step.chosen, part_in_parent=part))
         node = step.chosen
 
-    top = exec_state.top()
-    if top is not None:
-        # pending_part was set this cycle when deciding at the top frame
-        top.completed.add(top.pending_part)
-        while exec_state.pending:
-            frame = exec_state.pending[-1]
-            parts = set(idx.children(frame.activity, RelationType.PART_OF))
-            if frame.completed != parts:
+    if pending:
+        pending[-1].completed.add(part)
+        while pending:
+            frame = pending[-1]
+            # completed only ever holds parts, so equal size means all done
+            if len(frame.completed) < len(idx.children(frame.activity, RelationType.PART_OF)):
                 break
-            exec_state.pending.pop()
-            parent = exec_state.top()
-            if parent is not None:
-                parent.completed.add(frame.part_in_parent)
-    return node, trace
+            pending.pop()
+            if pending:
+                pending[-1].completed.add(frame.part_in_parent)
+    return steps

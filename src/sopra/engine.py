@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cognition import decision_cycle, habitual_pressure
+from .cognition import decision_cycle
 from .learning import ObservationEvent, habit_tick, observe, update_personal_view
 from .hierarchy import project_collective_from_personal
 from .model import DecisionMode, Scenario
@@ -99,8 +99,7 @@ def snapshot_context(world: World, agent_id: str,
 
 
 class World:
-    def __init__(self, scenario: Scenario, seed: int = 0, *,
-                 backend: str | None = None, validate: bool = True):
+    def __init__(self, scenario: Scenario, seed: int = 0, *, validate: bool = True):
         if validate:
             report = validate_scenario(scenario)
             if report:
@@ -112,7 +111,7 @@ class World:
         self.samples: list[StrengthSample] = []
         self.observation_count = 0
         self.states: dict[str, AgentState] = {
-            ag: init_agent_state(scenario, ag, backend) for ag in scenario.index.agent_ids
+            ag: init_agent_state(scenario, ag) for ag in scenario.index.agent_ids
         }
         for state in self.states.values():
             project_collective_from_personal(state)
@@ -135,22 +134,14 @@ class World:
             for ag in agent_ids
         }
 
-        performed: dict[str, str] = {}
-        traces = {}
-        root_pressures: dict[str, float] = {}
-        for ag in agent_ids:
-            atomic, trace = decision_cycle(self.states[ag], snaps[ag], s, self.rng)
-            performed[ag] = atomic
-            traces[ag] = trace
-            if not trace.steps:
-                # Atomic root: sample the pressure now, before the strength
-                # dynamics run, so the log reflects what the agent saw.
-                root_pressures[ag] = habitual_pressure(
-                    self.states[ag], atomic, snaps[ag], s
-                )
+        # The last step of each agent's cycle is the decision it acts on.
+        decided = {
+            ag: decision_cycle(self.states[ag], snaps[ag], s, self.rng)[-1]
+            for ag in agent_ids
+        }
 
         for ag in agent_ids:
-            habit_tick(self.states[ag], performed[ag], snaps[ag], s)
+            habit_tick(self.states[ag], decided[ag].chosen, snaps[ag], s)
             update_personal_view(self.states[ag], s)
 
         # Each actor's performance goes to all other agents at its location
@@ -163,30 +154,20 @@ class World:
             for actor in here:
                 event = ObservationEvent(
                     tuple(ag for ag in here if ag != actor),
-                    actor, performed[actor], snaps[actor], tick,
+                    actor, decided[actor].chosen, snaps[actor], tick,
                 )
-                observe(event, s, self.states,
-                        traces[actor].final_candidates(performed[actor]))
+                observe(event, s, self.states, decided[actor].candidates)
                 self.observation_count += len(here) - 1
 
         new_events = []
         for ag in agent_ids:
             state = self.states[ag]
-            trace = traces[ag]
-            if trace.steps:
-                last = trace.steps[-1]
-                mode, pressure, score = last.mode, last.pressure, last.score
-            else:
-                # Atomic root: nothing to choose, so no attention is spent;
-                # pressure and score are reported for observability.
-                mode = DecisionMode.HABITUAL
-                pressure = root_pressures[ag]
-                score = state.score_norm[performed[ag]]
+            step = decided[ag]
             new_events.append(
-                Event(tick, ag, performed[ag], mode, pressure, _snap_score(score),
+                Event(tick, ag, step.chosen, step.mode, step.pressure, _snap_score(step.score),
                       state.location, timepoint)
             )
-            state.last_activity = performed[ag]
+            state.last_activity = step.chosen
             state.resources = idx.agent_specs[ag].attention_budget
         self.events.extend(new_events)
 
@@ -216,10 +197,9 @@ class World:
                                             self.scenario.index.atomic_ids)
 
 
-def run(scenario: Scenario, ticks: int, seed: int = 0, *,
-        backend: str | None = None) -> tuple[list[Event], list[MetricsRow]]:
+def run(scenario: Scenario, ticks: int, seed: int = 0) -> tuple[list[Event], list[MetricsRow]]:
     """Validate, build a world, and advance it `ticks` ticks."""
-    return World(scenario, seed, backend=backend).run(ticks)
+    return World(scenario, seed).run(ticks)
 
 
 def collect_metrics(events: Sequence[Event], samples: Sequence[StrengthSample],

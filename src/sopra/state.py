@@ -42,22 +42,17 @@ class SequentialFrame:
 
     `completed` holds the PartOf children already done. `part_in_parent`
     is the part of the enclosing frame's activity this subtree was
-    entered through; `pending_part` is cycle-local scratch recording the
-    part chosen on the current descent.
+    entered through.
     """
 
     activity: str
     completed: set[str] = field(default_factory=set)
     part_in_parent: str | None = None
-    pending_part: str | None = None
 
 
 @dataclass
 class ExecutionState:
     pending: list[SequentialFrame] = field(default_factory=list)
-
-    def top(self) -> SequentialFrame | None:
-        return self.pending[-1] if self.pending else None
 
 
 @dataclass
@@ -77,10 +72,10 @@ class AgentState:
     score_norm: dict[str, float] | None = None
 
 
-def init_agent_state(scenario: Scenario, agent_id: str, backend: str | None = None) -> AgentState:
+def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
     idx = scenario.index
     spec = idx.agent_specs[agent_id]
-    store = get_backend(backend)(idx.chain_data, idx.chain_start)
+    store = get_backend()(idx.chain_data, idx.chain_start)
     nan = float("nan")
     for hc in idx.habitual_by_agent.get(agent_id, ()):
         cv = hc.views.my_collective_view

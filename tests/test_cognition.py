@@ -8,6 +8,7 @@ from helpers import make_doc
 from sopra import (
     ContextSnapshot,
     DecisionMode,
+    DecisionStep,
     build_scenario,
     build_score_cache,
     candidate_set,
@@ -118,12 +119,12 @@ def test_intentional_score_examples(commuting, bob):
 
 def test_candidate_set(commuting):
     es = ExecutionState()
-    assert candidate_set("commuting", es, commuting) == {
+    assert candidate_set("commuting", es, commuting) == (
         "bring_kids_to_school", "go_to_work"
-    }
-    assert candidate_set("go_to_work", es, commuting) == {
-        "take_train_to_work", "ride_bike_to_work", "walk_to_work", "drive_car_to_work"
-    }
+    )
+    assert candidate_set("go_to_work", es, commuting) == (
+        "drive_car_to_work", "ride_bike_to_work", "take_train_to_work", "walk_to_work"
+    )
     with pytest.raises(ValueError):
         candidate_set("walk_to_work", es, commuting)
 
@@ -133,7 +134,7 @@ def test_candidate_set_excludes_completed_parts(commuting):
 
     es = ExecutionState()
     es.pending.append(SequentialFrame("commuting", completed={"bring_kids_to_school"}))
-    assert candidate_set("commuting", es, commuting) == {"go_to_work"}
+    assert candidate_set("commuting", es, commuting) == ("go_to_work",)
 
 
 def _ctx(*extra):
@@ -208,11 +209,11 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
 
 
 def test_decision_cycle_walks_to_atomic(commuting, bob):
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
     # Fresh cycle enters the sequential root, picks the lexicographically
     # planned part order by score: both parts tie at 0, so bring_kids wins.
-    assert [s.node for s in trace.steps] == ["commuting", "bring_kids_to_school"]
-    assert atomic == "ride_bike_to_school"
+    assert [s.node for s in steps] == ["commuting", "bring_kids_to_school"]
+    assert steps[-1].chosen == "ride_bike_to_school"
     frame = bob.exec_state.pending[-1]
     assert frame.activity == "commuting"
     assert frame.completed == {"bring_kids_to_school"}
@@ -221,16 +222,16 @@ def test_decision_cycle_walks_to_atomic(commuting, bob):
 def test_decision_cycle_resumes_pending_sequential(commuting, bob):
     decision_cycle(bob, _ctx(), commuting, RNG())
     bob.resources = 2  # what the engine's per-tick replenish would do
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
-    assert trace.steps[0].node == "commuting"
-    assert trace.steps[0].chosen == "go_to_work"
-    assert atomic == "ride_bike_to_work"
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    assert steps[0].node == "commuting"
+    assert steps[0].chosen == "go_to_work"
+    assert steps[-1].chosen == "ride_bike_to_work"
     # All parts done: the stack unwinds and the next cycle starts fresh.
     assert bob.exec_state.pending == []
     bob.resources = 2
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
-    assert trace.steps[0].node == "commuting"
-    assert atomic == "ride_bike_to_school"
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    assert steps[0].node == "commuting"
+    assert steps[-1].chosen == "ride_bike_to_school"
 
 
 def test_decision_cycle_atomic_root():
@@ -241,28 +242,29 @@ def test_decision_cycle_atomic_root():
     doc["roots"] = ["only"]
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    atomic, trace = decision_cycle(state, _ctx(), s, RNG())
-    assert atomic == "only"
-    assert trace.steps == []
-    assert trace.final_candidates(atomic) == ("only",)
+    # One habitual step with no choice: no attention is spent.
+    assert decision_cycle(state, _ctx(), s, RNG()) == [
+        DecisionStep("only", "only", DecisionMode.HABITUAL, 0.0, 0.0, ("only",))
+    ]
+    assert state.resources == 1
 
 
 def test_decision_cycle_attention_budget_depletes(commuting, bob):
     # Budget 2: the first cycle spends both steps, the second runs on habit.
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
-    assert [s.mode for s in trace.steps] == [DecisionMode.INTENTIONAL] * 2
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    assert [s.mode for s in steps] == [DecisionMode.INTENTIONAL] * 2
     assert bob.resources == 0
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
-    assert [s.mode for s in trace.steps] == [DecisionMode.HABITUAL] * 2
-    assert atomic == "drive_car_to_work"  # only nonzero pressure via Morning cue
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    assert [s.mode for s in steps] == [DecisionMode.HABITUAL] * 2
+    assert steps[-1].chosen == "drive_car_to_work"  # only nonzero pressure via Morning cue
 
 
-def test_trace_final_candidates(commuting, bob):
-    atomic, trace = decision_cycle(bob, _ctx(), commuting, RNG())
-    assert set(trace.final_candidates(atomic)) == {
-        "take_train_to_school", "ride_bike_to_school",
-        "walk_to_school", "drive_car_to_school",
-    }
+def test_last_step_candidates(commuting, bob):
+    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    assert steps[-1].candidates == (
+        "drive_car_to_school", "ride_bike_to_school",
+        "take_train_to_school", "walk_to_school",
+    )
 
 
 def test_nested_sequential_completion():
@@ -290,6 +292,6 @@ def test_nested_sequential_completion():
     doc["roots"] = ["outer"]
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    performed = [decision_cycle(state, _ctx(), s, RNG())[0] for _ in range(3)]
+    performed = [decision_cycle(state, _ctx(), s, RNG())[-1].chosen for _ in range(3)]
     assert performed == ["a1", "a2", "tail"]
     assert state.exec_state.pending == []

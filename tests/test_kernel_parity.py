@@ -142,10 +142,12 @@ def test_operation_sequences_bit_identical(seed):
 
 @needs_compiled
 @pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
-def test_bundled_runs_byte_identical(name):
+def test_bundled_runs_byte_identical(name, monkeypatch):
     s = load_bundled(name)
-    ep, mp = run(s, 120, seed=5, backend="python")
-    ec, mc = run(s, 120, seed=5, backend="compiled")
+    monkeypatch.setenv("SOPRA_KERNEL", "python")
+    ep, mp = run(s, 120, seed=5)
+    monkeypatch.setenv("SOPRA_KERNEL", "compiled")
+    ec, mc = run(s, 120, seed=5)
     atomic = s.index.atomic_ids
     assert events_csv(ep) == events_csv(ec)
     assert metrics_csv(mp, atomic) == metrics_csv(mc, atomic)
@@ -153,12 +155,14 @@ def test_bundled_runs_byte_identical(name):
 
 @needs_compiled
 @pytest.mark.parametrize("seed", range(8))
-def test_random_scenarios_byte_identical(seed):
+def test_random_scenarios_byte_identical(seed, monkeypatch):
     rng = random.Random(seed)
     doc = random_scenario_document(rng, n_agents=3, habit_seeds=4)
     s = build_scenario(doc)
-    ep, mp = run(s, 60, seed=seed, backend="python")
-    ec, mc = run(s, 60, seed=seed, backend="compiled")
+    monkeypatch.setenv("SOPRA_KERNEL", "python")
+    ep, mp = run(s, 60, seed=seed)
+    monkeypatch.setenv("SOPRA_KERNEL", "compiled")
+    ec, mc = run(s, 60, seed=seed)
     atomic = s.index.atomic_ids
     assert events_csv(ep) == events_csv(ec)
     assert metrics_csv(mp, atomic) == metrics_csv(mc, atomic)
@@ -178,13 +182,38 @@ def test_effective_strength_walk_matches():
         assert st.pressures([7], [4], 0.5, AGG_SUM) == [0.0]
 
 
+@needs_compiled
+def test_ids_beyond_32_bits_do_not_alias():
+    # Activity and element ids are whole ints: a store must not fold
+    # (a, e) into one word, where 2**32 + 1 would read as (1, 1) and a
+    # negative element would reach into activity 0's entries.
+    ids = [-1, 0, 1, 5, 2**32, 2**32 + 1, 2**40]
+    chain_data, chain_start = _chains()
+    stores = [get_backend(b)(chain_data, chain_start) for b in ("python", "compiled")]
+    for st in stores:
+        st.set_views(0, 2**32 + 1, 0.7, 0.7, 0.7)
+        st.set_views(5, -1, 0.6, 0.5, 0.4)
+        st.set_views(2**40, 2**32, 0.3, 0.2, 0.1)
+        st.set_views(-1, 2, 0.9, 0.8, 0.7)
+        st.set_views(2**32, 1, 0.5, 0.5, 0.5)
+    py, cy = stores
+    assert py.items() == cy.items()
+    for a in ids:
+        for e in ids:
+            assert py.has(a, e) == cy.has(a, e)
+            assert py.get_views(a, e) == cy.get_views(a, e)
+    for agg in (AGG_MEAN, AGG_MAX, AGG_SUM):
+        assert py.pressures(ids, [0, 1, 2, 3, 4], 0.5, agg) == \
+            cy.pressures(ids, [0, 1, 2, 3, 4], 0.5, agg)
+
+
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_pressures_reject_unknown_context_elements(backend):
     # Two elements; the queried activity has an entry, so the chain walk
     # would run. The compiled store used to read past its chain offsets.
     store = get_backend(backend)([0, 1], [0, 1, 2])
     store.set_views(0, 0, 0.5, 0.0, 0.0)
-    for element in (2, 7000000):
+    for element in (2, 7000000, -1, -2):
         with pytest.raises(IndexError):
             store.pressures([0], [element], 0.5, AGG_MEAN)
     assert store.pressures([0], [1, 0], 0.5, AGG_MAX) == [0.5]

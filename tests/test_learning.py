@@ -91,11 +91,12 @@ def same_items(xs, ys):
 
 
 @pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_habit_tick_default_equals_reinforce_then_decay(backend, commuting):
+def test_habit_tick_default_equals_reinforce_then_decay(backend, commuting, monkeypatch):
     idx = commuting.index
     elems = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"})).element_ids(idx)
-    stepped = init_agent_state(commuting, "bob", backend).habits
-    ticked = init_agent_state(commuting, "bob", backend).habits
+    monkeypatch.setenv("SOPRA_KERNEL", backend)
+    stepped = init_agent_state(commuting, "bob").habits
+    ticked = init_agent_state(commuting, "bob").habits
     # Alternate activities so some ticks reinforce existing pairs and
     # decay the ones the previous tick created.
     for activity in ("drive_car_to_work", "walk_to_work", "drive_car_to_work"):
