@@ -171,6 +171,10 @@ def _cmd_sweep(args) -> int:
         key, sep, raw = token.partition("=")
         if not sep or not key or not raw:
             return _fail(f"--param must look like name=v1,v2,..., got {token!r}")
+        # A repeated name would override itself in every run, while
+        # sweep.csv labels the runs with the first values.
+        if any(key == name for name, _ in grid):
+            return _fail(f"--param {key} is given more than once")
         grid.append((key, raw.split(",")))
     out = Path(args.out)
     sweep_path = out / "sweep.csv"

@@ -19,15 +19,19 @@ from typing import Sequence
 
 from ._kernel import AGG_MAX, AGG_MEAN, AGG_SUM
 from .extensions import filter_candidates
-from .model import ActivityType, DecisionMode, RelationType, Scenario
+from .model import ActivityType, DecisionMode, Scenario
 from .state import AgentState, ContextSnapshot, ExecutionState, SequentialFrame
 
 _AGG_CODES = {"mean": AGG_MEAN, "max": AGG_MAX, "sum": AGG_SUM}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecisionStep:
-    """One decision of a cycle: the pick at `node` among `candidates`."""
+    """One decision of a cycle: the pick at `node` among `candidates`.
+
+    Built positionally once per step by `decide_step`, or by
+    `decision_cycle` for an atomic root. A plain slotted record, so it
+    is mutable and unhashable; nothing updates it after construction."""
 
     node: str
     chosen: str
@@ -38,17 +42,15 @@ class DecisionStep:
     feasibility_fallback: bool = False
 
 
-def _pressures(state: AgentState, activities: Sequence[str], ctx: ContextSnapshot,
+def _pressures(state: AgentState, activities: Sequence[int], ctx: ContextSnapshot,
                scenario: Scenario) -> list[float]:
     # Pressure aggregates over the context, so it needs at least one element.
     if not ctx.present:
         raise ValueError("context snapshot is empty")
     g = scenario.globals
-    idx = scenario.index
-    elems = ctx.element_ids(idx)
     return state.habits.pressures(
-        [idx.activity_index(a) for a in activities],
-        elems,
+        activities,
+        ctx.element_ids(scenario.index),
         g.attenuation,
         _AGG_CODES[g.pressure_aggregation],
     )
@@ -59,7 +61,7 @@ def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
     """Aggregate effective habit strength of `activity` over the present
     context. An element with no stored strength borrows from its nearest
     hierarchy ancestor that has one, discounted by attenuation per step."""
-    return _pressures(state, (activity,), ctx, scenario)[0]
+    return _pressures(state, (scenario.index.activity_index(activity),), ctx, scenario)[0]
 
 
 def candidate_set(node: str, exec_state: ExecutionState,
@@ -67,28 +69,28 @@ def candidate_set(node: str, exec_state: ExecutionState,
     """Children eligible at `node`, in id order: implementations of an
     abstract node, or the not-yet-completed parts of a sequential one."""
     idx = scenario.index
-    t = idx.type_of(node)
-    if t is ActivityType.ATOMIC:
+    options = idx.options.get(node)
+    if options is None:
+        idx.type_of(node)  # UnknownIdError for an unknown id
         raise ValueError(f"atomic activity {node!r} has no candidates")
-    if t is ActivityType.ABSTRACT:
-        return idx.children(node, RelationType.IS_A)
-    parts = idx.children(node, RelationType.PART_OF)
+    # Only sequential activities have frames.
     for frame in reversed(exec_state.pending):
         if frame.activity == node:
-            return tuple(p for p in parts if p not in frame.completed)
-    return parts
+            return tuple(p for p in options if p not in frame.completed)
+    return options
 
 
-def _argmax(values: list[float], rng: random.Random, uniform: bool) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
+def _pick(values: list[float], best: float, rng: random.Random, uniform: bool) -> int:
+    """Index of the first maximum of `values`, given `best = max(values)`:
+    the strict-`>` scan's pick, so a NaN in first place wins and any
+    later NaN never does. With `uniform`, a tie of two or more draws one
+    of them from `rng`, which is otherwise left untouched."""
+    pick = values.index(best)
     if uniform:
-        tied = [i for i, v in enumerate(values) if v == values[best]]
+        tied = [i for i, v in enumerate(values) if v == best]
         if len(tied) > 1:
             return tied[rng.randrange(len(tied))]
-    return best
+    return pick
 
 
 def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
@@ -103,28 +105,24 @@ def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
         raise ValueError(f"no candidates at {node!r}")
     fallback = False
     if g.extensions_enabled:
-        cands, fallback = filter_candidates(cands, state.agent_id, ctx, scenario)
-    pressures = _pressures(state, cands, ctx, scenario)
+        kept, fallback = filter_candidates(cands, state.agent_id, ctx, scenario)
+        cands = tuple(kept)
+    aidx = scenario.index.aidx
+    pressures = _pressures(state, [aidx[c] for c in cands], ctx, scenario)
     uniform = g.tie_break == "uniform"
-    top = _argmax(pressures, rng, False)
-    if pressures[top] >= g.habit_threshold or state.resources < g.deliberation_cost:
+    top = max(pressures)
+    if top >= g.habit_threshold or state.resources < g.deliberation_cost:
         mode = DecisionMode.HABITUAL
-        pick = _argmax(pressures, rng, uniform)
+        pick = _pick(pressures, top, rng, uniform)
     else:
         mode = DecisionMode.INTENTIONAL
-        scores = [state.score_raw[c] for c in cands]
-        pick = _argmax(scores, rng, uniform)
+        score_raw = state.score_raw
+        scores = [score_raw[c] for c in cands]
+        pick = _pick(scores, max(scores), rng, uniform)
         state.resources -= g.deliberation_cost
     chosen = cands[pick]
-    return DecisionStep(
-        node=node,
-        chosen=chosen,
-        mode=mode,
-        pressure=pressures[pick],
-        score=state.score_norm[chosen],
-        candidates=tuple(cands),
-        feasibility_fallback=fallback,
-    )
+    return DecisionStep(node, chosen, mode, pressures[pick], state.score_norm[chosen],
+                        cands, fallback)
 
 
 def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
@@ -141,6 +139,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     cascade the completion upward.
     """
     idx = scenario.index
+    atype = idx.activity_type
     exec_state = state.exec_state
     pending = exec_state.pending
 
@@ -163,24 +162,25 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     # right after it is entered or resumed, so this is always current.
     part = None
     guard = len(idx.activity_ids) + 1
-    while idx.type_of(node) is not ActivityType.ATOMIC:
+    while atype[node] is not ActivityType.ATOMIC:
         guard -= 1
         if guard <= 0:
             raise RuntimeError(f"decision walk did not terminate at {node!r}")
         step = decide_step(state, node, ctx, exec_state, scenario, rng)
         steps.append(step)
+        chosen = step.chosen
         if pending and pending[-1].activity == node:
-            part = step.chosen
-        if idx.type_of(step.chosen) is ActivityType.SEQUENTIAL:
-            pending.append(SequentialFrame(step.chosen, part_in_parent=part))
-        node = step.chosen
+            part = chosen
+        if atype[chosen] is ActivityType.SEQUENTIAL:
+            pending.append(SequentialFrame(chosen, part_in_parent=part))
+        node = chosen
 
     if pending:
         pending[-1].completed.add(part)
         while pending:
             frame = pending[-1]
             # completed only ever holds parts, so equal size means all done
-            if len(frame.completed) < len(idx.children(frame.activity, RelationType.PART_OF)):
+            if len(frame.completed) < len(idx.options[frame.activity]):
                 break
             pending.pop()
             if pending:

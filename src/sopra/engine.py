@@ -42,7 +42,7 @@ def _snap_score(x: float) -> float:
     return round(x * _SCORE_GRID) / _SCORE_GRID
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     tick: int
     agent: str
@@ -54,7 +54,7 @@ class Event:
     timepoint: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StrengthSample:
     """End-of-tick aggregate over all stored connections of all agents."""
 
@@ -64,7 +64,7 @@ class StrengthSample:
     collective_total: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetricsRow:
     tick: int
     habitual_fraction: float

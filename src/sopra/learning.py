@@ -16,7 +16,7 @@ from .model import Scenario
 from .state import AgentState, ContextSnapshot
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObservationEvent:
     """One performance and everyone who saw it."""
 

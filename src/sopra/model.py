@@ -280,6 +280,15 @@ class ScenarioIndex:
         for c in s.activity_connections:
             children.setdefault((c.parent, c.relation), []).append(c.child)
         self._children = {k: tuple(sorted(v)) for k, v in children.items()}
+        # What a decision at each composite node chooses among, id-ordered:
+        # the IsA children of an abstract node, the PartOf parts of a
+        # sequential one. Atomic nodes have no entry.
+        relation = {ActivityType.ABSTRACT: RelationType.IS_A,
+                    ActivityType.SEQUENTIAL: RelationType.PART_OF}
+        self.options: dict[str, tuple[str, ...]] = {
+            a: self._children.get((a, relation[t]), ())
+            for a, t in self.activity_type.items() if t is not ActivityType.ATOMIC
+        }
 
         self.agent_ids: tuple[str, ...] = tuple(sorted(a.id for a in s.agents))
         self.agent_specs: dict[str, AgentSpec] = {a.id: a for a in s.agents}

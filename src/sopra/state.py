@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._kernel import get_backend
+from .errors import UnknownIdError
 from .model import Scenario, ScenarioIndex
 
 
@@ -31,12 +32,15 @@ class ContextSnapshot:
         memo = self._interned
         if memo is not None and memo[0] is index:
             return memo[1]
-        ids = tuple(sorted(index.element_index(e) for e in self.present))
+        try:
+            ids = tuple(sorted(map(index.eidx.__getitem__, self.present)))
+        except KeyError as exc:
+            raise UnknownIdError(f"unknown context element: {exc.args[0]!r}") from None
         object.__setattr__(self, "_interned", (index, ids))
         return ids
 
 
-@dataclass
+@dataclass(slots=True)
 class SequentialFrame:
     """An entered sequential activity that still has parts to perform.
 

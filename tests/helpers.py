@@ -1,10 +1,11 @@
-"""Shared document builders and the reference habit store for the test
-suite."""
+"""Shared document builders, the reference habit store and the reference
+argmax for the test suite."""
 
 from __future__ import annotations
 
 import copy
 import math
+import random
 from typing import Any, Iterable, Sequence
 
 from sopra._kernel import AGG_MAX, AGG_MEAN
@@ -206,6 +207,10 @@ class ReferenceHabitStore:
 
     def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
                   attenuation: float, aggregation: int) -> list[float]:
+        count = len(self._chain_start) - 1
+        for e in ctx_elements:
+            if not 0 <= e < count:
+                raise IndexError(f"context element {e} out of range for {count} elements")
         n = len(ctx_elements)
         out = []
         for a in activities:
@@ -291,3 +296,18 @@ class ReferenceHabitStore:
             (a, e, self._s[i], self._p[i], self._c[i])
             for i, (a, e) in enumerate(self._keys)
         ]
+
+
+def reference_argmax(values: list[float], rng: random.Random, uniform: bool) -> int:
+    """The strict-`>` scan the decision step used to pick with, kept as the
+    reference for `cognition._pick`: the first maximum wins, and with
+    `uniform` a tie of two or more is broken by one draw from `rng`."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    if uniform:
+        tied = [i for i, v in enumerate(values) if v == values[best]]
+        if len(tied) > 1:
+            return tied[rng.randrange(len(tied))]
+    return best

@@ -194,6 +194,15 @@ def test_sweep_bad_param(scenario_file, tmp_path):
                  "--out", str(tmp_path / "x"), "--param", "habitThreshold"]) == 1
 
 
+def test_sweep_rejects_repeated_param(scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "2",
+                 "--out", str(out), "--param", "habitThreshold=0.4,0.6",
+                 "--param", "decayRate=0.0", "--param", "habitThreshold=0.9"]) == 1
+    assert "--param habitThreshold is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_refuses_overwrite(scenario_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     args = ["sweep", "--scenario", scenario_file, "--ticks", "2",

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from helpers import make_doc
+from helpers import make_doc, reference_argmax
+from hypothesis import given, settings, strategies as st
 
 from sopra import (
     ContextSnapshot,
@@ -17,6 +19,7 @@ from sopra import (
     habitual_pressure,
     init_agent_state,
 )
+from sopra.cognition import _pick
 from sopra.state import ExecutionState
 
 
@@ -206,6 +209,24 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
     step = decide_step(state, "act_root", _ctx(), ExecutionState(), s, rng)
     assert step.chosen == "opt_a"
     assert rng.getstate() == before
+
+
+# Few distinct values, so ties (0.0 against -0.0 among them) are common.
+_PICK_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, math.nan]) | st.floats(),
+    min_size=1, max_size=8,
+)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(values=_PICK_VALUES, seed=st.integers(min_value=0, max_value=2**32))
+def test_pick_matches_reference_argmax(uniform, values, seed):
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    want = reference_argmax(values, ref_rng, uniform)
+    assert _pick(values, max(values), rng, uniform) == want
+    # The RNG is drawn from exactly when the reference draws.
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_decision_cycle_walks_to_atomic(commuting, bob):

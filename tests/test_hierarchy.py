@@ -7,6 +7,7 @@ import pytest
 from helpers import make_doc
 
 from sopra import (
+    ActivityType,
     RelationType,
     ScenarioError,
     activity_belief,
@@ -17,6 +18,7 @@ from sopra import (
     project_collective_from_personal,
     propagate_value_connection,
 )
+from sopra.scenarios import list_bundled, load_bundled
 from sopra.testing import random_scenario_document
 
 
@@ -51,6 +53,27 @@ def test_children_by_relation(commuting, commuting_doc):
     assert children("walk_to_work") == ()
     with pytest.raises(ScenarioError):
         children("no_such")
+
+
+def _assert_options_follow_children(scenario):
+    idx = scenario.index
+    composite = [a for a in idx.activity_ids if idx.type_of(a) is not ActivityType.ATOMIC]
+    assert sorted(idx.options) == composite  # atomic nodes are absent
+    for a in composite:
+        relation = (RelationType.IS_A if idx.type_of(a) is ActivityType.ABSTRACT
+                    else RelationType.PART_OF)
+        assert idx.options[a] == idx.children(a, relation)
+
+
+@pytest.mark.parametrize("name", list_bundled())
+def test_options_on_bundled_scenarios(name):
+    _assert_options_follow_children(load_bundled(name))
+
+
+def test_options_on_random_scenarios():
+    for seed in range(40):
+        doc = random_scenario_document(random.Random(seed))
+        _assert_options_follow_children(build_scenario(doc))
 
 
 def test_descendants_match_bruteforce(commuting, commuting_doc):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import make_doc
+from helpers import ReferenceHabitStore, make_doc
 
 from sopra import build_scenario, events_csv, metrics_csv, run
 from sopra._kernel import (
@@ -207,11 +207,14 @@ def test_ids_beyond_32_bits_do_not_alias():
             cy.pressures(ids, [0, 1, 2, 3, 4], 0.5, agg)
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
+_STORES = {**available_backends(), "reference": ReferenceHabitStore}
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
 def test_pressures_reject_unknown_context_elements(backend):
     # Two elements; the queried activity has an entry, so the chain walk
     # would run. The compiled store used to read past its chain offsets.
-    store = get_backend(backend)([0, 1], [0, 1, 2])
+    store = _STORES[backend]([0, 1], [0, 1, 2])
     store.set_views(0, 0, 0.5, 0.0, 0.0)
     for element in (2, 7000000, -1, -2):
         with pytest.raises(IndexError):
