@@ -45,15 +45,11 @@ class DecisionStep:
 def _pressures(state: AgentState, activities: Sequence[int], ctx: ContextSnapshot,
                scenario: Scenario) -> list[float]:
     # Pressure aggregates over the context, so it needs at least one element.
-    if not ctx.present:
+    if not ctx.ids:
         raise ValueError("context snapshot is empty")
     g = scenario.globals
-    return state.habits.pressures(
-        activities,
-        ctx.element_ids(scenario.index),
-        g.attenuation,
-        _AGG_CODES[g.pressure_aggregation],
-    )
+    return state.habits.pressures(activities, ctx.ids, g.attenuation,
+                                  _AGG_CODES[g.pressure_aggregation])
 
 
 def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,

@@ -95,7 +95,7 @@ def snapshot_context(world: World, agent_id: str,
     present.update(idx.placements.get(state.location, ()))
     if state.last_activity is not None:
         present.add(state.last_activity)
-    return ContextSnapshot(frozenset(present))
+    return ContextSnapshot.of(idx, present)
 
 
 class World:

@@ -27,8 +27,8 @@ def afforded(activity: str, ctx: ContextSnapshot, scenario: Scenario) -> float:
     if offers is None:
         return 1.0
     best = 0.0
-    for e in sorted(ctx.present):
-        v = offers.get(idx.element_index(e), 0.0)
+    for e in ctx.ids:
+        v = offers.get(e, 0.0)
         if v > best:
             best = v
     return best

@@ -52,15 +52,13 @@ def propagate_value_connection(state: AgentState, value: str, activity: str,
         got = memo.get(node)
         if got is not None:
             return got
-        t = idx.type_of(node)
-        if t is ActivityType.ATOMIC:
+        kids = idx.options.get(node)
+        if kids is None:  # atomic, or UnknownIdError for an unknown id
             rec = state.value_connections.get((idx.activity_index(node), vi))
             result = rec[0] if rec is not None else 0.0
+        elif not kids:
+            raise ScenarioError(f"non-atomic activity {node!r} has no children")
         else:
-            rel = RelationType.IS_A if t is ActivityType.ABSTRACT else RelationType.PART_OF
-            kids = idx.children(node, rel)
-            if not kids:
-                raise ScenarioError(f"non-atomic activity {node!r} has no children")
             result = min(walk(k) for k in kids)
         memo[node] = result
         return result

@@ -42,7 +42,7 @@ def habit_tick(state: AgentState, performed: str, ctx: ContextSnapshot,
     g = scenario.globals
     state.habits.habit_tick(
         scenario.index.activity_index(performed),
-        ctx.element_ids(scenario.index),
+        ctx.ids,
         scenario.index.agent_specs[state.agent_id].habit_rate,
         g.decay_rate,
         g.decay_all,
@@ -77,7 +77,7 @@ def observe(event: ObservationEvent, scenario: Scenario,
     competing = sorted(
         idx.activity_index(c) for c in set(candidates) if c != event.activity
     )
-    elements = event.context.element_ids(idx)
+    elements = event.context.ids
     rate = scenario.globals.social_learning_rate
     for name in event.observers:
         states[name].habits.observe(acted, competing, elements, rate)

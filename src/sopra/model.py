@@ -231,21 +231,11 @@ class ScenarioIndex:
     """
 
     def __init__(self, s: Scenario):
-        kind_of: dict[str, ElementKind] = {}
-        parent_of: dict[str, str | None] = {}
-        for ce in s.context_elements:
-            kind_of[ce.id] = ce.kind
-            parent_of[ce.id] = ce.parent
-        for a in s.activities:
-            kind_of[a.id] = ElementKind.ACTIVITY
-            parent_of[a.id] = a.parent
-        for ag in s.agents:
-            kind_of[ag.id] = ElementKind.AGENT
-            parent_of[ag.id] = ag.parent
-        self.kind_of = kind_of
-        self.parent_of = parent_of
-
-        self.element_ids: tuple[str, ...] = tuple(sorted(kind_of))
+        # Each element's hierarchy parent, keyed by every element id.
+        parent_of: dict[str, str | None] = {
+            e.id: e.parent for e in (*s.context_elements, *s.activities, *s.agents)
+        }
+        self.element_ids: tuple[str, ...] = tuple(sorted(parent_of))
         self.eidx: dict[str, int] = {e: i for i, e in enumerate(self.element_ids)}
 
         self.activity_ids: tuple[str, ...] = tuple(sorted(a.id for a in s.activities))

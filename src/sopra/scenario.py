@@ -538,19 +538,7 @@ def serialize_scenario(s: Scenario) -> dict[str, Any]:
                 for r in s.environment.relocations
             ],
         },
-        "globals": {
-            "habitThreshold": s.globals.habit_threshold,
-            "decayRate": s.globals.decay_rate,
-            "socialLearningRate": s.globals.social_learning_rate,
-            "awarenessRate": s.globals.awareness_rate,
-            "attenuation": s.globals.attenuation,
-            "deliberationCost": s.globals.deliberation_cost,
-            "pressureAggregation": s.globals.pressure_aggregation,
-            "decayAll": s.globals.decay_all,
-            "tieBreak": s.globals.tie_break,
-            "extensionsEnabled": s.globals.extensions_enabled,
-            "feasibilityThreshold": s.globals.feasibility_threshold,
-        },
+        "globals": {key: getattr(s.globals, attr) for key, attr in _GLOBALS_KEYS.items()},
         "affordances": [
             {"contextElement": a.context_element, "activity": a.activity, "strength": a.strength}
             for a in s.affordances

@@ -3,41 +3,33 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ._kernel import get_backend
 from .errors import UnknownIdError
 from .model import Scenario, ScenarioIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextSnapshot:
     """The element tokens an agent perceives at one tick: its location,
     the current timepoint, resources placed at the location, co-located
-    agents, and its own previous activity."""
+    agents, and its own previous activity. Built by `of`, which interns
+    the tokens once, when the snapshot is taken."""
 
     present: frozenset[str]
-    # (index, element ids) memo of element_ids; not part of the value
-    _interned: tuple[ScenarioIndex, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ids: tuple[int, ...]  # `present` interned by the scenario index, ascending
 
-    def __post_init__(self):
-        if not isinstance(self.present, frozenset):
-            object.__setattr__(self, "present", frozenset(self.present))
-
-    def element_ids(self, index: ScenarioIndex) -> tuple[int, ...]:
-        """The present elements interned by `index`, ascending. Computed
-        once per snapshot and index; an unknown element raises
-        UnknownIdError."""
-        memo = self._interned
-        if memo is not None and memo[0] is index:
-            return memo[1]
+    @classmethod
+    def of(cls, index: ScenarioIndex, present: Iterable[str]) -> ContextSnapshot:
+        """The snapshot of `present`; an element `index` does not know
+        raises UnknownIdError."""
+        present = frozenset(present)
         try:
-            ids = tuple(sorted(map(index.eidx.__getitem__, self.present)))
+            ids = tuple(sorted(map(index.eidx.__getitem__, present)))
         except KeyError as exc:
             raise UnknownIdError(f"unknown context element: {exc.args[0]!r}") from None
-        object.__setattr__(self, "_interned", (index, ids))
-        return ids
+        return cls(present, ids)
 
 
 @dataclass(slots=True)

@@ -39,24 +39,24 @@ def bob(commuting):
 
 
 def test_pressure_is_mean_over_context(commuting, bob):
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning"})
     assert habitual_pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
         (0.8 + 0.4) / 2
     )
     # An element with no stored strength anywhere on its chain counts 0.
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning", "Home"})
     assert habitual_pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
         (0.8 + 0.4 + 0.0) / 3
     )
 
 
 def test_pressure_aggregation_modes(commuting_doc):
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning"}))
     for mode, want in [("mean", 0.6), ("max", 0.8), ("sum", 1.2)]:
         doc = dict(commuting_doc, globals=dict(commuting_doc["globals"],
                                                pressureAggregation=mode))
         s = build_scenario(doc)
         state = init_agent_state(s, "bob")
+        ctx = ContextSnapshot.of(s.index, {"bobs_car", "Morning"})
         assert habitual_pressure(state, "drive_car_to_work", ctx, s) == pytest.approx(want)
 
 
@@ -74,7 +74,7 @@ def test_pressure_attenuates_along_ancestors():
     doc["globals"] = {"attenuation": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    one = lambda e: ContextSnapshot(frozenset({e}))
+    one = lambda e: ContextSnapshot.of(s.index, {e})
     assert habitual_pressure(state, "opt_a", one("c1"), s) == pytest.approx(0.8)
     assert habitual_pressure(state, "opt_a", one("c2"), s) == pytest.approx(0.4)
     assert habitual_pressure(state, "opt_a", one("c3"), s) == pytest.approx(0.2)
@@ -98,13 +98,14 @@ def test_pressure_skips_zero_strength_ancestors():
     doc["globals"] = {"attenuation": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    ctx = ContextSnapshot(frozenset({"c3"}))
+    ctx = ContextSnapshot.of(s.index, {"c3"})
     assert habitual_pressure(state, "opt_a", ctx, s) == pytest.approx(0.2)
 
 
 def test_empty_context_is_an_error(commuting, bob):
     with pytest.raises(ValueError):
-        habitual_pressure(bob, "drive_car_to_work", ContextSnapshot(frozenset()), commuting)
+        habitual_pressure(bob, "drive_car_to_work", ContextSnapshot.of(commuting.index, ()),
+                          commuting)
 
 
 def test_intentional_score_examples(commuting, bob):
@@ -140,15 +141,15 @@ def test_candidate_set_excludes_completed_parts(commuting):
     assert candidate_set("commuting", es, commuting) == ("go_to_work",)
 
 
-def _ctx(*extra):
-    return ContextSnapshot(frozenset({"Home", "Morning", *extra}))
+def _ctx(scenario, *extra):
+    return ContextSnapshot.of(scenario.index, {"Home", "Morning", *extra})
 
 
 def test_decide_step_habitual_above_threshold(commuting, bob):
     # bobs_car present: pressure over {Home, Morning, bobs_car} for
     # drive_car_to_work is (0 + 0.4 + 0.8) / 3 = 0.4 < 0.5 threshold, so
     # raise the car cue to Morning-only context instead.
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning"})
     step = decide_step(bob, "go_to_work", ctx, ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
     assert step.chosen == "drive_car_to_work"
@@ -157,7 +158,7 @@ def test_decide_step_habitual_above_threshold(commuting, bob):
 
 
 def test_decide_step_intentional_below_threshold(commuting, bob):
-    step = decide_step(bob, "go_to_work", _ctx(), ExecutionState(), commuting, RNG())
+    step = decide_step(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
     assert step.chosen == "ride_bike_to_work"  # score 1.0 beats 0.2/0.14/0.9
     assert step.score == pytest.approx(1.0 / 1.2)
@@ -166,7 +167,7 @@ def test_decide_step_intentional_below_threshold(commuting, bob):
 
 def test_decide_step_habitual_when_attention_exhausted(commuting, bob):
     bob.resources = 0
-    step = decide_step(bob, "go_to_work", _ctx(), ExecutionState(), commuting, RNG())
+    step = decide_step(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
     # Pressures over {Home, Morning}: drive_car (0 + 0.4) / 2, rest 0.
     assert step.chosen == "drive_car_to_work"
@@ -179,7 +180,7 @@ def test_decide_step_lexicographic_ties():
     doc["valueConnections"][1]["personalView"] = 0.9
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    step = decide_step(state, "act_root", _ctx(), ExecutionState(), s, RNG())
+    step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
     assert step.chosen == "opt_a"
 
@@ -193,7 +194,7 @@ def test_decide_step_uniform_ties_use_rng():
     picks = set()
     for seed in range(12):
         state = _agent(s, "ag1")
-        step = decide_step(state, "act_root", _ctx(), ExecutionState(), s,
+        step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s,
                            random.Random(seed))
         picks.add(step.chosen)
     assert picks == {"opt_a", "opt_b"}
@@ -206,7 +207,7 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
     state = _agent(s, "ag1")
     rng = random.Random(5)
     before = rng.getstate()
-    step = decide_step(state, "act_root", _ctx(), ExecutionState(), s, rng)
+    step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s, rng)
     assert step.chosen == "opt_a"
     assert rng.getstate() == before
 
@@ -230,7 +231,7 @@ def test_pick_matches_reference_argmax(uniform, values, seed):
 
 
 def test_decision_cycle_walks_to_atomic(commuting, bob):
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     # Fresh cycle enters the sequential root, picks the lexicographically
     # planned part order by score: both parts tie at 0, so bring_kids wins.
     assert [s.node for s in steps] == ["commuting", "bring_kids_to_school"]
@@ -241,16 +242,16 @@ def test_decision_cycle_walks_to_atomic(commuting, bob):
 
 
 def test_decision_cycle_resumes_pending_sequential(commuting, bob):
-    decision_cycle(bob, _ctx(), commuting, RNG())
+    decision_cycle(bob, _ctx(commuting), commuting, RNG())
     bob.resources = 2  # what the engine's per-tick replenish would do
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert steps[0].node == "commuting"
     assert steps[0].chosen == "go_to_work"
     assert steps[-1].chosen == "ride_bike_to_work"
     # All parts done: the stack unwinds and the next cycle starts fresh.
     assert bob.exec_state.pending == []
     bob.resources = 2
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert steps[0].node == "commuting"
     assert steps[-1].chosen == "ride_bike_to_school"
 
@@ -264,7 +265,7 @@ def test_decision_cycle_atomic_root():
     s = build_scenario(doc)
     state = _agent(s, "ag1")
     # One habitual step with no choice: no attention is spent.
-    assert decision_cycle(state, _ctx(), s, RNG()) == [
+    assert decision_cycle(state, _ctx(s), s, RNG()) == [
         DecisionStep("only", "only", DecisionMode.HABITUAL, 0.0, 0.0, ("only",))
     ]
     assert state.resources == 1
@@ -272,16 +273,16 @@ def test_decision_cycle_atomic_root():
 
 def test_decision_cycle_attention_budget_depletes(commuting, bob):
     # Budget 2: the first cycle spends both steps, the second runs on habit.
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert [s.mode for s in steps] == [DecisionMode.INTENTIONAL] * 2
     assert bob.resources == 0
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert [s.mode for s in steps] == [DecisionMode.HABITUAL] * 2
     assert steps[-1].chosen == "drive_car_to_work"  # only nonzero pressure via Morning cue
 
 
 def test_last_step_candidates(commuting, bob):
-    steps = decision_cycle(bob, _ctx(), commuting, RNG())
+    steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert steps[-1].candidates == (
         "drive_car_to_school", "ride_bike_to_school",
         "take_train_to_school", "walk_to_school",
@@ -313,6 +314,6 @@ def test_nested_sequential_completion():
     doc["roots"] = ["outer"]
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    performed = [decision_cycle(state, _ctx(), s, RNG())[-1].chosen for _ in range(3)]
+    performed = [decision_cycle(state, _ctx(s), s, RNG())[-1].chosen for _ in range(3)]
     assert performed == ["a1", "a2", "tail"]
     assert state.exec_state.pending == []

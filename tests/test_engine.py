@@ -46,29 +46,23 @@ def test_snapshot_contents():
 
 
 
-def test_snapshot_interns_once_per_index():
+def test_snapshot_interns_its_elements_when_taken():
     s = build_scenario(_two_agents_doc())
-    snap = ContextSnapshot(frozenset({"Home", "Morning", "ag2"}))
     idx = s.index
-    ids = snap.element_ids(idx)
-    assert list(ids) == sorted(idx.element_index(e) for e in snap.present)
-    assert snap.element_ids(idx) is ids  # memoised
-    # Another scenario interns the same names to other ids.
-    doc = _two_agents_doc()
-    doc["contextElements"].append({"id": "Attic", "kind": "Location"})
-    other = build_scenario(doc).index
-    assert snap.element_ids(other) == tuple(
-        sorted(other.element_index(e) for e in snap.present)
-    )
-    assert snap.element_ids(other) != ids
-    # The memo is not part of the snapshot's value.
-    assert snap == ContextSnapshot(frozenset({"Home", "Morning", "ag2"}))
+    snap = ContextSnapshot.of(idx, ["ag2", "Morning", "Home", "Morning"])
+    assert snap.present == {"Home", "Morning", "ag2"}
+    assert snap.ids == tuple(sorted(idx.element_index(e) for e in snap.present))
+    assert snap == ContextSnapshot.of(idx, {"Home", "Morning", "ag2"})
+    w = World(s)
+    taken = snapshot_context(w, "ag1")
+    assert taken.ids == tuple(sorted(idx.element_index(e) for e in taken.present))
 
 
 def test_snapshot_with_unknown_element_fails_to_intern():
     s = build_scenario(_two_agents_doc())
-    with pytest.raises(UnknownIdError):
-        ContextSnapshot(frozenset({"Home", "nowhere"})).element_ids(s.index)
+    with pytest.raises(UnknownIdError, match="nowhere"):
+        ContextSnapshot.of(s.index, {"Home", "nowhere"})
+
 
 def test_event_rows_per_tick(commuting):
     events, metrics = run(commuting, 5)

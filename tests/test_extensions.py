@@ -7,29 +7,31 @@ from sopra import (
     ContextSnapshot,
     DecisionMode,
     ScenarioError,
+    World,
     afforded,
     build_scenario,
     competent,
     events_csv,
     filter_candidates,
     run,
+    snapshot_context,
 )
 
 
-def _ctx(*elems):
-    return ContextSnapshot(frozenset(elems))
+def _ctx(scenario, *elems):
+    return ContextSnapshot.of(scenario.index, elems)
 
 
 def test_afforded(extensions_demo):
     s = extensions_demo
-    assert afforded("sit", _ctx("LivingRoom", "chair"), s) == 1.0
+    assert afforded("sit", _ctx(s, "LivingRoom", "chair"), s) == 1.0
     # The declared affordance exists but its element is absent here.
-    assert afforded("sit", _ctx("Patio"), s) == 0.0
+    assert afforded("sit", _ctx(s, "Patio"), s) == 0.0
     # Undeclared activities are unconstrained anywhere.
-    assert afforded("stand", _ctx("Patio"), s) == 1.0
-    assert afforded("relax", _ctx("Patio"), s) == 1.0
+    assert afforded("stand", _ctx(s, "Patio"), s) == 1.0
+    assert afforded("relax", _ctx(s, "Patio"), s) == 1.0
     with pytest.raises(ScenarioError):
-        afforded("fly", _ctx("Patio"), s)
+        afforded("fly", _ctx(s, "Patio"), s)
 
 
 def test_afforded_takes_best_present_offer():
@@ -43,9 +45,21 @@ def test_afforded_takes_best_present_offer():
         {"contextElement": "sofa", "activity": "opt_a", "strength": 0.9},
     ]
     s = build_scenario(doc)
-    assert afforded("opt_a", _ctx("Home", "stool"), s) == 0.4
-    assert afforded("opt_a", _ctx("Home", "stool", "sofa"), s) == 0.9
-    assert afforded("opt_a", _ctx("Home"), s) == 0.0
+    assert afforded("opt_a", _ctx(s, "Home", "stool"), s) == 0.4
+    assert afforded("opt_a", _ctx(s, "Home", "stool", "sofa"), s) == 0.9
+    assert afforded("opt_a", _ctx(s, "Home"), s) == 0.0
+
+
+def test_afforded_counts_any_context_element():
+    # Not only placed resources afford: here the location itself does.
+    from sopra.scenarios import bundled_document
+
+    doc = bundled_document("extensions_demo")
+    doc["affordances"] = [{"contextElement": "LivingRoom", "activity": "sit", "strength": 0.7}]
+    w = World(build_scenario(doc))
+    assert afforded("sit", snapshot_context(w, "dana"), w.scenario) == 0.7
+    w.states["dana"].location = "Patio"
+    assert afforded("sit", snapshot_context(w, "dana"), w.scenario) == 0.0
 
 
 def test_competent(extensions_demo):
@@ -90,9 +104,9 @@ def test_competent_multiple_requirements_take_min():
 def test_filter_candidates(extensions_demo):
     s = extensions_demo  # feasibilityThreshold 0.5
     kept, fallback = filter_candidates(["sit", "stand"], "dana",
-                                       _ctx("LivingRoom", "chair"), s)
+                                       _ctx(s, "LivingRoom", "chair"), s)
     assert (kept, fallback) == (["sit", "stand"], False)
-    kept, fallback = filter_candidates(["sit", "stand"], "dana", _ctx("Patio"), s)
+    kept, fallback = filter_candidates(["sit", "stand"], "dana", _ctx(s, "Patio"), s)
     assert (kept, fallback) == (["stand"], False)
 
 
@@ -104,7 +118,7 @@ def test_filter_candidates_fallback_keeps_original():
     ]
     doc["globals"] = {"extensionsEnabled": True, "feasibilityThreshold": 0.5}
     s = build_scenario(doc)
-    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx("Home"), s)
+    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
     assert (kept, fallback) == (["opt_a", "opt_b"], True)
 
 
@@ -115,7 +129,7 @@ def test_threshold_zero_is_identity():
     ]
     doc["globals"] = {"extensionsEnabled": True, "feasibilityThreshold": 0.0}
     s = build_scenario(doc)
-    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx("Home"), s)
+    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
     assert (kept, fallback) == (["opt_a", "opt_b"], False)
 
 

@@ -27,8 +27,13 @@ def _views(state, scenario, activity, element):
 def _reinforce(state, scenario, activity, ctx):
     """Reinforce `activity` over `ctx` at the agent's habit rate."""
     idx = scenario.index
-    state.habits.reinforce(idx.activity_index(activity), ctx.element_ids(idx),
+    state.habits.reinforce(idx.activity_index(activity), ctx.ids,
                            idx.agent_specs[state.agent_id].habit_rate)
+
+
+def _home():
+    """A snapshot of just Home, for tests that need no scenario."""
+    return ContextSnapshot.of(build_scenario(make_doc()).index, {"Home"})
 
 
 @pytest.fixture
@@ -37,7 +42,7 @@ def bob(commuting):
 
 
 def test_reinforce_closes_gap_to_one(commuting, bob):
-    ctx = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning", "Home"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[0] == pytest.approx(
         0.8 + 0.1 * 0.2
@@ -52,7 +57,7 @@ def test_reinforce_closes_gap_to_one(commuting, bob):
 
 
 def test_reinforce_leaves_personal_views_alone(commuting, bob):
-    ctx = ContextSnapshot(frozenset({"bobs_car"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[1] == 0.8
 
@@ -93,7 +98,7 @@ def same_items(xs, ys):
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_habit_tick_default_equals_reinforce_then_decay(backend, commuting, monkeypatch):
     idx = commuting.index
-    elems = ContextSnapshot(frozenset({"bobs_car", "Morning", "Home"})).element_ids(idx)
+    elems = ContextSnapshot.of(idx, {"bobs_car", "Morning", "Home"}).ids
     monkeypatch.setenv("SOPRA_KERNEL", backend)
     stepped = init_agent_state(commuting, "bob").habits
     ticked = init_agent_state(commuting, "bob").habits
@@ -122,7 +127,7 @@ def test_habit_tick_decay_all_uses_fused_update():
     doc["globals"] = {"decayRate": 0.1, "decayAll": True}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    habit_tick(state, "opt_a", ContextSnapshot(frozenset({"Home"})), s)
+    habit_tick(state, "opt_a", ContextSnapshot.of(s.index, {"Home"}), s)
     # (1-d)h + r(1-h) = 0.45 + 0.25, not the sequential 0.675.
     assert _views(state, s, "opt_a", "Home")[0] == pytest.approx(0.7)
 
@@ -144,7 +149,7 @@ def test_decay_all_converges_to_equilibrium():
     doc["globals"] = {"decayRate": 0.05, "decayAll": True}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    ctx = ContextSnapshot(frozenset({"Home"}))
+    ctx = ContextSnapshot.of(s.index, {"Home"})
     star = equilibrium_strength(0.2, 0.05)
     gap = star  # starts at 0
     for _ in range(60):
@@ -164,14 +169,14 @@ def test_faster_habit_rate_reinforces_more():
         doc["agents"][0]["habitRate"] = rate
         s = build_scenario(doc)
         state = init_agent_state(s, "ag1")
-        habit_tick(state, "opt_a", ContextSnapshot(frozenset({"Home"})), s)
+        habit_tick(state, "opt_a", ContextSnapshot.of(s.index, {"Home"}), s)
         h = _views(state, s, "opt_a", "Home")[0]
         assert h > prev
         prev = h
 
 
 def test_update_personal_view_tracks_strength(commuting, bob):
-    ctx = ContextSnapshot(frozenset({"bobs_car"}))
+    ctx = ContextSnapshot.of(commuting.index, {"bobs_car"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)  # s: 0.8 -> 0.82
     update_personal_view(bob, commuting)  # awareness 0.5
     s, p, _ = _views(bob, commuting, "drive_car_to_work", "bobs_car")
@@ -199,7 +204,7 @@ def test_observe_strengthens_acted_and_weakens_competitors():
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
     for st in states.values():
         project_collective_from_personal(st)
-    ctx = ContextSnapshot(frozenset({"Home", "Morning"}))
+    ctx = ContextSnapshot.of(s.index, {"Home", "Morning"})
     ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ctx, tick=3)
     observe(ev, s, states, candidates=("opt_a", "opt_b"))
@@ -225,7 +230,7 @@ def test_observe_requires_co_location():
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
     states["ag1"].location = "Away"
     ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
-                          context=ContextSnapshot(frozenset({"Away"})), tick=0)
+                          context=ContextSnapshot.of(s.index, {"Away"}), tick=0)
     with pytest.raises(ValueError):
         observe(ev, s, states)
 
@@ -233,13 +238,13 @@ def test_observe_requires_co_location():
 def test_observation_event_rejects_self():
     with pytest.raises(ValueError):
         ObservationEvent(observers=("ag1",), actor="ag1", activity="opt_a",
-                         context=ContextSnapshot(frozenset({"Home"})), tick=0)
+                         context=_home(), tick=0)
 
 
 def test_observe_ignores_acted_among_candidates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    ctx = ContextSnapshot(frozenset({"Home"}))
+    ctx = ContextSnapshot.of(s.index, {"Home"})
     ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ctx, tick=0)
     observe(ev, s, states, candidates=("opt_a",))
@@ -250,7 +255,7 @@ def test_observe_ignores_acted_among_candidates():
 def test_repeated_observation_saturates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    ctx = ContextSnapshot(frozenset({"Home"}))
+    ctx = ContextSnapshot.of(s.index, {"Home"})
     last = 0.0
     for t in range(80):
         ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
@@ -335,7 +340,7 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
         activity, ctx, cands = _PERFORMANCES[actor]
         observers = tuple(ag for ag in here if ag != actor)
         ev = ObservationEvent(observers=observers, actor=actor, activity=activity,
-                              context=ContextSnapshot(frozenset(ctx)), tick=0)
+                              context=ContextSnapshot.of(s.index, ctx), tick=0)
         observe(ev, s, fanned, candidates=cands)
     for observer in here:
         for actor in here:
@@ -343,7 +348,7 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
                 continue
             activity, ctx, cands = _PERFORMANCES[actor]
             ev = ObservationEvent(observers=(observer,), actor=actor, activity=activity,
-                                  context=ContextSnapshot(frozenset(ctx)), tick=0)
+                                  context=ContextSnapshot.of(s.index, ctx), tick=0)
             observe(ev, s, paired, candidates=cands)
     for ag in fanned:
         assert same_items(fanned[ag].habits.items(), paired[ag].habits.items())
@@ -357,15 +362,14 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
 def test_observation_event_rejects_actor_among_observers():
     with pytest.raises(ValueError):
         ObservationEvent(observers=("ag2", "ag1", "ag3"), actor="ag1",
-                         activity="opt_a",
-                         context=ContextSnapshot(frozenset({"Home"})), tick=0)
+                         activity="opt_a", context=_home(), tick=0)
 
 
 def test_fan_out_rejects_non_co_located_observer_and_updates_nobody():
     s, states = _crowd_scenario()
     before = {ag: states[ag].habits.items() for ag in states}
     ev = ObservationEvent(observers=("ag2", "ag5"), actor="ag1", activity="opt_a",
-                          context=ContextSnapshot(frozenset({"Home"})), tick=0)
+                          context=ContextSnapshot.of(s.index, {"Home"}), tick=0)
     with pytest.raises(ValueError, match="ag5"):
         observe(ev, s, states, candidates=("opt_a", "opt_b"))
     for ag in states:

@@ -230,7 +230,7 @@ def test_bucketed_snapshot_equals_standalone_scan(world_and_seed):
         snap = snapshot_context(w, agent_id, here)
         alone = snapshot_context(w, agent_id)
         assert snap == alone
-        assert snap.element_ids(w.scenario.index) == tuple(
+        assert snap.ids == tuple(
             sorted(w.scenario.index.element_index(e) for e in alone.present)
         )
         taken.append(agent_id)
