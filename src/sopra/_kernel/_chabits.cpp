@@ -410,7 +410,10 @@ PyMethodDef store_methods[] = {
            "Reinforce and decay in one step from tick-start values."),
     METHOD(track_personal, 1, ", awareness", "Move each personal view toward its strength."),
     METHOD(observe, 4, ", acted, competing, ctx_elements, rate",
-           "Strengthen the acted collective views, weaken existing competing ones."),
+           "Strengthen the acted collective views, weaken existing competing ones.\n\n"
+           "ctx_elements must hold no duplicates (ContextSnapshot.ids guarantees it):\n"
+           "with one, and the acted activity among the competing ones, this\n"
+           "element-by-element order and pyhabits' two-pass order differ."),
     METHOD(sums, 0, "", "(entries, sum of strengths, personal views, collective views)."),
     METHOD(items, 0, "", "[(activity, element, strength, personal, collective)] in creation order."),
     {NULL, NULL, 0, NULL},

@@ -16,9 +16,16 @@ This is the reference implementation. The compiled backend in
 `_chabits.cpp` mirrors it, and the two must stay bit-identical. The
 invariant is: the same expression for each entry, the same order of
 entry creation, and the same order of updates within each entry
-(`observe` strengthens the acted entry before it weakens competing
-ones, element by element). Passes over independent entries may run in
-any order. Any arithmetic change here has to be copied there verbatim.
+(`observe` applies, per entry, the positive update first, then the
+negative ones). Passes over independent entries may run in any order.
+Any arithmetic change here has to be copied there verbatim.
+
+Both kernels rely on one precondition: `ctx_elements` holds no
+duplicates, which `ContextSnapshot.ids` guarantees. With a duplicate
+element and the acted activity among the competing ones, `observe`
+here (a strengthen pass, then a weaken pass per competing row) and the
+compiled one (both updates element by element) would order that
+entry's updates differently.
 """
 
 from __future__ import annotations
@@ -50,12 +57,6 @@ class HabitStore:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def _row(self, activity: int) -> dict[int, int]:
-        row = self._rows.get(activity)
-        if row is None:
-            row = self._rows[activity] = {}
-        return row
-
     def _add(self, row: dict[int, int], activity: int, element: int) -> int:
         i = row[element] = len(self._keys)
         self._keys.append((activity, element))
@@ -65,7 +66,9 @@ class HabitStore:
         return i
 
     def _ensure(self, activity: int, element: int) -> int:
-        row = self._row(activity)
+        row = self._rows.get(activity)
+        if row is None:
+            row = self._rows[activity] = {}
         i = row.get(element)
         if i is None:
             i = self._add(row, activity, element)
@@ -148,15 +151,23 @@ class HabitStore:
         # One-step update from tick-start values. Reinforced pairs get
         # h + r(1-h), or (1-d)h + r(1-h) when decay applies to all;
         # every other pair gets (1-d)h.
-        slots = [self._ensure(performed, e) for e in ctx_elements]
+        row = self._rows.get(performed)
+        if row is None:
+            row = self._rows[performed] = {}
+        slots = []
+        for e in ctx_elements:
+            i = row.get(e)
+            if i is None:
+                i = self._add(row, performed, e)
+            slots.append(i)
         s = self._s
         keep = 1.0 - decay_rate
         if decay_all:
-            fresh = {i: keep * s[i] + rate * (1.0 - s[i]) for i in slots}
+            fresh = [keep * s[i] + rate * (1.0 - s[i]) for i in slots]
         else:
-            fresh = {i: s[i] + rate * (1.0 - s[i]) for i in slots}
+            fresh = [s[i] + rate * (1.0 - s[i]) for i in slots]
         s = self._s = [keep * v for v in s]
-        for i, v in fresh.items():
+        for i, v in zip(slots, fresh):
             s[i] = v
 
     def track_personal(self, awareness: float) -> None:
@@ -164,23 +175,30 @@ class HabitStore:
 
     def observe(self, acted: int, competing: Sequence[int],
                 ctx_elements: Sequence[int], rate: float) -> None:
+        # Two passes: strengthen the acted row, then weaken each competing
+        # row that exists. Each entry still gets its positive update before
+        # its negative ones, because ctx_elements holds no duplicates.
         rows = self._rows
-        row = self._row(acted)
-        # Taken after the acted row exists: an acted activity listed among
-        # the competing ones is weakened right after its own update.
-        others = [rows[a] for a in competing if a in rows]
+        row = rows.get(acted)
+        if row is None:
+            row = rows[acted] = {}
         col = self._c  # _add appends to this same list
-        keep = 1.0 - rate
         for e in ctx_elements:
             i = row.get(e)
             if i is None:
                 i = self._add(row, acted, e)
             c = col[i]
             col[i] = c + rate * (1.0 - c)
-            for other in others:
-                j = other.get(e)
-                if j is not None:
-                    col[j] = keep * col[j]
+        keep = 1.0 - rate
+        for a in competing:
+            # Fetched after the acted row exists, so an acted activity
+            # listed among the competing ones is weakened too.
+            other = rows.get(a)
+            if other is not None:
+                for e in ctx_elements:
+                    j = other.get(e)
+                    if j is not None:
+                        col[j] = keep * col[j]
 
     def sums(self) -> tuple[int, float, float, float]:
         # Plain left-to-right loops: builtin sum() compensates from

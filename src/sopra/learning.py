@@ -75,7 +75,7 @@ def observe(event: ObservationEvent, scenario: Scenario,
     idx = scenario.index
     acted = idx.activity_index(event.activity)
     competing = sorted(
-        idx.activity_index(c) for c in set(candidates) if c != event.activity
+        {idx.activity_index(c) for c in candidates if c != event.activity}
     )
     elements = event.context.ids
     rate = scenario.globals.social_learning_rate

@@ -8,6 +8,7 @@ import random
 import pytest
 from helpers import ReferenceHabitStore, make_doc
 
+import sopra.state
 from sopra import build_scenario, events_csv, metrics_csv, run
 from sopra._kernel import (
     AGG_MAX,
@@ -18,7 +19,7 @@ from sopra._kernel import (
     get_backend,
 )
 from sopra.scenarios import load_bundled
-from sopra.testing import random_scenario_document
+from sopra.testing import grid_value, random_scenario_document
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(), reason="compiled kernel not built"
@@ -223,3 +224,125 @@ def test_pressures_reject_unknown_context_elements(backend):
     with pytest.raises(ZeroDivisionError):
         store.pressures([0], [], 0.5, AGG_MEAN)
     assert store.pressures([0], [], 0.5, AGG_SUM) == [0.0]
+
+
+# (seeded (activity, element, collective view) entries, observe
+# arguments), on stores over the five elements of _chains().
+_OBSERVE_CASES = {
+    "acted-row-created": (
+        [(1, 0, 0.4), (1, 2, 0.8)],
+        (3, [1, 3], [0, 2, 4], 0.3),
+    ),
+    "acted-among-competing": (
+        [(0, 0, 0.5), (0, 1, 0.25), (2, 1, 0.6)],
+        (0, [0, 2], [0, 1, 3], 0.5),
+    ),
+    "competing-row-absent": (
+        [(0, 1, 0.5), (2, 1, 0.7)],
+        (0, [1, 2, 3], [1, 4], 0.2),
+    ),
+    "competing-row-lacks-elements": (
+        [(0, 3, 0.9), (1, 0, 0.3), (1, 4, 0.6), (2, 2, 0.1)],
+        (0, [1, 2], [0, 1, 2, 3, 4], 0.4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OBSERVE_CASES))
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_observe_matches_reference(backend, case):
+    seeded, args = _OBSERVE_CASES[case]
+    acted, _, ctx, _ = args
+    stores = [_STORES[backend](*_chains()), ReferenceHabitStore(*_chains())]
+    for st in stores:
+        for a, e, c in seeded:
+            st.set_views(a, e, 0.5, 0.5, c)
+        st.observe(*args)
+    got, ref = (st.items() for st in stores)
+    assert [r[:2] for r in got] == [r[:2] for r in ref]
+    for rg, rr in zip(got, ref):
+        for u, v in zip(rg[2:], rr[2:]):
+            assert _same_floats(u, v)
+    # Only the acted row grows, in context order; weakening creates nothing.
+    keys = [(a, e) for a, e, _ in seeded]
+    keys += [(acted, e) for e in ctx if (acted, e) not in keys]
+    assert [r[:2] for r in got] == keys
+
+
+def test_observe_strengthens_before_weakening_an_acted_competitor():
+    # c = 0.5 at rate 0.5: strengthen to 0.75, then weaken to 0.375.
+    # The other order would give 0.625.
+    st = ReferenceHabitStore(*_chains())
+    st.set_views(0, 0, 0.5, 0.5, 0.5)
+    st.observe(0, [0], [0], 0.5)
+    assert st.get_views(0, 0)[2] == 0.375
+
+
+def _crowd_doc() -> dict:
+    """Twelve agents at Home and three at Away choosing among three
+    options: every co-located pair observes, with two competitors."""
+    rng = random.Random(11)
+    options = ["opt_a", "opt_b", "opt_c"]
+    values = ["thrift", "comfort"]
+    agents = [f"ag{i:02d}" for i in range(15)]
+    doc = make_doc(
+        contextElements=[
+            {"id": "Home", "kind": "Location"},
+            {"id": "Away", "kind": "Location"},
+            {"id": "Morning", "kind": "Timepoint"},
+            {"id": "Evening", "kind": "Timepoint"},
+        ],
+        activities=[{"id": "act_root", "type": "Abstract"}]
+        + [{"id": o, "type": "Atomic"} for o in options],
+        activityConnections=[
+            {"child": o, "parent": "act_root", "relation": "IsA"} for o in options
+        ],
+        values=values,
+        agents=[
+            {"id": ag, "habitRate": 0.2, "attentionBudget": 1 + i % 2,
+             "location": "Home" if i < 12 else "Away"}
+            for i, ag in enumerate(agents)
+        ],
+        habitualConnections=[
+            {"agent": ag, "activity": rng.choice(options),
+             "contextElement": rng.choice(["Home", "Away", "Morning", "Evening"]),
+             "strength": (h := grid_value(rng)), "personalView": h}
+            for ag in agents
+        ],
+        valuePriorities=[
+            {"agent": ag, "value": v, "strength": (p := grid_value(rng, 0, 0.25)),
+             "personalView": p}
+            for ag in agents for v in values
+        ],
+        valueConnections=[
+            {"agent": ag, "activity": o, "value": v, "strength": (s := grid_value(rng)),
+             "personalView": s}
+            for ag in agents for o in options for v in values
+        ],
+    )
+    doc["environment"]["timepoints"] = ["Morning", "Evening"]
+    doc["globals"] = {"habitThreshold": 0.5, "decayRate": 0.01}
+    return doc
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_crowd_logs_match_reference_store(backend, monkeypatch):
+    s = build_scenario(_crowd_doc())
+    atomic = s.index.atomic_ids
+    weakening = []
+
+    class CountingReference(ReferenceHabitStore):
+        __slots__ = ()
+
+        def observe(self, acted, competing, ctx_elements, rate):
+            weakening.append(bool(competing))
+            super().observe(acted, competing, ctx_elements, rate)
+
+    logs = {}
+    for name, store in (("reference", CountingReference),
+                        (backend, available_backends()[backend])):
+        monkeypatch.setattr(sopra.state, "get_backend", lambda name=None, st=store: st)
+        events, metrics = run(s, 12, seed=3)
+        logs[name] = (events_csv(events), metrics_csv(metrics, atomic))
+    assert any(weakening)  # the competing lists were exercised
+    assert logs[backend] == logs["reference"]
