@@ -27,10 +27,8 @@ from .engine import (
 from .errors import ScenarioError, UnknownIdError
 from .extensions import afforded, competent, filter_candidates
 from .hierarchy import (
-    activity_belief,
     atomic_leaves,
     descendants,
-    project_collective_from_personal,
     propagate_value_connection,
 )
 from .learning import (
@@ -42,7 +40,6 @@ from .learning import (
 )
 from .model import (
     Activity,
-    ActivityBelief,
     ActivityConnection,
     ActivityType,
     AgentSpec,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activity",
-    "ActivityBelief",
     "ActivityConnection",
     "ActivityType",
     "AgentSpec",
@@ -102,7 +98,6 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "World",
-    "activity_belief",
     "afforded",
     "atomic_leaves",
     "build_scenario",
@@ -122,7 +117,6 @@ __all__ = [
     "load_scenario",
     "metrics_csv",
     "observe",
-    "project_collective_from_personal",
     "propagate_value_connection",
     "run",
     "save_scenario",

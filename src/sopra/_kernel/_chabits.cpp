@@ -12,7 +12,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include <cmath>
 #include <new>
 #include <unordered_map>
 #include <unordered_set>
@@ -146,7 +145,7 @@ PyObject *set_views(Table &t, PyObject *const *args) {
     Py_ssize_t i = t.ensure(a, e);
     t.s[i] = strength;
     t.p[i] = personal;
-    t.c[i] = collective;  // NaN marks "not yet formed"
+    t.c[i] = collective;
     Py_RETURN_NONE;
 }
 
@@ -160,15 +159,6 @@ PyObject *get_views(Table &t, PyObject *const *args) {
         return Py_BuildValue("(ddd)", 0.0, 0.0, 0.0);
     }
     return Py_BuildValue("(ddd)", t.s[i], t.p[i], t.c[i]);
-}
-
-PyObject *project_collective(Table &t, PyObject *const *) {
-    for (Py_ssize_t i = 0; i < t.size(); i++) {
-        if (std::isnan(t.c[i])) {
-            t.c[i] = t.p[i];
-        }
-    }
-    Py_RETURN_NONE;
 }
 
 PyObject *pressures(Table &t, PyObject *const *args) {
@@ -400,7 +390,6 @@ PyMethodDef store_methods[] = {
            "Create or overwrite an entry's three values."),
     METHOD(get_views, 2, ", activity, element",
            "(strength, personal, collective); zeros for an absent entry."),
-    METHOD(project_collective, 0, "", "Replace each NaN collective view by the personal one."),
     METHOD(pressures, 4, ", activities, ctx_elements, attenuation, aggregation",
            "Aggregated effective strength of each activity over the context."),
     METHOD(reinforce, 3, ", activity, ctx_elements, rate", "h += rate * (1 - h) per element."),

@@ -30,7 +30,6 @@ entry's updates differently.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 AGG_MEAN = 0
@@ -83,16 +82,13 @@ class HabitStore:
         i = self._ensure(activity, element)
         self._s[i] = strength
         self._p[i] = personal
-        self._c[i] = collective  # NaN marks "not yet formed"
+        self._c[i] = collective
 
     def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
         i = self._rows.get(activity, {}).get(element)
         if i is None:
             return (0.0, 0.0, 0.0)
         return (self._s[i], self._p[i], self._c[i])
-
-    def project_collective(self) -> None:
-        self._c = [p if math.isnan(c) else c for c, p in zip(self._c, self._p)]
 
     def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
                   attenuation: float, aggregation: int) -> list[float]:

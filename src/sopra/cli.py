@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -18,7 +19,6 @@ from .engine import World, events_csv, metrics_csv, write_text_atomic
 from .errors import ScenarioError, UnknownIdError
 from .hierarchy import atomic_leaves, propagate_value_connection
 from .scenario import build_scenario
-from .state import init_agent_state
 from .validate import validate_scenario
 
 
@@ -69,12 +69,11 @@ def _parse_override(token: str) -> tuple[str, Any]:
 
 def _build_with_overrides(path: str, overrides: Sequence[str]):
     doc = _load_document(path)
-    if overrides:
-        merged = dict(doc.get("globals", {}))
-        for token in overrides:
-            key, value = _parse_override(token)
-            merged[key] = value
-        doc = {**doc, "globals": merged}
+    merged = dict(map(_parse_override, overrides))
+    globals_ = doc.get("globals", {})
+    # A `globals` that is not an object is left for the builder to report.
+    if merged and isinstance(globals_, Mapping):
+        doc = {**doc, "globals": {**globals_, **merged}}
     return build_scenario(doc, check_refs=False)
 
 
@@ -102,38 +101,43 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _refusal(paths: Iterable[Path]) -> str | None:
-    """The refusal for the first of `paths` that exists, if any."""
+def _output_problem(paths: Iterable[Path], force: bool) -> str | None:
+    """Why one of the output files `paths` cannot be written, if so: the
+    nearest existing directory above it is a file, or (without `force`)
+    the file exists."""
     for p in paths:
-        if p.exists():
+        for d in p.parents:
+            if d.exists():
+                if not d.is_dir():
+                    return f"cannot write {p}: {d} is not a directory"
+                break
+        if not force and p.exists():
             return f"refusing to overwrite {p} (use --force)"
     return None
 
 
-def _write_run_outputs(out: Path, events: list, metrics: list, atomic_ids,
-                       force: bool) -> str | None:
+def _run_paths(out: Path) -> tuple[Path, Path]:
+    return out / "events.csv", out / "metrics.csv"
+
+
+def _write_run_outputs(out: Path, events: list, metrics: list, atomic_ids) -> None:
+    events_path, metrics_path = _run_paths(out)
     out.mkdir(parents=True, exist_ok=True)
-    events_path = out / "events.csv"
-    metrics_path = out / "metrics.csv"
-    if not force:
-        problem = _refusal((events_path, metrics_path))
-        if problem:
-            return problem
     write_text_atomic(events_csv(events), events_path)
     write_text_atomic(metrics_csv(metrics, atomic_ids), metrics_path)
-    return None
 
 
 def _cmd_run(args) -> int:
     if args.ticks < 0:
         return _fail("--ticks must be non-negative")
     scenario = _valid_scenario(args.scenario, args.override)
-    world = World(scenario, args.seed, validate=False)
-    events, metrics = world.run(args.ticks)
-    problem = _write_run_outputs(Path(args.out), events, metrics,
-                                 scenario.index.atomic_ids, args.force)
+    out = Path(args.out)
+    problem = _output_problem(_run_paths(out), args.force)
     if problem:
         return _fail(problem)
+    world = World(scenario, args.seed, validate=False)
+    events, metrics = world.run(args.ticks)
+    _write_run_outputs(out, events, metrics, scenario.index.atomic_ids)
     final_fraction = metrics[-1].habitual_fraction if metrics else 0.0
     print(
         f"ticks={args.ticks} agents={len(scenario.index.agent_ids)} "
@@ -151,10 +155,8 @@ def _cmd_infer(args) -> int:
         else:
             if not args.value or not args.agent:
                 return _fail("--op propagate needs --value and --agent")
-            if args.agent not in scenario.index.agent_specs:
-                return _fail(f"unknown agent: {args.agent!r}")
-            state = init_agent_state(scenario, args.agent)
-            result = propagate_value_connection(state, args.value, args.activity, scenario)
+            result = propagate_value_connection(args.agent, args.value, args.activity,
+                                                scenario)
             print(f"{args.activity} {args.value} {result:.6f}")
     except UnknownIdError as exc:
         return _fail(str(exc))
@@ -186,12 +188,11 @@ def _cmd_sweep(args) -> int:
         _valid_scenario(args.scenario, [f"{k}={v}" for k, v in zip(names, combo)])
         for combo in combos
     ]
-    if not args.force:
-        targets = [sweep_path] + [out / f"run_{i:03d}" / name for i in range(len(combos))
-                                  for name in ("events.csv", "metrics.csv")]
-        problem = _refusal(targets)
-        if problem:
-            return _fail(problem)
+    targets = [sweep_path] + [p for i in range(len(combos))
+                              for p in _run_paths(out / f"run_{i:03d}")]
+    problem = _output_problem(targets, args.force)
+    if problem:
+        return _fail(problem)
 
     def one(scenario):
         return World(scenario, args.seed, validate=False).run(args.ticks)
@@ -205,10 +206,7 @@ def _cmd_sweep(args) -> int:
     rows = [",".join(["run"] + names + ["final_habitual_fraction", "final_mean_strength"])]
     for i, (combo, scenario, (events, metrics)) in enumerate(zip(combos, scenarios, results)):
         label = f"run_{i:03d}"
-        problem = _write_run_outputs(out / label, events, metrics,
-                                     scenario.index.atomic_ids, args.force)
-        if problem:
-            return _fail(problem)
+        _write_run_outputs(out / label, events, metrics, scenario.index.atomic_ids)
         fraction = metrics[-1].habitual_fraction if metrics else 0.0
         strength = metrics[-1].mean_strength if metrics else 0.0
         rows.append(",".join([label, *combo, f"{fraction:.6f}", f"{strength:.6f}"]))
@@ -266,6 +264,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except _Exit as exc:
         return exc.code
+    except OSError as exc:  # writing outputs; reading is reported by _valid_scenario
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

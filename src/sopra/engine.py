@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from .cognition import decision_cycle
 from .learning import ObservationEvent, habit_tick, observe, update_personal_view
-from .hierarchy import project_collective_from_personal
 from .model import DecisionMode, Scenario
 from .state import AgentState, ContextSnapshot, build_score_cache, init_agent_state
 from .validate import InvalidScenarioError, validate_scenario
@@ -114,7 +113,6 @@ class World:
             ag: init_agent_state(scenario, ag) for ag in scenario.index.agent_ids
         }
         for state in self.states.values():
-            project_collective_from_personal(state)
             build_score_cache(state, scenario)
 
     def step(self) -> list[Event]:

@@ -1,13 +1,11 @@
-"""Inference over the activity hierarchy and view projections."""
+"""Inference over the activity hierarchy."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
-from .errors import ScenarioError
-from .model import ActivityBelief, ActivityType, RelationType, Scenario
-from .state import AgentState
+from .errors import ScenarioError, UnknownIdError
+from .model import ActivityType, RelationType, Scenario
 
 
 def descendants(activity: str, scenario: Scenario, relation: RelationType | None = None) -> set[str]:
@@ -35,17 +33,24 @@ def atomic_leaves(activity: str, scenario: Scenario) -> set[str]:
             if idx.type_of(a) is ActivityType.ATOMIC}
 
 
-def propagate_value_connection(state: AgentState, value: str, activity: str,
+def propagate_value_connection(agent_id: str, value: str, activity: str,
                                scenario: Scenario) -> float:
-    """Derived connection strength between `value` and a non-atomic node.
+    """Derived connection strength between `value` and `activity` for
+    `agent_id`.
 
-    Atomic nodes read their stored connection strength; a composite node
-    is only as connected as its weakest relevant child (IsA children for
-    abstract nodes, PartOf parts for sequential ones), so the result is
-    the minimum over the subtree frontier.
+    An atomic node reads the strength of the agent's value connection
+    row (0 without one); a composite node is only as connected as its
+    weakest relevant child (IsA children for abstract nodes, PartOf
+    parts for sequential ones), so the result is the minimum over the
+    atomic frontier. An unknown agent, value or activity raises
+    UnknownIdError.
     """
     idx = scenario.index
-    vi = idx.value_index(value)
+    if agent_id not in idx.agent_specs:
+        raise UnknownIdError(f"unknown agent: {agent_id!r}")
+    idx.value_index(value)
+    strength = {vc.activity: vc.views.strength
+                for vc in idx.connections_by_agent.get(agent_id, ()) if vc.value == value}
     memo: dict[str, float] = {}
 
     def walk(node: str) -> float:
@@ -54,8 +59,8 @@ def propagate_value_connection(state: AgentState, value: str, activity: str,
             return got
         kids = idx.options.get(node)
         if kids is None:  # atomic, or UnknownIdError for an unknown id
-            rec = state.value_connections.get((idx.activity_index(node), vi))
-            result = rec[0] if rec is not None else 0.0
+            idx.activity_index(node)
+            result = strength.get(node, 0.0)
         elif not kids:
             raise ScenarioError(f"non-atomic activity {node!r} has no children")
         else:
@@ -64,32 +69,3 @@ def propagate_value_connection(state: AgentState, value: str, activity: str,
         return result
 
     return walk(activity)
-
-
-def project_collective_from_personal(state: AgentState) -> None:
-    """Initialize every unformed collective view from the personal one.
-    Already-formed views are left alone, so this is idempotent."""
-    state.habits.project_collective()
-    for rec in state.value_priorities.values():
-        if math.isnan(rec[2]):
-            rec[2] = rec[1]
-    for rec in state.value_connections.values():
-        if math.isnan(rec[2]):
-            rec[2] = rec[1]
-
-
-def activity_belief(agent_id: str, child: str, parent: str, scenario: Scenario) -> ActivityBelief:
-    """The agent's view of a hierarchy edge; falls back to ground truth
-    when the scenario declares no belief for the triple."""
-    idx = scenario.index
-    idx.activity_index(child)
-    idx.activity_index(parent)
-    declared = idx.beliefs.get((agent_id, child, parent))
-    if declared is not None:
-        return declared
-    truth: RelationType | None = None
-    for rel in (RelationType.IS_A, RelationType.PART_OF):
-        if child in idx.children(parent, rel):
-            truth = rel
-            break
-    return ActivityBelief(agent_id, child, parent, truth, truth)

@@ -14,7 +14,8 @@ Terminology used throughout the package:
 * A *view triple* holds three numbers in [0, 1]: the implicit
   ``strength`` of a connection, the agent's explicit ``personal_view`` of
   it, and ``my_collective_view``, the agent's estimate of how the group
-  sees it (None until the agent forms one).
+  sees it (None when the scenario gives none; a habitual connection's
+  then starts at the personal view).
 """
 
 from __future__ import annotations
@@ -143,17 +144,6 @@ class CompetenceRequirement:
 
 
 @dataclass(frozen=True)
-class ActivityBelief:
-    """An agent's view of one hierarchy edge; views are relation labels."""
-
-    agent: str
-    child: str
-    parent: str
-    personal_view: RelationType | None = None
-    my_collective_view: RelationType | None = None
-
-
-@dataclass(frozen=True)
 class Relocation:
     tick: int
     agent: str
@@ -210,7 +200,6 @@ class Scenario:
     affordances: tuple[AffordanceConnection, ...] = ()
     competence_levels: tuple[CompetenceLevel, ...] = ()
     competence_requirements: tuple[CompetenceRequirement, ...] = ()
-    activity_beliefs: tuple[ActivityBelief, ...] = ()
 
     @cached_property
     def index(self) -> ScenarioIndex:
@@ -316,10 +305,6 @@ class ScenarioIndex:
         self.levels_by_agent: dict[str, dict[str, float]] = {}
         for cl in s.competence_levels:
             self.levels_by_agent.setdefault(cl.agent, {})[cl.competence] = cl.level
-
-        self.beliefs: dict[tuple[str, str, str], ActivityBelief] = {
-            (b.agent, b.child, b.parent): b for b in s.activity_beliefs
-        }
 
         self.placements: dict[str, tuple[str, ...]] = {
             loc: res for loc, res in s.environment.placements

@@ -19,7 +19,6 @@ from typing import Any
 from .errors import ScenarioError
 from .model import (
     Activity,
-    ActivityBelief,
     ActivityConnection,
     ActivityType,
     AffordanceConnection,
@@ -53,7 +52,6 @@ _TOP_KEYS = {
     "globals",
     "affordances",
     "competences",
-    "activityBeliefs",
 }
 
 _GLOBALS_KEYS = {
@@ -421,24 +419,6 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             for i, row in f.rows(comp_raw, "requirements")
         ]
 
-    beliefs = []
-    for i, row in f.rows(document, "activityBeliefs"):
-        rels: list[RelationType | None] = []
-        for key in ("personalView", "myCollectiveView"):
-            if row.get(key) is None:
-                rels.append(None)
-            else:
-                rels.append(f.enum(row, key, RelationType, "activityBeliefs", i))
-        beliefs.append(
-            ActivityBelief(
-                f.ident(row, "agent", "activityBeliefs", i),
-                f.ident(row, "child", "activityBeliefs", i),
-                f.ident(row, "parent", "activityBeliefs", i),
-                rels[0],
-                rels[1],
-            )
-        )
-
     environment = _parse_environment(document, f)
     globals_ = _parse_globals(document, errs)
 
@@ -472,7 +452,6 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         competence_requirements=tuple(
             sorted(requirements, key=attrgetter("activity", "competence"))
         ),
-        activity_beliefs=tuple(sorted(beliefs, key=attrgetter("agent", "child", "parent"))),
     )
     if check_refs:
         from .validate import check_references
@@ -553,16 +532,6 @@ def serialize_scenario(s: Scenario) -> dict[str, Any]:
                 for r in s.competence_requirements
             ],
         },
-        "activityBeliefs": [
-            {
-                "agent": b.agent,
-                "child": b.child,
-                "parent": b.parent,
-                "personalView": b.personal_view.value if b.personal_view else None,
-                "myCollectiveView": b.my_collective_view.value if b.my_collective_view else None,
-            }
-            for b in s.activity_beliefs
-        ],
     }
 
 

@@ -55,10 +55,6 @@ class ExecutionState:
 class AgentState:
     agent_id: str
     habits: object  # HabitStore (selected backend)
-    # vidx -> [strength, personal, collective]; collective is NaN until formed
-    value_priorities: dict[int, list[float]]
-    # (aidx, vidx) -> [strength, personal, collective]
-    value_connections: dict[tuple[int, int], list[float]]
     exec_state: ExecutionState
     resources: int
     location: str
@@ -69,41 +65,24 @@ class AgentState:
 
 
 def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
+    """The agent's tick-0 state. A habitual connection without a
+    collective view starts with its personal view as the collective one."""
     idx = scenario.index
     spec = idx.agent_specs[agent_id]
     store = get_backend()(idx.chain_data, idx.chain_start)
-    nan = float("nan")
     for hc in idx.habitual_by_agent.get(agent_id, ()):
-        cv = hc.views.my_collective_view
+        views = hc.views
+        cv = views.my_collective_view
         store.set_views(
             idx.activity_index(hc.activity),
             idx.element_index(hc.context_element),
-            hc.views.strength,
-            hc.views.personal_view,
-            nan if cv is None else cv,
+            views.strength,
+            views.personal_view,
+            views.personal_view if cv is None else cv,
         )
-    priorities: dict[int, list[float]] = {}
-    for vp in idx.priorities_by_agent.get(agent_id, ()):
-        cv = vp.views.my_collective_view
-        priorities[idx.value_index(vp.value)] = [
-            vp.views.strength,
-            vp.views.personal_view,
-            nan if cv is None else cv,
-        ]
-    connections: dict[tuple[int, int], list[float]] = {}
-    for vc in idx.connections_by_agent.get(agent_id, ()):
-        cv = vc.views.my_collective_view
-        key = (idx.activity_index(vc.activity), idx.value_index(vc.value))
-        connections[key] = [
-            vc.views.strength,
-            vc.views.personal_view,
-            nan if cv is None else cv,
-        ]
     return AgentState(
         agent_id=agent_id,
         habits=store,
-        value_priorities=priorities,
-        value_connections=connections,
         exec_state=ExecutionState(),
         resources=spec.initial_resources,
         location=spec.location,
@@ -111,27 +90,32 @@ def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
 
 
 def build_score_cache(state: AgentState, scenario: Scenario) -> None:
-    """Compute every activity's intentional score: the sum over the
-    agent's values, in ascending value order, of the priority's personal
-    view times the connection's. `score_norm` divides it by the sum of
-    the priorities' personal views (0 when that sum is not positive).
-    The scores only change when view tables do, which in the current
-    dynamics is never during a run, so the decision walk reads them
-    from here."""
-    priorities = [(vi, rec[1]) for vi, rec in sorted(state.value_priorities.items())]
+    """Compute every activity's intentional score from the scenario's
+    value rows: the sum over the agent's values, in ascending value
+    order, of the priority's personal view times the connection's; an
+    activity with no connection scores 0. `score_norm` divides it by the
+    sum of the priorities' personal views (0 when that sum is not
+    positive). Value views never change during a run, so the decision
+    walk reads the scores from here."""
+    idx = scenario.index
+    agent = state.agent_id
+    # value -> priority personal view, in ascending value id
+    priorities = {vp.value: vp.views.personal_view
+                  for vp in idx.priorities_by_agent.get(agent, ())}
     total = 0.0
-    for _, p in priorities:
+    for p in priorities.values():
         total = total + p
-    connections = state.value_connections
-    raw: dict[str, float] = {}
-    norm: dict[str, float] = {}
-    for ai, a in enumerate(scenario.index.activity_ids):
+    # activity -> value -> connection personal view
+    views: dict[str, dict[str, float]] = {}
+    for vc in idx.connections_by_agent.get(agent, ()):
+        views.setdefault(vc.activity, {})[vc.value] = vc.views.personal_view
+    raw = dict.fromkeys(idx.activity_ids, 0.0)
+    for a, row in views.items():
         acc = 0.0
-        for vi, p in priorities:
-            rec = connections.get((ai, vi))
-            if rec is not None:
-                acc = acc + p * rec[1]
+        for v, p in priorities.items():
+            view = row.get(v)
+            if view is not None:
+                acc = acc + p * view
         raw[a] = acc
-        norm[a] = acc / total if total > 0.0 else 0.0
     state.score_raw = raw
-    state.score_norm = norm
+    state.score_norm = {a: acc / total if total > 0.0 else 0.0 for a, acc in raw.items()}

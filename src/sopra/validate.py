@@ -137,12 +137,6 @@ def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violat
         if rq.activity not in activities:
             need(rq.activity, activities, "activity",
                  f"competences.requirements[{rq.competence}]")
-    for b in s.activity_beliefs:
-        if b.agent not in agents or b.child not in activities or b.parent not in activities:
-            where = f"activityBeliefs[{b.agent}]"
-            need(b.agent, agents, "agent", where)
-            need(b.child, activities, "activity", where)
-            need(b.parent, activities, "activity", where)
     return out
 
 
@@ -390,7 +384,6 @@ def _check_multiplicity(s: Scenario) -> list[Violation]:
     dups(s.affordances, ("context_element", "activity"), "affordance")
     dups(s.competence_levels, ("agent", "competence"), "competence level")
     dups(s.competence_requirements, ("activity", "competence"), "competence requirement")
-    dups(s.activity_beliefs, ("agent", "child", "parent"), "activity belief")
     return out
 
 

@@ -4,7 +4,6 @@ argmax for the test suite."""
 from __future__ import annotations
 
 import copy
-import math
 import random
 from typing import Any, Iterable, Sequence
 
@@ -178,18 +177,13 @@ class ReferenceHabitStore:
         i = self._ensure(activity, element)
         self._s[i] = strength
         self._p[i] = personal
-        self._c[i] = collective  # NaN marks "not yet formed"
+        self._c[i] = collective
 
     def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
         i = self._slot.get((activity, element))
         if i is None:
             return (0.0, 0.0, 0.0)
         return (self._s[i], self._p[i], self._c[i])
-
-    def project_collective(self) -> None:
-        for i in range(len(self._keys)):
-            if math.isnan(self._c[i]):
-                self._c[i] = self._p[i]
 
     def _effective(self, activity: int, element: int, attenuation: float) -> float:
         # Nearest ancestor holding a nonzero strength wins, discounted by

@@ -123,6 +123,58 @@ def test_string_override_accepted(scenario_file, tmp_path):
                  "--override", "pressureAggregation=max"]) == 0
 
 
+@pytest.mark.parametrize("globals_", [[["decayRate", 0.05]], [1, 2], "abc", None])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_override_leaves_non_object_globals_to_the_builder(tmp_path, commuting_doc, capsys,
+                                                            command, globals_):
+    doc = dict(commuting_doc, globals=globals_)
+    out = tmp_path / "out"
+    flag = "--override" if command == "run" else "--param"
+    assert main([command, "--scenario", _write(tmp_path, doc), "--ticks", "2",
+                 "--out", str(out), flag, "habitThreshold=0.4"]) == 1
+    assert capsys.readouterr().err == "error: 'globals' must be an object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_run_out_under_a_file_is_an_error(scenario_file, tmp_path, capsys, monkeypatch, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    monkeypatch.setattr("sopra.cli.World", None)  # must fail before simulating
+    assert main(["run", "--scenario", scenario_file, "--ticks", "2",
+                 "--out", str(afile / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and f"{afile} is not a directory" in err
+    assert afile.read_text() == "keep me\n"
+
+
+def test_run_write_failure_is_an_error(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "events.csv").mkdir(parents=True)
+    assert main(["run", "--scenario", scenario_file, "--ticks", "2", "--out", str(out),
+                 "--force"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_out_that_is_a_file_fails_before_simulating(scenario_file, tmp_path, capsys,
+                                                          monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    monkeypatch.setattr("sopra.cli.World", None)
+    args = ["sweep", "--scenario", scenario_file, "--ticks", "2",
+            "--param", "decayRate=0.0,0.1"]
+    assert main(args + ["--out", str(afile)]) == 1
+    assert f"{afile} is not a directory" in capsys.readouterr().err
+    # A run directory that is a file is caught the same way.
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "run_001").write_text("keep me\n")
+    assert main(args + ["--out", str(out), "--force"]) == 1
+    assert f"{out / 'run_001'} is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run_001"]
+    assert afile.read_text() == "keep me\n"
+
+
 def test_run_dangling_reference_is_a_validation_failure(tmp_path, capsys):
     doc, _ = mutation_fixtures()["dangling-reference"]
     assert main(["run", "--scenario", _write(tmp_path, doc), "--ticks", "2",

@@ -10,12 +10,11 @@ from sopra import (
     ActivityType,
     RelationType,
     ScenarioError,
-    activity_belief,
+    UnknownIdError,
     atomic_leaves,
     build_scenario,
     descendants,
     init_agent_state,
-    project_collective_from_personal,
     propagate_value_connection,
 )
 from sopra.scenarios import list_bundled, load_bundled
@@ -133,21 +132,26 @@ def test_context_ancestors_long_chain():
 
 
 def test_propagate_commuting_examples(commuting):
-    bob = init_agent_state(commuting, "bob")
-    assert propagate_value_connection(bob, "boring", "bring_kids_to_school", commuting) == 0.6
-    assert propagate_value_connection(bob, "boring", "go_to_work", commuting) == 0.55
-    assert propagate_value_connection(bob, "boring", "commuting", commuting) == 0.55
+    assert propagate_value_connection("bob", "boring", "bring_kids_to_school", commuting) == 0.6
+    assert propagate_value_connection("bob", "boring", "go_to_work", commuting) == 0.55
+    assert propagate_value_connection("bob", "boring", "commuting", commuting) == 0.55
     # A leaf without a stored connection contributes zero.
-    assert propagate_value_connection(bob, "environmentalism", "go_to_work", commuting) == 0.0
+    assert propagate_value_connection("bob", "environmentalism", "go_to_work", commuting) == 0.0
     # Atomic nodes just read the stored strength.
-    assert propagate_value_connection(bob, "boring", "walk_to_school", commuting) == 0.9
-    assert propagate_value_connection(bob, "efficiency", "walk_to_school", commuting) == 0.0
+    assert propagate_value_connection("bob", "boring", "walk_to_school", commuting) == 0.9
+    assert propagate_value_connection("bob", "efficiency", "walk_to_school", commuting) == 0.0
 
 
 def test_propagate_unknown_value(commuting):
-    bob = init_agent_state(commuting, "bob")
-    with pytest.raises(ScenarioError):
-        propagate_value_connection(bob, "glamour", "commuting", commuting)
+    with pytest.raises(UnknownIdError, match="unknown value: 'glamour'"):
+        propagate_value_connection("bob", "glamour", "commuting", commuting)
+
+
+def test_propagate_unknown_agent_or_activity(commuting):
+    with pytest.raises(UnknownIdError, match="unknown agent: 'nobody'"):
+        propagate_value_connection("nobody", "boring", "commuting", commuting)
+    with pytest.raises(UnknownIdError, match="unknown activity: 'teleport'"):
+        propagate_value_connection("bob", "boring", "teleport", commuting)
 
 
 def brute_propagate(doc, agent, value, activity):
@@ -174,68 +178,43 @@ def test_propagate_matches_bruteforce_on_random_trees():
     for _ in range(25):
         doc = random_scenario_document(rng)
         s = build_scenario(doc)
-        agent = doc["agents"][0]["id"]
-        state = init_agent_state(s, agent)
-        for value in doc["values"]:
-            for a in [x["id"] for x in doc["activities"]]:
-                got = propagate_value_connection(state, value, a, s)
-                want = brute_propagate(doc, agent, value, a)
-                assert got == want, (value, a)
+        for agent in [ag["id"] for ag in doc["agents"]]:
+            for value in doc["values"]:
+                for a in [x["id"] for x in doc["activities"]]:
+                    got = propagate_value_connection(agent, value, a, s)
+                    want = brute_propagate(doc, agent, value, a)
+                    assert got == want, (agent, value, a)
 
 
 def test_project_collective_defaults_to_personal(commuting):
+    # init_agent_state seeds a habit collective view the scenario leaves
+    # unformed with the personal view.
     bob = init_agent_state(commuting, "bob")
     idx = commuting.index
-    key = (idx.activity_index("drive_car_to_work"), idx.value_index("efficiency"))
-    assert math.isnan(bob.value_connections[key][2])
-    project_collective_from_personal(bob)
-    assert bob.value_connections[key][2] == bob.value_connections[key][1] == 1.0
-    for rec in bob.value_priorities.values():
-        assert rec[2] == rec[1]
+    row = next(hc for hc in idx.habitual_by_agent["bob"]
+               if (hc.activity, hc.context_element) == ("drive_car_to_work", "bobs_car"))
+    assert row.views.my_collective_view is None
     s, p, c = bob.habits.get_views(
         idx.activity_index("drive_car_to_work"), idx.element_index("bobs_car")
     )
     assert (s, p, c) == (0.8, 0.8, 0.8)
+    for a, e, s, p, c in bob.habits.items():
+        assert not math.isnan(c)
 
 
 def test_project_collective_is_idempotent_and_keeps_formed_views():
-    doc = make_doc()
-    doc["valuePriorities"][0]["myCollectiveView"] = 0.75
+    # A collective view the scenario sets is kept, not replaced by the
+    # personal one, and building the state twice gives the same store.
+    doc = make_doc(habitualConnections=[
+        {"agent": "ag1", "activity": "opt_a", "contextElement": "Home",
+         "strength": 0.6, "personalView": 0.5, "myCollectiveView": 0.25},
+        {"agent": "ag1", "activity": "opt_b", "contextElement": "Home",
+         "strength": 0.4, "personalView": 0.3},
+    ])
     s = build_scenario(doc)
+    idx = s.index
+    home = idx.element_index("Home")
     state = init_agent_state(s, "ag1")
-    vi = s.index.value_index("thrift")
-    project_collective_from_personal(state)
-    assert state.value_priorities[vi][2] == 0.75
-    state.value_connections[(s.index.activity_index("opt_a"), vi)][1] = 0.123
-    project_collective_from_personal(state)
-    # Second pass must not re-copy: the collective view was already formed.
-    assert state.value_connections[(s.index.activity_index("opt_a"), vi)][2] == 0.9
-
-
-def test_activity_belief_falls_back_to_ground_truth(commuting):
-    b = activity_belief("bob", "go_to_work", "commuting", commuting)
-    assert b.personal_view is RelationType.PART_OF
-    assert b.my_collective_view is RelationType.PART_OF
-    b = activity_belief("bob", "walk_to_work", "go_to_work", commuting)
-    assert b.personal_view is RelationType.IS_A
-    b = activity_belief("bob", "walk_to_work", "bring_kids_to_school", commuting)
-    assert b.personal_view is None
-
-
-def test_activity_belief_prefers_declared_row():
-    doc = make_doc()
-    doc["activityBeliefs"] = [
-        {"agent": "ag1", "child": "opt_a", "parent": "act_root",
-         "personalView": null_rel(), "myCollectiveView": "IsA"}
-    ]
-    s = build_scenario(doc)
-    b = activity_belief("ag1", "opt_a", "act_root", s)
-    assert b.personal_view is None
-    assert b.my_collective_view is RelationType.IS_A
-    # Other agents still see ground truth.
-    b2 = activity_belief("ag1", "opt_b", "act_root", s)
-    assert b2.personal_view is RelationType.IS_A
-
-
-def null_rel():
-    return None
+    assert state.habits.get_views(idx.activity_index("opt_a"), home) == (0.6, 0.5, 0.25)
+    assert state.habits.get_views(idx.activity_index("opt_b"), home) == (0.4, 0.3, 0.3)
+    assert init_agent_state(s, "ag1").habits.items() == state.habits.items()

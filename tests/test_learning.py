@@ -13,7 +13,6 @@ from sopra import (
     habit_tick,
     init_agent_state,
     observe,
-    project_collective_from_personal,
     update_personal_view,
 )
 from sopra._kernel import available_backends, get_backend
@@ -202,8 +201,6 @@ def _two_agent_scenario(**globals_overrides):
 def test_observe_strengthens_acted_and_weakens_competitors():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    for st in states.values():
-        project_collective_from_personal(st)
     ctx = ContextSnapshot.of(s.index, {"Home", "Morning"})
     ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
                           context=ctx, tick=3)
@@ -267,15 +264,6 @@ def test_repeated_observation_saturates():
     assert last == pytest.approx(1.0, abs=1e-9)
 
 
-def test_store_collective_projection_only_fills_nan():
-    store = get_backend("python")([0, 1], [0, 1, 2])
-    store.set_views(0, 0, 0.5, 0.4, float("nan"))
-    store.set_views(0, 1, 0.5, 0.4, 0.9)
-    store.project_collective()
-    assert store.get_views(0, 0)[2] == 0.4
-    assert store.get_views(0, 1)[2] == 0.9
-
-
 def test_store_observe_weakens_acted_listed_as_competing():
     # Strengthened first, then weakened as a competitor: 0 -> 0.5 -> 0.25.
     store = get_backend("python")([0, 1], [0, 1, 2])
@@ -318,8 +306,6 @@ def _crowd_scenario():
     doc["globals"] = {"socialLearningRate": 0.37}
     s = build_scenario(doc)
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    for st in states.values():
-        project_collective_from_personal(st)
     return s, states
 
 

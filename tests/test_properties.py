@@ -31,7 +31,7 @@ def store_ops(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
-        kind = draw(st.integers(min_value=0, max_value=6))
+        kind = draw(st.integers(min_value=0, max_value=5))
         a = draw(st.integers(min_value=0, max_value=3))
         elems = draw(st.lists(st.integers(min_value=0, max_value=2),
                               min_size=1, max_size=3, unique=True))
@@ -51,8 +51,6 @@ def store_ops(draw):
             comp = draw(st.lists(st.integers(min_value=0, max_value=3),
                                  max_size=2, unique=True))
             ops.append(("observe", a, sorted(comp), sorted(elems), draw(unit)))
-        elif kind == 5:
-            ops.append(("project",))
         else:
             ops.append(("decay", a, sorted(elems), draw(unit)))
     return ops
@@ -71,7 +69,6 @@ def _apply(store, ops):
             "tick": store.habit_tick,
             "track": store.track_personal,
             "observe": store.observe,
-            "project": store.project_collective,
             "decay": store.decay,
         }
         getattr_map[op[0]](*op[1:])
