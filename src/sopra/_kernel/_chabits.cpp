@@ -1,13 +1,15 @@
 // Compiled habit-table kernel: the extension module sopra._kernel._chabits.
 //
-// Operation-for-operation mirror of `pyhabits.HabitStore`, written against
-// the public CPython C API. Each entry has a slot in the parallel columns
-// `s`, `p` and `c`; `rows[activity][element]` maps the entry to it and
-// `ka`/`ke` hold each slot's activity and element in creation order. The
-// arithmetic expressions are those of pyhabits.py, and the module must be
-// compiled with -ffp-contract=off (no fused multiply-add), so both backends
-// produce bit-identical doubles. setup.py builds it; README.md gives the
-// g++ command for building it by hand.
+// Bit-identical to `pyhabits.HabitStore`, written against the public
+// CPython C API. The two kernels share the per-entry expressions, the
+// order of entry creation, the order of updates within each entry and the
+// summation order of `sums` (creation order); their layouts may differ.
+// Here every entry has a slot in the parallel columns `s`, `p` and `c`;
+// `rows[activity][element]` maps the entry to it and `ka`/`ke` hold each
+// slot's activity and element in creation order. The module must be
+// compiled with -ffp-contract=off (no fused multiply-add), so both
+// backends produce bit-identical doubles. setup.py builds it; README.md
+// gives the g++ command for building it by hand.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -219,39 +221,6 @@ PyObject *pressures(Table &t, PyObject *const *args) {
     return out;
 }
 
-PyObject *reinforce(Table &t, PyObject *const *args) {
-    i64 a;
-    std::vector<i64> ctx;
-    double rate;
-    if (!as_int(args[0], a) || !as_ints(args[1], ctx) || !as_double(args[2], rate)) {
-        return NULL;
-    }
-    for (i64 e : ctx) {
-        Py_ssize_t i = t.ensure(a, e);
-        double s = t.s[i];
-        t.s[i] = s + rate * (1.0 - s);
-    }
-    Py_RETURN_NONE;
-}
-
-PyObject *decay(Table &t, PyObject *const *args) {
-    // Default mode: pairs reinforced this tick keep their value.
-    i64 performed;
-    std::vector<i64> ctx;
-    double rate;
-    if (!as_int(args[0], performed) || !as_ints(args[1], ctx) || !as_double(args[2], rate)) {
-        return NULL;
-    }
-    std::unordered_set<i64> skip(ctx.begin(), ctx.end());
-    for (Py_ssize_t i = 0; i < t.size(); i++) {
-        if (t.ka[i] == performed && skip.count(t.ke[i]) > 0) {
-            continue;
-        }
-        t.s[i] = (1.0 - rate) * t.s[i];
-    }
-    Py_RETURN_NONE;
-}
-
 PyObject *habit_tick(Table &t, PyObject *const *args) {
     // One-step update from tick-start values. Reinforced pairs get
     // h + r(1-h), or (1-d)h + r(1-h) when decay applies to all;
@@ -392,9 +361,6 @@ PyMethodDef store_methods[] = {
            "(strength, personal, collective); zeros for an absent entry."),
     METHOD(pressures, 4, ", activities, ctx_elements, attenuation, aggregation",
            "Aggregated effective strength of each activity over the context."),
-    METHOD(reinforce, 3, ", activity, ctx_elements, rate", "h += rate * (1 - h) per element."),
-    METHOD(decay, 3, ", performed, ctx_elements, rate",
-           "Decay every entry except the performed activity's context entries."),
     METHOD(habit_tick, 5, ", performed, ctx_elements, rate, decay_rate, decay_all",
            "Reinforce and decay in one step from tick-start values."),
     METHOD(track_personal, 1, ", awareness", "Move each personal view toward its strength."),

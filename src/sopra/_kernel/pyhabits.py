@@ -3,22 +3,38 @@
 One `HabitStore` holds a single agent's sparse (activity, element) ->
 (strength, personal view, collective view) table plus the shared context
 ancestor chains, and implements the per-tick hot loops: pressure
-aggregation, reinforcement/decay, view tracking, and observation
-smoothing.
+aggregation, the habit tick, view tracking, and observation smoothing.
 
-Layout: each entry has a slot, its position in three parallel value
-columns `_s`, `_p` and `_c`. `_rows[activity][element]` maps an entry to
-its slot, so the hot loops fetch an activity's row once and then look
-elements up by small int. `_keys[slot]` is the entry's (activity,
-element), in creation order.
+Layout: two tables.
 
-This is the reference implementation. The compiled backend in
-`_chabits.cpp` mirrors it, and the two must stay bit-identical. The
-invariant is: the same expression for each entry, the same order of
-entry creation, and the same order of updates within each entry
+* The collective table holds every entry. Each entry has a slot, its
+  position in creation order: `_rows[activity][element]` maps the entry
+  to its slot, `_keys[slot]` is its (activity, element) and `_c[slot]`
+  its collective view. `observe` reads and writes only this table.
+* The habit table holds strength `_s` and personal view `_p` only for
+  entries that `set_views` or `habit_tick` has written. `_hrows` maps
+  such an entry to its position there, and `_hslots[position]` is its
+  slot. An entry that only observation created is not in it and reads
+  0.0 strength and personal view: decay and tracking would keep it at
+  exactly 0, and pressures treat a zero strength like an absent entry.
+  So `pressures`, `habit_tick`, `track_personal` and the strength and
+  personal sums walk performed entries only.
+
+The habit table is kept in slot order, because `sums` must add the same
+nonzero terms in the same order as a sum over every slot. Leaving an
+entry out only drops `+ 0.0` terms, which are exact. New entries join at
+the end; an observed entry performed for the first time after a later
+entry has joined is inserted at its slot's position, and the positions
+after it are renumbered.
+
+This is the reference implementation; the compiled backend in
+`_chabits.cpp` must stay bit-identical to it, with a layout of its own.
+The kernels share: the same expression for each entry, the same order
+of entry creation, the same order of updates within each entry
 (`observe` applies, per entry, the positive update first, then the
-negative ones). Passes over independent entries may run in any order.
-Any arithmetic change here has to be copied there verbatim.
+negative ones) and the summation order of `sums`. Passes over
+independent entries may run in any order. Any arithmetic change here
+has to be copied there verbatim.
 
 Both kernels rely on one precondition: `ctx_elements` holds no
 duplicates, which `ContextSnapshot.ids` guarantees. With a duplicate
@@ -30,7 +46,8 @@ entry's updates differently.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from typing import Sequence
 
 AGG_MEAN = 0
 AGG_MAX = 1
@@ -40,18 +57,23 @@ AGG_SUM = 2
 class HabitStore:
     backend = "python"
 
-    __slots__ = ("_chain_data", "_chain_start", "_rows", "_keys", "_s", "_p", "_c")
+    __slots__ = ("_chain_data", "_chain_start", "_rows", "_keys", "_c",
+                 "_hrows", "_hslots", "_s", "_p")
 
     def __init__(self, chain_data: Sequence[int], chain_start: Sequence[int]):
         # tuple() returns a tuple argument itself, so stores built from
         # one index share its chains.
         self._chain_data = tuple(chain_data)
         self._chain_start = tuple(chain_start)
+        # Collective table, every entry in creation (slot) order.
         self._rows: dict[int, dict[int, int]] = {}  # activity -> element -> slot
-        self._keys: list[tuple[int, int]] = []  # creation order
+        self._keys: list[tuple[int, int]] = []
+        self._c: list[float] = []
+        # Habit table, performed entries in slot order.
+        self._hrows: dict[int, dict[int, int]] = {}  # activity -> element -> position
+        self._hslots: list[int] = []  # position -> slot, ascending
         self._s: list[float] = []
         self._p: list[float] = []
-        self._c: list[float] = []
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -59,8 +81,6 @@ class HabitStore:
     def _add(self, row: dict[int, int], activity: int, element: int) -> int:
         i = row[element] = len(self._keys)
         self._keys.append((activity, element))
-        self._s.append(0.0)
-        self._p.append(0.0)
         self._c.append(0.0)
         return i
 
@@ -73,22 +93,66 @@ class HabitStore:
             i = self._add(row, activity, element)
         return i
 
+    def _join(self, hrow: dict[int, int], element: int, slot: int) -> int:
+        # Put the entry at `slot` into the habit table at 0 strength and
+        # personal view; return its position.
+        hslots = self._hslots
+        h = len(hslots)
+        if h and hslots[-1] > slot:
+            h = bisect_left(hslots, slot)
+            hslots.insert(h, slot)
+            self._s.insert(h, 0.0)
+            self._p.insert(h, 0.0)
+            keys = self._keys
+            hrows = self._hrows
+            for j in range(h + 1, len(hslots)):
+                a, e = keys[hslots[j]]
+                hrows[a][e] = j
+        else:
+            hslots.append(slot)
+            self._s.append(0.0)
+            self._p.append(0.0)
+        hrow[element] = h
+        return h
+
     def has(self, activity: int, element: int) -> bool:
         row = self._rows.get(activity)
         return row is not None and element in row
 
     def set_views(self, activity: int, element: int, strength: float,
                   personal: float, collective: float) -> None:
-        i = self._ensure(activity, element)
-        self._s[i] = strength
-        self._p[i] = personal
+        row = self._rows.get(activity)
+        if row is None:
+            row = self._rows[activity] = {}
+        hrow = self._hrows.get(activity)
+        if hrow is None:
+            hrow = self._hrows[activity] = {}
+        i = row.get(element)
+        if i is None:
+            # A new entry: the last slot and the last habit position.
+            i = row[element] = len(self._keys)
+            self._keys.append((activity, element))
+            self._c.append(collective)
+            hrow[element] = len(self._hslots)
+            self._hslots.append(i)
+            self._s.append(strength)
+            self._p.append(personal)
+            return
         self._c[i] = collective
+        h = hrow.get(element)
+        if h is None:
+            h = self._join(hrow, element, i)
+        self._s[h] = strength
+        self._p[h] = personal
 
     def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
         i = self._rows.get(activity, {}).get(element)
         if i is None:
             return (0.0, 0.0, 0.0)
-        return (self._s[i], self._p[i], self._c[i])
+        h = self._hrows.get(activity, {}).get(element)
+        if h is None:
+            return (0.0, 0.0, self._c[i])
+        return (self._s[h], self._p[h], self._c[i])
 
     def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
                   attenuation: float, aggregation: int) -> list[float]:
@@ -104,19 +168,19 @@ class HabitStore:
         chains = [data[start[e]:start[e + 1]] for e in ctx_elements]
         n = len(chains)
         s = self._s
-        rows = self._rows
+        hrows = self._hrows
         out = []
         for a in activities:
             acc = 0.0
-            row = rows.get(a)
+            row = hrows.get(a)
             if row is not None:
                 for chain in chains:
                     v = 0.0
                     factor = 1.0
                     for anc in chain:
-                        i = row.get(anc)
-                        if i is not None and s[i] > 0.0:
-                            v = factor * s[i]
+                        h = row.get(anc)
+                        if h is not None and s[h] > 0.0:
+                            v = factor * s[h]
                             break
                         factor = factor * attenuation
                     if aggregation == AGG_MAX:
@@ -129,42 +193,33 @@ class HabitStore:
             out.append(acc)
         return out
 
-    def reinforce(self, activity: int, ctx_elements: Sequence[int], rate: float) -> None:
-        for e in ctx_elements:
-            i = self._ensure(activity, e)
-            s = self._s[i]
-            self._s[i] = s + rate * (1.0 - s)
-
-    def decay(self, performed: int, ctx_elements: Iterable[int], rate: float) -> None:
-        # Default mode: pairs reinforced this tick keep their value.
-        row = self._rows.get(performed, {})
-        skip = {row[e] for e in ctx_elements if e in row}
-        keep = 1.0 - rate
-        self._s = [v if i in skip else keep * v for i, v in enumerate(self._s)]
-
     def habit_tick(self, performed: int, ctx_elements: Sequence[int], rate: float,
                    decay_rate: float, decay_all: bool) -> None:
         # One-step update from tick-start values. Reinforced pairs get
         # h + r(1-h), or (1-d)h + r(1-h) when decay applies to all;
         # every other pair gets (1-d)h.
-        row = self._rows.get(performed)
-        if row is None:
-            row = self._rows[performed] = {}
-        slots = []
-        for e in ctx_elements:
-            i = row.get(e)
-            if i is None:
-                i = self._add(row, performed, e)
-            slots.append(i)
+        hrow = self._hrows.get(performed)
+        if hrow is None:
+            hrow = self._hrows[performed] = {}
+        # map(), not a comprehension: no function frame on Python 3.11.
+        try:
+            at = list(map(hrow.__getitem__, ctx_elements))
+        except KeyError:
+            # Join in context order, so new entries are created in it;
+            # then read every position, since an insert renumbers.
+            for e in ctx_elements:
+                if e not in hrow:
+                    self._join(hrow, e, self._ensure(performed, e))
+            at = list(map(hrow.__getitem__, ctx_elements))
         s = self._s
         keep = 1.0 - decay_rate
         if decay_all:
-            fresh = [keep * s[i] + rate * (1.0 - s[i]) for i in slots]
+            fresh = [keep * s[h] + rate * (1.0 - s[h]) for h in at]
         else:
-            fresh = [s[i] + rate * (1.0 - s[i]) for i in slots]
+            fresh = [s[h] + rate * (1.0 - s[h]) for h in at]
         s = self._s = [keep * v for v in s]
-        for i, v in zip(slots, fresh):
-            s[i] = v
+        for h, v in zip(at, fresh):
+            s[h] = v
 
     def track_personal(self, awareness: float) -> None:
         self._p = [p + awareness * (s - p) for p, s in zip(self._p, self._s)]
@@ -198,7 +253,8 @@ class HabitStore:
 
     def sums(self) -> tuple[int, float, float, float]:
         # Plain left-to-right loops: builtin sum() compensates from
-        # Python 3.12 on, which would change the bits.
+        # Python 3.12 on, which would change the bits. The habit table
+        # holds every nonzero strength and personal view, in slot order.
         ts = 0.0
         for v in self._s:
             ts = ts + v
@@ -211,7 +267,13 @@ class HabitStore:
         return (len(self._keys), ts, tp, tc)
 
     def items(self) -> list[tuple[int, int, float, float, float]]:
+        n = len(self._keys)
+        s = [0.0] * n
+        p = [0.0] * n
+        for k, sv, pv in zip(self._hslots, self._s, self._p):
+            s[k] = sv
+            p[k] = pv
         return [
-            (a, e, s, p, c)
-            for (a, e), s, p, c in zip(self._keys, self._s, self._p, self._c)
+            (a, e, sv, pv, c)
+            for (a, e), sv, pv, c in zip(self._keys, s, p, self._c)
         ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from sopra._kernel import AGG_MAX, AGG_MEAN
 from sopra.scenarios import bundled_document
@@ -221,20 +221,6 @@ class ReferenceHabitStore:
                     acc = acc / n
             out.append(acc)
         return out
-
-    def reinforce(self, activity: int, ctx_elements: Sequence[int], rate: float) -> None:
-        for e in ctx_elements:
-            i = self._ensure(activity, e)
-            s = self._s[i]
-            self._s[i] = s + rate * (1.0 - s)
-
-    def decay(self, performed: int, ctx_elements: Iterable[int], rate: float) -> None:
-        # Default mode: pairs reinforced this tick keep their value.
-        skip = set(ctx_elements)
-        for i, (a, e) in enumerate(self._keys):
-            if a == performed and e in skip:
-                continue
-            self._s[i] = (1.0 - rate) * self._s[i]
 
     def habit_tick(self, performed: int, ctx_elements: Sequence[int], rate: float,
                    decay_rate: float, decay_all: bool) -> None:

@@ -73,8 +73,10 @@ def _random_ops(rng, n=400):
             ops.append(("set", rng.randrange(4), rng.randrange(5),
                         rng.random(), rng.random(), rng.random()))
         elif kind == 1:
-            ops.append(("reinforce", rng.randrange(4),
-                        sorted(rng.sample(range(5), rng.randint(1, 3))), rng.random()))
+            # Reinforcement alone: decay rate 0.
+            ops.append(("tick", rng.randrange(4),
+                        sorted(rng.sample(range(5), rng.randint(1, 3))),
+                        rng.random(), 0.0, False))
         elif kind == 2:
             ops.append(("tick", rng.randrange(4),
                         sorted(rng.sample(range(5), rng.randint(1, 3))),
@@ -86,8 +88,10 @@ def _random_ops(rng, n=400):
                         sorted(rng.sample(range(4), rng.randint(0, 2))),
                         sorted(rng.sample(range(5), rng.randint(1, 3))), rng.random()))
         else:
-            ops.append(("decay", rng.randrange(4),
-                        sorted(rng.sample(range(5), rng.randint(0, 3))), rng.random() * 0.9))
+            # Default-mode decay alone: habit rate 0.
+            ops.append(("tick", rng.randrange(4),
+                        sorted(rng.sample(range(5), rng.randint(0, 3))),
+                        0.0, rng.random() * 0.9, False))
     return ops
 
 
@@ -95,16 +99,12 @@ def _apply(store, ops):
     for op in ops:
         if op[0] == "set":
             store.set_views(*op[1:])
-        elif op[0] == "reinforce":
-            store.reinforce(*op[1:])
         elif op[0] == "tick":
             store.habit_tick(*op[1:])
         elif op[0] == "track":
             store.track_personal(op[1])
-        elif op[0] == "observe":
-            store.observe(*op[1:])
         else:
-            store.decay(*op[1:])
+            store.observe(*op[1:])
 
 
 def _same_floats(a, b):
@@ -285,6 +285,73 @@ def test_observe_strengthens_before_weakening_an_acted_competitor():
     st.set_views(0, 0, 0.5, 0.5, 0.5)
     st.observe(0, [0], [0], 0.5)
     assert st.get_views(0, 0)[2] == 0.375
+
+
+def _table(store) -> list[tuple]:
+    # Every entry in creation order, its floats as float.hex.
+    return [(a, e) + tuple(v.hex() for v in views) for a, e, *views in store.items()]
+
+
+def _hex(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+def _assert_same_store(got, ref):
+    # Bit for bit: items, sums, every view of the grid and every pressure.
+    assert _table(got) == _table(ref)
+    assert got.sums()[0] == ref.sums()[0] == len(got) == len(ref)
+    assert _hex(got.sums()[1:]) == _hex(ref.sums()[1:])
+    for a in range(4):
+        for e in range(5):
+            assert _hex(got.get_views(a, e)) == _hex(ref.get_views(a, e))
+    for agg in (AGG_MEAN, AGG_MAX, AGG_SUM):
+        for atten in (0.0, 0.5, 1.0):
+            assert _hex(got.pressures([0, 1, 2, 3], [0, 1, 2, 3, 4], atten, agg)) == \
+                _hex(ref.pressures([0, 1, 2, 3], [0, 1, 2, 3, 4], atten, agg))
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_first_performance_of_an_observed_entry_keeps_creation_order(backend):
+    # Observation creates (0, 3); habit ticks create (1, 2), (1, 4) and
+    # (0, 2); only then is (0, 3) performed, in one tick with (0, 2),
+    # which comes first in the context. The strength and personal view
+    # of (0, 3) must still come first in their sums: at these rates, both
+    # sums change bits if the terms rotate.
+    stores = [_STORES[backend](*_chains()), ReferenceHabitStore(*_chains())]
+    for st in stores:
+        st.observe(0, [], [3], 0.5)
+        st.habit_tick(1, [2, 4], 0.7, 0.2, False)
+        st.habit_tick(0, [2], 0.7, 0.2, False)
+        st.track_personal(0.5)
+        st.habit_tick(0, [2, 3], 0.6, 0.2, False)
+        st.habit_tick(1, [4], 0.7, 0.2, True)
+        st.track_personal(0.5)
+    got, ref = stores
+    assert [r[:2] for r in got.items()] == [(0, 3), (1, 2), (1, 4), (0, 2)]
+    assert got.get_views(0, 3)[0] == (1.0 - 0.2) * 0.6  # 0.6 once, then decayed
+    _assert_same_store(got, ref)
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_observed_only_entries_hold_no_strength_or_personal_view(backend):
+    # `seen` also watches activity 0 in elements 0 and 2, which creates
+    # two entries that no habit tick or set_views ever writes.
+    seen, plain = (_STORES[backend](*_chains()) for _ in range(2))
+    ref = ReferenceHabitStore(*_chains())
+    for st in (seen, plain, ref):
+        st.set_views(1, 0, 0.6, 0.2, 0.4)
+        st.habit_tick(1, [0, 3], 0.3, 0.1, True)
+        if st is not plain:
+            st.observe(0, [1], [0, 2], 0.5)
+        st.habit_tick(1, [3], 0.3, 0.1, False)
+        st.track_personal(0.5)
+    _assert_same_store(seen, ref)
+    assert len(seen) == len(seen.items()) == len(plain) + 2 == 4
+    for e in (0, 2):
+        assert seen.get_views(0, e) == (0.0, 0.0, 0.5)
+        assert (0, e, 0.0, 0.0, 0.5) in seen.items()
+    # They add nothing to the strength and personal sums.
+    assert _hex(seen.sums()[1:3]) == _hex(plain.sums()[1:3])
 
 
 def _crowd_doc() -> dict:

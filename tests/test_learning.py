@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from helpers import make_doc
 
@@ -15,7 +13,7 @@ from sopra import (
     observe,
     update_personal_view,
 )
-from sopra._kernel import available_backends, get_backend
+from sopra._kernel import get_backend
 
 
 def _views(state, scenario, activity, element):
@@ -24,10 +22,11 @@ def _views(state, scenario, activity, element):
 
 
 def _reinforce(state, scenario, activity, ctx):
-    """Reinforce `activity` over `ctx` at the agent's habit rate."""
+    """Reinforce `activity` over `ctx` at the agent's habit rate: a habit
+    tick at decay rate 0, which leaves every other entry as it is."""
     idx = scenario.index
-    state.habits.reinforce(idx.activity_index(activity), ctx.ids,
-                           idx.agent_specs[state.agent_id].habit_rate)
+    state.habits.habit_tick(idx.activity_index(activity), ctx.ids,
+                            idx.agent_specs[state.agent_id].habit_rate, 0.0, False)
 
 
 def _home():
@@ -74,46 +73,12 @@ def test_decay_skips_reinforced_pairs():
     doc["globals"] = {"decayRate": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    state.habits.decay(s.index.activity_index("opt_a"),
-                       [s.index.element_index("Home")], 0.5)
+    # Default-mode decay alone: a habit tick at habit rate 0.
+    state.habits.habit_tick(s.index.activity_index("opt_a"),
+                            [s.index.element_index("Home")], 0.0, 0.5, False)
     assert _views(state, s, "opt_a", "Home")[0] == 0.6  # reinforced pair kept
     assert _views(state, s, "opt_a", "Morning")[0] == 0.25
     assert _views(state, s, "opt_b", "Home")[0] == 0.2
-
-
-def same_items(xs, ys):
-    """Bit-exact equality that treats NaN (unformed view) as equal to NaN."""
-    if len(xs) != len(ys):
-        return False
-    for x, y in zip(xs, ys):
-        if x[:2] != y[:2]:
-            return False
-        for u, v in zip(x[2:], y[2:]):
-            if u != v and not (math.isnan(u) and math.isnan(v)):
-                return False
-    return True
-
-
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_habit_tick_default_equals_reinforce_then_decay(backend, commuting, monkeypatch):
-    idx = commuting.index
-    elems = ContextSnapshot.of(idx, {"bobs_car", "Morning", "Home"}).ids
-    monkeypatch.setenv("SOPRA_KERNEL", backend)
-    stepped = init_agent_state(commuting, "bob").habits
-    ticked = init_agent_state(commuting, "bob").habits
-    # Alternate activities so some ticks reinforce existing pairs and
-    # decay the ones the previous tick created.
-    for activity in ("drive_car_to_work", "walk_to_work", "drive_car_to_work"):
-        ai = idx.activity_index(activity)
-        stepped.reinforce(ai, elems, 0.1)
-        stepped.decay(ai, elems, 0.05)
-        ticked.habit_tick(ai, elems, 0.1, 0.05, False)
-
-    # float.hex compares bits, and prints every NaN as "nan".
-    def table(store):
-        return [(a, e) + tuple(v.hex() for v in views) for a, e, *views in store.items()]
-
-    assert table(stepped) == table(ticked)
 
 
 def test_habit_tick_decay_all_uses_fused_update():
@@ -276,14 +241,14 @@ def test_views_stay_in_unit_interval_under_mixed_ops():
     store.set_views(0, 0, 0.999, 0.001, 0.5)
     store.set_views(1, 0, 0.001, 0.999, 0.5)
     for k in range(500):
-        store.reinforce(k % 2, [k % 3], 0.37)
+        store.habit_tick(k % 2, [k % 3], 0.37, 0.0, False)
         store.habit_tick(k % 2, [(k + 1) % 3], 0.2, 0.15, bool(k % 2))
         store.track_personal(0.44)
         store.observe(k % 2, [(k + 1) % 2], [k % 3], 0.29)
         for _, _, s, p, c in store.items():
             assert 0.0 <= s <= 1.0
             assert 0.0 <= p <= 1.0
-            assert 0.0 <= c <= 1.0 or math.isnan(c)
+            assert 0.0 <= c <= 1.0
 
 
 def _crowd_scenario():
@@ -337,7 +302,7 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
                                   context=ContextSnapshot.of(s.index, ctx), tick=0)
             observe(ev, s, paired, candidates=cands)
     for ag in fanned:
-        assert same_items(fanned[ag].habits.items(), paired[ag].habits.items())
+        assert fanned[ag].habits.items() == paired[ag].habits.items()
     # Each observer did learn something from the others.
     idx = s.index
     for observer in here:
@@ -359,4 +324,4 @@ def test_fan_out_rejects_non_co_located_observer_and_updates_nobody():
     with pytest.raises(ValueError, match="ag5"):
         observe(ev, s, states, candidates=("opt_a", "opt_b"))
     for ag in states:
-        assert same_items(states[ag].habits.items(), before[ag])
+        assert states[ag].habits.items() == before[ag]

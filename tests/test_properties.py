@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 from unittest import mock
 
@@ -36,10 +35,10 @@ def store_ops(draw):
         elems = draw(st.lists(st.integers(min_value=0, max_value=2),
                               min_size=1, max_size=3, unique=True))
         if kind == 0:
-            ops.append(("set", a, elems[0], draw(unit), draw(unit),
-                        draw(unit | st.just(math.nan))))
+            ops.append(("set", a, elems[0], draw(unit), draw(unit), draw(unit)))
         elif kind == 1:
-            ops.append(("reinforce", a, sorted(elems), draw(unit)))
+            # Reinforcement alone: decay rate 0.
+            ops.append(("tick", a, sorted(elems), draw(unit), 0.0, False))
         elif kind == 2:
             ops.append(("tick", a, sorted(elems), draw(unit),
                         draw(st.floats(min_value=0.0, max_value=0.99)),
@@ -52,7 +51,8 @@ def store_ops(draw):
                                  max_size=2, unique=True))
             ops.append(("observe", a, sorted(comp), sorted(elems), draw(unit)))
         else:
-            ops.append(("decay", a, sorted(elems), draw(unit)))
+            # Default-mode decay alone: habit rate 0.
+            ops.append(("tick", a, sorted(elems), 0.0, draw(unit), False))
     return ops
 
 
@@ -65,11 +65,9 @@ def _apply(store, ops):
     for op in ops:
         getattr_map = {
             "set": store.set_views,
-            "reinforce": store.reinforce,
             "tick": store.habit_tick,
             "track": store.track_personal,
             "observe": store.observe,
-            "decay": store.decay,
         }
         getattr_map[op[0]](*op[1:])
 
@@ -82,7 +80,7 @@ def test_views_stay_bounded(ops):
     for _, _, s, p, c in store.items():
         assert 0.0 <= s <= 1.0
         assert 0.0 <= p <= 1.0
-        assert 0.0 <= c <= 1.0 or math.isnan(c)
+        assert 0.0 <= c <= 1.0
 
 
 @given(store_ops(), st.floats(min_value=0.0, max_value=1.0))
@@ -102,7 +100,7 @@ def test_pressures_bounded(ops, attenuation):
 @given(store_ops())
 @settings(max_examples=200, deadline=None)
 def test_store_matches_reference_bit_for_bit(ops):
-    # float.hex compares bits, and prints every NaN as "nan".
+    # float.hex compares bits.
     store = _fresh_store()
     ref = _fresh_store(ReferenceHabitStore)
     _apply(store, ops)
