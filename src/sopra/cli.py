@@ -49,10 +49,16 @@ def _fail(message: str) -> int:
 
 
 def _load_document(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The parsed scenario document at `path`. One that cannot be read or
+    parsed, or is not an object, ends the command with exit code 1 and
+    the problem on stderr."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _Exit(_fail(str(exc))) from None
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be an object")
+        raise _Exit(_fail("scenario document must be an object"))
     return doc
 
 
@@ -67,25 +73,25 @@ def _parse_override(token: str) -> tuple[str, Any]:
     return key, value
 
 
-def _build_with_overrides(path: str, overrides: Sequence[str]):
-    doc = _load_document(path)
+def _with_overrides(doc: dict[str, Any], overrides: Sequence[str]) -> dict[str, Any]:
+    """`doc` with `overrides` merged into its globals; `doc` is not changed."""
     merged = dict(map(_parse_override, overrides))
     globals_ = doc.get("globals", {})
     # A `globals` that is not an object is left for the builder to report.
     if merged and isinstance(globals_, Mapping):
         doc = {**doc, "globals": {**globals_, **merged}}
-    return build_scenario(doc, check_refs=False)
+    return doc
 
 
-def _valid_scenario(path: str, overrides: Sequence[str] = ()):
-    """Build the scenario at `path` with `overrides` and validate it.
+def _valid_scenario(doc: dict[str, Any], overrides: Sequence[str] = ()):
+    """Build `doc` with `overrides` and validate it.
 
-    A document that cannot be read or built ends the command with exit
-    code 1 and the problem on stderr; violations end it with exit code 2
-    and the report, one violation per line, on stdout."""
+    A bad override or a document that cannot be built ends the command
+    with exit code 1 and the problem on stderr; violations end it with
+    exit code 2 and the report, one violation per line, on stdout."""
     try:
-        scenario = _build_with_overrides(path, overrides)
-    except (OSError, json.JSONDecodeError, ScenarioError, _UsageError) as exc:
+        scenario = build_scenario(_with_overrides(doc, overrides), check_refs=False)
+    except (ScenarioError, _UsageError) as exc:
         raise _Exit(_fail(str(exc))) from None
     violations = validate_scenario(scenario)
     if violations:
@@ -96,7 +102,7 @@ def _valid_scenario(path: str, overrides: Sequence[str] = ()):
 
 
 def _cmd_validate(args) -> int:
-    _valid_scenario(args.scenario)
+    _valid_scenario(_load_document(args.scenario))
     print("OK")
     return 0
 
@@ -130,7 +136,7 @@ def _write_run_outputs(out: Path, events: list, metrics: list, atomic_ids) -> No
 def _cmd_run(args) -> int:
     if args.ticks < 0:
         return _fail("--ticks must be non-negative")
-    scenario = _valid_scenario(args.scenario, args.override)
+    scenario = _valid_scenario(_load_document(args.scenario), args.override)
     out = Path(args.out)
     problem = _output_problem(_run_paths(out), args.force)
     if problem:
@@ -147,7 +153,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    scenario = _valid_scenario(args.scenario)
+    scenario = _valid_scenario(_load_document(args.scenario))
     try:
         if args.op == "leaves":
             for leaf in sorted(atomic_leaves(args.activity, scenario)):
@@ -182,10 +188,12 @@ def _cmd_sweep(args) -> int:
     sweep_path = out / "sweep.csv"
     names = [k for k, _ in grid]
     combos = list(itertools.product(*(vals for _, vals in grid)))
-    # Build and validate every run and check every output path before
-    # simulating anything, so a sweep that fails writes nothing.
+    # Read the document once, so every run starts from the same one. Build
+    # and validate every run and check every output path before simulating
+    # anything, so a sweep that fails writes nothing.
+    doc = _load_document(args.scenario)
     scenarios = [
-        _valid_scenario(args.scenario, [f"{k}={v}" for k, v in zip(names, combo)])
+        _valid_scenario(doc, [f"{k}={v}" for k, v in zip(names, combo)])
         for combo in combos
     ]
     targets = [sweep_path] + [p for i in range(len(combos))
@@ -264,7 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except _Exit as exc:
         return exc.code
-    except OSError as exc:  # writing outputs; reading is reported by _valid_scenario
+    except OSError as exc:  # writing outputs; reading is reported by _load_document
         return _fail(str(exc))
 
 

@@ -1,9 +1,15 @@
 """Core domain model: context elements, activities, views, and scenarios.
 
 This module is the data contract shared by the validator, the inference
-helpers, and the runtime. Everything here is immutable after
-construction; `Scenario.index` lazily derives the lookup tables (interned
-ids, ancestor chains, child maps) that the rest of the package works from.
+helpers, and the runtime. `Scenario`, `Environment` and `Globals` are
+frozen. The rows a scenario holds (elements, activities, connections,
+view tables, agents, ...) are slotted records, which are cheaper to
+build; nothing mutates one after the builder makes it. `Scenario.index`
+lazily derives the lookup tables (interned ids, ancestor chains, child
+maps) that the rest of the package works from, once per scenario. So a
+changed scenario is made with `dataclasses.replace`, on the row and then
+on the scenario, never by editing a row in place: the old index would
+not see the edit.
 
 Terminology used throughout the package:
 
@@ -53,58 +59,58 @@ class DecisionMode(str, Enum):
     INTENTIONAL = "Intentional"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContextElement:
     id: str
     kind: ElementKind
     parent: str | None = None  # same-kind element, forms a forest per kind
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Activity:
     id: str
     type: ActivityType
     parent: str | None = None  # optional parent in the Activity element forest
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ActivityConnection:
     child: str
     parent: str
     relation: RelationType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ViewTriple:
     strength: float = 0.0
     personal_view: float = 0.0
     my_collective_view: float | None = None  # None = not yet formed
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HabitualConnection:
     agent: str
     activity: str
     context_element: str
-    views: ViewTriple = ViewTriple()
+    views: ViewTriple = field(default_factory=ViewTriple)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValuePriority:
     agent: str
     value: str
-    views: ViewTriple = ViewTriple()
+    views: ViewTriple = field(default_factory=ViewTriple)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValueConnection:
     agent: str
     activity: str
     value: str
-    views: ViewTriple = ViewTriple()
+    views: ViewTriple = field(default_factory=ViewTriple)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentSpec:
     id: str
     habit_rate: float
@@ -122,28 +128,28 @@ class AgentSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AffordanceConnection:
     context_element: str
     activity: str
     strength: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompetenceLevel:
     agent: str
     competence: str
     level: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompetenceRequirement:
     activity: str
     competence: str
     required: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Relocation:
     tick: int
     agent: str
@@ -184,6 +190,8 @@ class Scenario:
     two scenarios with the same content compare equal regardless of the
     order their source documents listed things in. `roots` keeps document
     order: its first entry is the activity every agent starts from.
+
+    A scenario compares by value but is not hashable: its rows are not.
     """
 
     context_elements: tuple[ContextElement, ...] = ()

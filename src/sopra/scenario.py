@@ -11,7 +11,7 @@ builder usable on documents you want to diagnose rather than refuse.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
@@ -92,22 +92,24 @@ class _Reader:
     def fail(self, section: str, i: int, problem: str) -> None:
         self.errs.append(f"{section}[{i}]: {problem}")
 
-    def rows(self, doc: Mapping[str, Any], key: str) -> list[tuple[int, Mapping[str, Any]]]:
+    def rows(self, doc: Mapping[str, Any], key: str) -> Iterator[tuple[int, Mapping[str, Any]]]:
         """(position in the list, row) for the section's object rows; every
         other entry is reported. All entries are checked before any row
-        is read, so their reports come first."""
+        is read, so their reports come first. The pairs are streamed, not
+        collected: a section's rows are read once, as they are built."""
         raw = doc.get(key, [])
         if not isinstance(raw, list):
             self.errs.append(f"{key!r} must be a list")
-            return []
-        out = []
+            return iter(())
+        bad = set()
         for i, row in enumerate(raw):
             # JSON rows are dicts; the exact-type test spares them the ABC check.
-            if type(row) is dict or isinstance(row, Mapping):
-                out.append((i, row))
-            else:
+            if type(row) is not dict and not isinstance(row, Mapping):
                 self.errs.append(f"{key}[{i}] must be an object")
-        return out
+                bad.add(i)
+        if not bad:
+            return enumerate(raw)
+        return ((i, row) for i, row in enumerate(raw) if i not in bad)
 
     def ident(self, obj: Mapping[str, Any], key: str, section: str, i: int) -> str:
         v = obj.get(key)

@@ -241,6 +241,24 @@ def test_sweep_jobs_parity(scenario_file, tmp_path):
                 == (par / f"run_{i:03d}" / "events.csv").read_text())
 
 
+def test_sweep_reads_the_document_once(scenario_file, tmp_path, monkeypatch):
+    # Every run is built from one read, so an edit during the build loop
+    # cannot give runs different base documents.
+    calls = []
+    load = sopra.cli._load_document
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(sopra.cli, "_load_document", counting)
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "3",
+                 "--out", str(tmp_path / "sweep"),
+                 "--param", "habitThreshold=0.3,0.9",
+                 "--param", "decayRate=0.0,0.05"]) == 0
+    assert calls == [scenario_file]
+
+
 def test_sweep_bad_param(scenario_file, tmp_path):
     assert main(["sweep", "--scenario", scenario_file, "--ticks", "2",
                  "--out", str(tmp_path / "x"), "--param", "habitThreshold"]) == 1

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from helpers import make_doc
 
-from sopra import RelationType, ScenarioError, build_scenario, serialize_scenario
+from sopra import (
+    HabitualConnection,
+    RelationType,
+    ScenarioError,
+    ValueConnection,
+    ValuePriority,
+    ViewTriple,
+    World,
+    atomic_leaves,
+    build_scenario,
+    propagate_value_connection,
+    serialize_scenario,
+    validate_scenario,
+)
 from sopra.scenarios import bundled_document, list_bundled
 from sopra.testing import random_scenario_document
 
@@ -162,3 +176,50 @@ def test_declaration_order_is_canonicalized():
     flipped["contextElements"] = list(reversed(doc["contextElements"]))
     flipped["valueConnections"] = list(reversed(doc["valueConnections"]))
     assert build_scenario(doc) == build_scenario(flipped)
+
+
+def test_rows_built_without_views_do_not_share_one():
+    # Rows are mutable records, so a shared default would alias.
+    pairs = [
+        (HabitualConnection("ag", "act", "el"), HabitualConnection("ag", "act", "el")),
+        (ValuePriority("ag", "v"), ValuePriority("ag", "v")),
+        (ValueConnection("ag", "act", "v"), ValueConnection("ag", "act", "v")),
+    ]
+    for a, b in pairs:
+        assert a.views == b.views == ViewTriple()
+        assert a.views is not b.views
+
+
+@pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
+def test_nothing_mutates_a_scenario(name):
+    # Rows are not frozen; this pins that the package never edits one.
+    s = build_scenario(bundled_document(name))
+    before = serialize_scenario(s)
+    assert validate_scenario(s) == []
+    World(s, 0).run(50)
+    idx = s.index
+    for activity in idx.activity_ids:
+        atomic_leaves(activity, s)
+    for agent in idx.agent_ids:
+        for value in idx.value_ids:
+            for activity in idx.activity_ids:
+                propagate_value_connection(agent, value, activity, s)
+    assert serialize_scenario(s) == before
+
+
+def test_replace_gives_a_new_index_and_leaves_the_original():
+    s = build_scenario(bundled_document("commuting"))
+    old_index = s.index
+    row = s.value_connections[0]
+    old_views = row.views
+    changed = dataclasses.replace(row, views=dataclasses.replace(row.views, strength=0.125))
+    s2 = dataclasses.replace(s, value_connections=(changed,) + s.value_connections[1:])
+
+    assert s2.index is not old_index
+    assert changed in s2.index.connections_by_agent[row.agent]
+    assert propagate_value_connection(row.agent, row.value, row.activity, s2) == 0.125
+    assert s.value_connections[0] is row and row.views is old_views
+    assert s.index is old_index
+    assert row in old_index.connections_by_agent[row.agent]
+    assert changed not in old_index.connections_by_agent[row.agent]
+    assert s2 != s
