@@ -55,7 +55,7 @@ from .model import (
     ValuePriority,
     ViewTriple,
 )
-from .scenario import build_scenario, load_scenario, save_scenario, serialize_scenario
+from .scenario import build_scenario, serialize_scenario
 from .state import (
     AgentState,
     ContextSnapshot,
@@ -114,12 +114,10 @@ __all__ = [
     "habit_tick",
     "habitual_pressure",
     "init_agent_state",
-    "load_scenario",
     "metrics_csv",
     "observe",
     "propagate_value_connection",
     "run",
-    "save_scenario",
     "serialize_scenario",
     "snapshot_context",
     "update_personal_view",

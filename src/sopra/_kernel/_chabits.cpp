@@ -129,14 +129,6 @@ bool as_ints(PyObject *iterable, std::vector<T> &out) {
 
 // Methods. Each receives its positional arguments, already counted.
 
-PyObject *has(Table &t, PyObject *const *args) {
-    i64 a, e;
-    if (!as_int(args[0], a) || !as_int(args[1], e)) {
-        return NULL;
-    }
-    return PyBool_FromLong(t.find(a, e) >= 0);
-}
-
 PyObject *set_views(Table &t, PyObject *const *args) {
     i64 a, e;
     double strength, personal, collective;
@@ -354,7 +346,6 @@ PyObject *call(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
      #name "($self" sig ", /)\n--\n\n" doc}
 
 PyMethodDef store_methods[] = {
-    METHOD(has, 2, ", activity, element", "Whether the entry exists."),
     METHOD(set_views, 5, ", activity, element, strength, personal, collective",
            "Create or overwrite an entry's three values."),
     METHOD(get_views, 2, ", activity, element",

@@ -115,10 +115,6 @@ class HabitStore:
         hrow[element] = h
         return h
 
-    def has(self, activity: int, element: int) -> bool:
-        row = self._rows.get(activity)
-        return row is not None and element in row
-
     def set_views(self, activity: int, element: int, strength: float,
                   personal: float, collective: float) -> None:
         row = self._rows.get(activity)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
 
 from .errors import ScenarioError, UnknownIdError
 
@@ -157,6 +156,56 @@ class Relocation:
 
 
 @dataclass(frozen=True)
+class RowSection:
+    """One row section of a scenario document.
+
+    `key` names the fields that order the section's rows canonically. In
+    a section with a `duplicate` label it is also the key no two rows may
+    share, and a report names a row by it, as ``name[a:b]``. `bounded` is
+    the field whose numbers must lie in [0, 1]; ``"views"`` means every
+    number of the row's view triple.
+    """
+
+    attr: str  # Scenario attribute; "environment.relocations" is the environment's
+    name: str  # section name in documents and reports
+    key: tuple[str, ...]
+    duplicate: str | None = None  # multiplicity label; None: checked elsewhere or not at all
+    bounded: str | None = None
+
+    @property
+    def order(self):
+        return attrgetter(*self.key)
+
+    def label(self, row) -> str:
+        return ":".join(str(getattr(row, f)) for f in self.key)
+
+
+# Element, activity and agent ids share one namespace, whose uniqueness
+# the builder checks; `validate_scenario` reports a repeated activity
+# connection with the activity graph's checks.
+ROW_SECTIONS: tuple[RowSection, ...] = (
+    RowSection("context_elements", "contextElements", ("id",)),
+    RowSection("activities", "activities", ("id",)),
+    RowSection("activity_connections", "activityConnections", ("child", "parent", "relation")),
+    RowSection("agents", "agents", ("id",)),
+    RowSection("habitual_connections", "habitualConnections",
+               ("agent", "activity", "context_element"), "habitual connection", "views"),
+    RowSection("value_priorities", "valuePriorities", ("agent", "value"),
+               "value priority", "views"),
+    RowSection("value_connections", "valueConnections", ("agent", "activity", "value"),
+               "value connection", "views"),
+    RowSection("affordances", "affordances", ("context_element", "activity"),
+               "affordance", "strength"),
+    RowSection("competence_levels", "competences.levels", ("agent", "competence"),
+               "competence level", "level"),
+    RowSection("competence_requirements", "competences.requirements",
+               ("activity", "competence"), "competence requirement", "required"),
+    RowSection("environment.relocations", "environment.relocations",
+               ("tick", "agent", "location")),
+)
+
+
+@dataclass(frozen=True)
 class Environment:
     """Scripted world state: a cyclic timepoint schedule, static resource
     placements per location, and agent relocations applied at the end of
@@ -186,10 +235,13 @@ class Globals:
 class Scenario:
     """A complete, declarative world description.
 
-    Collections are kept in canonical (sorted) order by the builder, so
-    two scenarios with the same content compare equal regardless of the
-    order their source documents listed things in. `roots` keeps document
-    order: its first entry is the activity every agent starts from.
+    Making a scenario puts its collections in canonical order: each row
+    section sorted by its `ROW_SECTIONS` key, values and placements by
+    id, each placement's resources by id. So two scenarios with the same
+    content compare equal regardless of the order their source documents
+    listed things in, a `dataclasses.replace` result included. `roots`
+    keeps document order: its first entry is the activity every agent
+    starts from.
 
     A scenario compares by value but is not hashable: its rows are not.
     """
@@ -209,6 +261,19 @@ class Scenario:
     competence_levels: tuple[CompetenceLevel, ...] = ()
     competence_requirements: tuple[CompetenceRequirement, ...] = ()
 
+    def __post_init__(self) -> None:
+        canonical = {sec.attr: tuple(sorted(attrgetter(sec.attr)(self), key=sec.order))
+                     for sec in ROW_SECTIONS}
+        env = self.environment
+        canonical["environment"] = Environment(
+            env.timepoints,
+            tuple(sorted((loc, tuple(sorted(res))) for loc, res in env.placements)),
+            canonical.pop("environment.relocations"),
+        )
+        canonical["values"] = tuple(sorted(self.values))
+        for attr, rows in canonical.items():
+            object.__setattr__(self, attr, rows)
+
     @cached_property
     def index(self) -> ScenarioIndex:
         return ScenarioIndex(self)
@@ -222,9 +287,11 @@ class ScenarioIndex:
 
     Ids are interned to dense integers in sorted-id order, so index order
     and lexicographic id order coincide; the kernels rely on that for
-    deterministic iteration. Building the index assumes references
-    resolve and parent chains are acyclic (`build_scenario` checks the
-    former, `validate_scenario` the latter).
+    deterministic iteration. Every table is grouped in the scenario's
+    canonical row order, which `Scenario` guarantees, so only
+    `element_ids`, which merges three sections, is sorted here. Building
+    the index assumes references resolve and parent chains are acyclic
+    (`build_scenario` checks the former, `validate_scenario` the latter).
     """
 
     def __init__(self, s: Scenario):
@@ -235,14 +302,14 @@ class ScenarioIndex:
         self.element_ids: tuple[str, ...] = tuple(sorted(parent_of))
         self.eidx: dict[str, int] = {e: i for i, e in enumerate(self.element_ids)}
 
-        self.activity_ids: tuple[str, ...] = tuple(sorted(a.id for a in s.activities))
+        self.activity_ids: tuple[str, ...] = tuple(a.id for a in s.activities)
         self.aidx: dict[str, int] = {a: i for i, a in enumerate(self.activity_ids)}
         self.activity_type: dict[str, ActivityType] = {a.id: a.type for a in s.activities}
         self.atomic_ids: tuple[str, ...] = tuple(
             a for a in self.activity_ids if self.activity_type[a] is ActivityType.ATOMIC
         )
 
-        self.value_ids: tuple[str, ...] = tuple(sorted(s.values))
+        self.value_ids: tuple[str, ...] = s.values
         self.vidx: dict[str, int] = {v: i for i, v in enumerate(self.value_ids)}
 
         # Flattened ancestor chains: chain_data[start[e]:start[e+1]] lists
@@ -263,10 +330,13 @@ class ScenarioIndex:
         self.chain_data = tuple(chain_data)
         self.chain_start = tuple(chain_start)
 
-        children: dict[tuple[str, RelationType], list[str]] = {}
+        # Each node's children, id-ordered: keyed by (parent, relation),
+        # and by (parent, None) for both relations together.
+        children: dict[tuple[str, RelationType | None], list[str]] = {}
         for c in s.activity_connections:
             children.setdefault((c.parent, c.relation), []).append(c.child)
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
+            children.setdefault((c.parent, None), []).append(c.child)
+        self._children = {k: tuple(v) for k, v in children.items()}
         # What a decision at each composite node chooses among, id-ordered:
         # the IsA children of an abstract node, the PartOf parts of a
         # sequential one. Atomic nodes have no entry.
@@ -277,29 +347,23 @@ class ScenarioIndex:
             for a, t in self.activity_type.items() if t is not ActivityType.ATOMIC
         }
 
-        self.agent_ids: tuple[str, ...] = tuple(sorted(a.id for a in s.agents))
+        self.agent_ids: tuple[str, ...] = tuple(a.id for a in s.agents)
         self.agent_specs: dict[str, AgentSpec] = {a.id: a for a in s.agents}
 
         by_agent: dict[str, list[HabitualConnection]] = {}
         for hc in s.habitual_connections:
             by_agent.setdefault(hc.agent, []).append(hc)
         self.habitual_by_agent: dict[str, tuple[HabitualConnection, ...]] = {
-            ag: tuple(sorted(rows, key=attrgetter("activity", "context_element")))
-            for ag, rows in by_agent.items()
+            ag: tuple(rows) for ag, rows in by_agent.items()
         }
         prio: dict[str, list[ValuePriority]] = {}
         for vp in s.value_priorities:
             prio.setdefault(vp.agent, []).append(vp)
-        self.priorities_by_agent = {
-            ag: tuple(sorted(rows, key=attrgetter("value"))) for ag, rows in prio.items()
-        }
+        self.priorities_by_agent = {ag: tuple(rows) for ag, rows in prio.items()}
         conn: dict[str, list[ValueConnection]] = {}
         for vc in s.value_connections:
             conn.setdefault(vc.agent, []).append(vc)
-        self.connections_by_agent = {
-            ag: tuple(sorted(rows, key=attrgetter("activity", "value")))
-            for ag, rows in conn.items()
-        }
+        self.connections_by_agent = {ag: tuple(rows) for ag, rows in conn.items()}
 
         aff: dict[str, dict[int, float]] = {}
         for af in s.affordances:
@@ -309,7 +373,7 @@ class ScenarioIndex:
         reqs: dict[str, list[tuple[str, float]]] = {}
         for cr in s.competence_requirements:
             reqs.setdefault(cr.activity, []).append((cr.competence, cr.required))
-        self.requirements_by_activity = {a: tuple(sorted(r)) for a, r in reqs.items()}
+        self.requirements_by_activity = {a: tuple(r) for a, r in reqs.items()}
         self.levels_by_agent: dict[str, dict[str, float]] = {}
         for cl in s.competence_levels:
             self.levels_by_agent.setdefault(cl.agent, {})[cl.competence] = cl.level
@@ -320,9 +384,7 @@ class ScenarioIndex:
         reloc: dict[int, list[Relocation]] = {}
         for r in s.environment.relocations:
             reloc.setdefault(r.tick, []).append(r)
-        self.relocations_by_tick = {
-            t: tuple(sorted(rs, key=attrgetter("agent"))) for t, rs in reloc.items()
-        }
+        self.relocations_by_tick = {t: tuple(rs) for t, rs in reloc.items()}
         self.timepoints = s.environment.timepoints
 
     def element_index(self, element: str) -> int:
@@ -352,17 +414,7 @@ class ScenarioIndex:
     def children(self, activity: str, relation: RelationType | None = None) -> tuple[str, ...]:
         if activity not in self.activity_type:
             raise UnknownIdError(f"unknown activity: {activity!r}")
-        if relation is not None:
-            return self._children.get((activity, relation), ())
-        isa = self._children.get((activity, RelationType.IS_A), ())
-        part = self._children.get((activity, RelationType.PART_OF), ())
-        return tuple(sorted(isa + part)) if isa and part else isa + part
-
-    def ancestors(self, element: str) -> tuple[str, ...]:
-        """Parents of `element` walking outward, nearest first."""
-        i = self.element_index(element)
-        lo, hi = self.chain_start[i], self.chain_start[i + 1]
-        return tuple(self.element_ids[j] for j in self.chain_data[lo + 1 : hi])
+        return self._children.get((activity, relation), ())
 
     def timepoint_at(self, tick: int) -> str | None:
         if not self.timepoints:

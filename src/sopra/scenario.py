@@ -1,8 +1,8 @@
 """Scenario documents: parse, canonicalize, and serialize.
 
 `build_scenario` turns a plain JSON-style mapping into a `Scenario`,
-collecting every malformed field before raising, and sorts all
-collections into canonical order so equal content builds equal values.
+collecting every malformed field before raising; `Scenario` puts the
+collections into canonical order, so equal content builds equal values.
 Out-of-range view numbers are deliberately NOT rejected here; they build
 fine and surface as `validate_scenario` violations, which keeps the
 builder usable on documents you want to diagnose rather than refuse.
@@ -10,10 +10,7 @@ builder usable on documents you want to diagnose rather than refuse.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Mapping
-from operator import attrgetter
-from pathlib import Path
 from typing import Any
 
 from .errors import ScenarioError
@@ -246,12 +243,12 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
     if not isinstance(pl, Mapping):
         errs.append("environment.placements must map location ids to resource lists")
     else:
-        for loc in sorted(pl):
+        for loc in sorted(pl):  # reports malformed lists in id order
             res = pl[loc]
             if not isinstance(res, list) or not all(isinstance(r, str) for r in res):
                 errs.append(f"environment.placements[{loc!r}] must be a list of ids")
                 continue
-            placements.append((loc, tuple(sorted(res))))
+            placements.append((loc, tuple(res)))
 
     relocations = []
     rl = raw.get("relocations", [])
@@ -269,7 +266,6 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
         relocations.append(
             Relocation(tick, f.ident(row, "agent", section, i), f.ident(row, "location", section, i))
         )
-    relocations.sort(key=attrgetter("tick", "agent", "location"))
     return Environment(tuple(timepoints), tuple(placements), tuple(relocations))
 
 
@@ -432,28 +428,20 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         seen.add(eid)
 
     scenario = Scenario(
-        context_elements=tuple(sorted(elements, key=attrgetter("id"))),
-        activities=tuple(sorted(activities, key=attrgetter("id"))),
-        activity_connections=tuple(
-            sorted(connections, key=attrgetter("child", "parent", "relation"))
-        ),
-        values=tuple(sorted(values)),
-        agents=tuple(sorted(agents, key=attrgetter("id"))),
-        habitual_connections=tuple(
-            sorted(habitual, key=attrgetter("agent", "activity", "context_element"))
-        ),
-        value_priorities=tuple(sorted(priorities, key=attrgetter("agent", "value"))),
-        value_connections=tuple(
-            sorted(value_connections, key=attrgetter("agent", "activity", "value"))
-        ),
+        context_elements=tuple(elements),
+        activities=tuple(activities),
+        activity_connections=tuple(connections),
+        values=tuple(values),
+        agents=tuple(agents),
+        habitual_connections=tuple(habitual),
+        value_priorities=tuple(priorities),
+        value_connections=tuple(value_connections),
         roots=tuple(roots),
         environment=environment,
         globals=globals_,
-        affordances=tuple(sorted(affordances, key=attrgetter("context_element", "activity"))),
-        competence_levels=tuple(sorted(levels, key=attrgetter("agent", "competence"))),
-        competence_requirements=tuple(
-            sorted(requirements, key=attrgetter("activity", "competence"))
-        ),
+        affordances=tuple(affordances),
+        competence_levels=tuple(levels),
+        competence_requirements=tuple(requirements),
     )
     if check_refs:
         from .validate import check_references
@@ -536,14 +524,3 @@ def serialize_scenario(s: Scenario) -> dict[str, Any]:
         },
     }
 
-
-def load_scenario(path: str | Path, *, check_refs: bool = True) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
-    return build_scenario(document, check_refs=check_refs)
-
-
-def save_scenario(s: Scenario, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_scenario(s), fh, indent=2, sort_keys=False)
-        fh.write("\n")

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable
 
 from .errors import ScenarioError
-from .model import ActivityType, ElementKind, RelationType, Scenario
+from .model import ROW_SECTIONS, ActivityType, ElementKind, RelationType, RowSection, Scenario
 
 
 class ViolationKind(str, Enum):
@@ -43,51 +42,92 @@ class InvalidScenarioError(ScenarioError):
         super().__init__([f"{v.kind.value}: {v.message}" for v in report])
 
 
-def _kinds(s: Scenario) -> dict[str, ElementKind]:
-    kinds = {e.id: e.kind for e in s.context_elements}
-    kinds.update({a.id: ElementKind.ACTIVITY for a in s.activities})
-    kinds.update({a.id: ElementKind.AGENT for a in s.agents})
-    return kinds
+def _elements(s: Scenario) -> tuple[dict[str, ElementKind], dict[str, str | None]]:
+    """Each element id's kind and hierarchy parent, read in one pass."""
+    kinds: dict[str, ElementKind] = {}
+    parent: dict[str, str | None] = {}
+    for rows, kind in ((s.context_elements, None), (s.activities, ElementKind.ACTIVITY),
+                       (s.agents, ElementKind.AGENT)):
+        for row in rows:
+            kinds[row.id] = kind or row.kind
+            parent[row.id] = row.parent
+    return kinds, parent
 
 
 def check_references(s: Scenario) -> list[Violation]:
     """Every id used anywhere must be declared somewhere.
 
-    This is the builder's check, so the empty id is left out: `build_scenario`
-    puts it in place of an id that failed the identifier check, which is
-    already reported. `validate_scenario` reports every dangling id.
+    This is the builder's check, so it leaves out the empty id where the
+    builder reads an identifier: `build_scenario` puts it in place of an id
+    that failed the identifier check, which is already reported. The
+    empty id anywhere else is reported. `validate_scenario` reports every
+    dangling id.
     """
-    empty = f" {''!r}"  # need() ends each message with the id's repr
-    return [v for v in _check_references(s, _kinds(s)) if not v.message.endswith(empty)]
+    dangling, _, rejected = _check_references(s, _elements(s)[0])
+    return [v for v in dangling if v not in rejected]
 
 
-def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violation]:
-    # Each row tests membership first; its location and message are
-    # formatted only for a row with a dangling id.
+def _check_references(
+    s: Scenario, kinds: dict[str, ElementKind]
+) -> tuple[list[Violation], list[Violation], list[Violation]]:
+    """Walk every reference site once, in report order.
+
+    Returns the dangling references; the kind mismatches, for sites that
+    must name an element of one kind; and the dangling references to the
+    empty id at sites the builder reads as identifiers. Each row tests
+    membership and kind first; its location and message are formatted
+    only for a row that fails.
+    """
     activities = {a.id for a in s.activities}
     agents = {a.id for a in s.agents}
     values = set(s.values)
-    out: list[Violation] = []
+    dangling: list[Violation] = []
+    mismatched: list[Violation] = []
+    rejected: list[Violation] = []
     seen: set[str] = set()
 
-    def need(token: str, pool: set[str] | dict, what: str, where: str) -> None:
-        if token not in pool:
-            message = f"{where}: unknown {what} {token!r}"
-            if message not in seen:
-                seen.add(message)
-                out.append(Violation(ViolationKind.DANGLING_REFERENCE, message))
+    def need(token: str, pool: set[str] | dict, what: str, where: str,
+             kind: ElementKind | None = None, ident: bool = True) -> None:
+        """`token` must be in `pool` and, given `kind`, an element of that
+        kind. `ident`: the builder reads the token as an identifier."""
+        if token in pool:
+            if kind is not None and kinds[token] is not kind:
+                mismatched.append(
+                    Violation(
+                        ViolationKind.DISJOINTNESS,
+                        f"{where}: {token!r} is a {kinds[token].value}, expected {kind.value}",
+                    )
+                )
+            return
+        message = f"{where}: unknown {what} {token!r}"
+        if message not in seen:
+            seen.add(message)
+            dangling.append(Violation(ViolationKind.DANGLING_REFERENCE, message))
+            if ident and not token:
+                rejected.append(dangling[-1])
 
     for e in s.context_elements:
-        if e.parent is not None and e.parent not in kinds:
-            need(e.parent, kinds, "element", f"contextElements[{e.id}].parent")
+        p = e.parent
+        if p is None:
+            continue
+        if p not in kinds:
+            need(p, kinds, "element", f"contextElements[{e.id}].parent")
+        elif kinds[p] is not e.kind:
+            mismatched.append(
+                Violation(
+                    ViolationKind.DISJOINTNESS,
+                    f"contextElements[{e.id}]: parent {p!r} is a "
+                    f"{kinds[p].value}, expected {e.kind.value}",
+                )
+            )
     for a in s.activities:
-        if a.parent is not None and a.parent not in kinds:
-            need(a.parent, kinds, "element", f"activities[{a.id}].parent")
+        if a.parent is not None and kinds.get(a.parent) is not ElementKind.ACTIVITY:
+            need(a.parent, kinds, "element", f"activities[{a.id}].parent", ElementKind.ACTIVITY)
     for ag in s.agents:
-        if ag.parent is not None and ag.parent not in kinds:
-            need(ag.parent, kinds, "element", f"agents[{ag.id}].parent")
-        if ag.location not in kinds:
-            need(ag.location, kinds, "element", f"agents[{ag.id}].location")
+        if ag.parent is not None and kinds.get(ag.parent) is not ElementKind.AGENT:
+            need(ag.parent, kinds, "element", f"agents[{ag.id}].parent", ElementKind.AGENT)
+        if kinds.get(ag.location) is not ElementKind.LOCATION:
+            need(ag.location, kinds, "element", f"agents[{ag.id}].location", ElementKind.LOCATION)
     for c in s.activity_connections:
         if c.child not in activities or c.parent not in activities:
             where = f"activityConnections[{c.child}->{c.parent}]"
@@ -110,21 +150,24 @@ def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violat
             need(c.agent, agents, "agent", where)
             need(c.activity, activities, "activity", where)
             need(c.value, values, "value", where)
+    # Roots, timepoints and placements are plain id lists: the builder
+    # checks only that each entry is a string.
     for r in s.roots:
-        need(r, activities, "activity", "roots")
+        need(r, activities, "activity", "roots", ident=False)
     env = s.environment
     for t in env.timepoints:
-        need(t, kinds, "element", "environment.timepoints")
+        need(t, kinds, "element", "environment.timepoints", ElementKind.TIMEPOINT, ident=False)
     for loc, resources in env.placements:
-        need(loc, kinds, "element", "environment.placements")
+        need(loc, kinds, "element", "environment.placements", ElementKind.LOCATION, ident=False)
         for res in resources:
-            if res not in kinds:
-                need(res, kinds, "element", f"environment.placements[{loc}]")
+            if kinds.get(res) is not ElementKind.RESOURCE:
+                need(res, kinds, "element", f"environment.placements[{loc}]", ElementKind.RESOURCE,
+                     ident=False)
     for r in env.relocations:
-        if r.agent not in agents or r.location not in kinds:
+        if r.agent not in agents or kinds.get(r.location) is not ElementKind.LOCATION:
             where = f"environment.relocations[tick={r.tick}]"
             need(r.agent, agents, "agent", where)
-            need(r.location, kinds, "element", where)
+            need(r.location, kinds, "element", where, ElementKind.LOCATION)
     for a in s.affordances:
         if a.context_element not in kinds or a.activity not in activities:
             where = f"affordances[{a.activity}]"
@@ -137,55 +180,10 @@ def _check_references(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violat
         if rq.activity not in activities:
             need(rq.activity, activities, "activity",
                  f"competences.requirements[{rq.competence}]")
-    return out
+    return dangling, mismatched, rejected
 
 
-def _check_kind_usage(s: Scenario, kinds: dict[str, ElementKind]) -> list[Violation]:
-    out: list[Violation] = []
-
-    def expect(token: str, kind: ElementKind, where: str) -> None:
-        actual = kinds.get(token)
-        if actual is not None and actual is not kind:
-            out.append(
-                Violation(
-                    ViolationKind.DISJOINTNESS,
-                    f"{where}: {token!r} is a {actual.value}, expected {kind.value}",
-                )
-            )
-
-    for e in s.context_elements:
-        if e.parent is not None and kinds.get(e.parent) is not None:
-            if kinds[e.parent] is not e.kind:
-                out.append(
-                    Violation(
-                        ViolationKind.DISJOINTNESS,
-                        f"contextElements[{e.id}]: parent {e.parent!r} is a "
-                        f"{kinds[e.parent].value}, expected {e.kind.value}",
-                    )
-                )
-    for a in s.activities:
-        if a.parent is not None:
-            expect(a.parent, ElementKind.ACTIVITY, f"activities[{a.id}].parent")
-    for ag in s.agents:
-        if ag.parent is not None:
-            expect(ag.parent, ElementKind.AGENT, f"agents[{ag.id}].parent")
-        expect(ag.location, ElementKind.LOCATION, f"agents[{ag.id}].location")
-    env = s.environment
-    for t in env.timepoints:
-        expect(t, ElementKind.TIMEPOINT, "environment.timepoints")
-    for loc, resources in env.placements:
-        expect(loc, ElementKind.LOCATION, "environment.placements")
-        for res in resources:
-            expect(res, ElementKind.RESOURCE, f"environment.placements[{loc}]")
-    for r in env.relocations:
-        expect(r.location, ElementKind.LOCATION, f"environment.relocations[tick={r.tick}]")
-    return out
-
-
-def _check_parent_forests(s: Scenario) -> list[Violation]:
-    parent: dict[str, str | None] = {e.id: e.parent for e in s.context_elements}
-    parent.update({a.id: a.parent for a in s.activities})
-    parent.update({a.id: a.parent for a in s.agents})
+def _check_parent_forests(parent: dict[str, str | None]) -> list[Violation]:
     out = []
     done: set[str] = set()
     for start in sorted(parent):
@@ -302,9 +300,9 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
     return out
 
 
-def _check_view_ranges(rows, where: Callable[[Any], str], out: list[Violation]) -> None:
+def _check_view_ranges(rows, sec: RowSection, out: list[Violation]) -> None:
     """Flag every number of each row's views outside [0, 1] (NaN included);
-    `where(row)` is formatted only for a row that has one."""
+    the row's location is formatted only for a row that has one."""
     for row in rows:
         v = row.views
         c = v.my_collective_view
@@ -314,7 +312,7 @@ def _check_view_ranges(rows, where: Callable[[Any], str], out: list[Violation]) 
                 continue
         except TypeError:  # a None field, skipped below
             pass
-        at = where(row)
+        at = f"{sec.name}[{sec.label(row)}]"
         for label, x in (("strength", v.strength), ("personalView", v.personal_view),
                          ("myCollectiveView", c)):
             if x is not None and not 0.0 <= x <= 1.0:
@@ -323,78 +321,49 @@ def _check_view_ranges(rows, where: Callable[[Any], str], out: list[Violation]) 
                 )
 
 
-def _check_ranges(s: Scenario) -> list[Violation]:
-    out: list[Violation] = []
-    _check_view_ranges(
-        s.habitual_connections,
-        lambda h: f"habitualConnections[{h.agent}:{h.activity}:{h.context_element}]", out)
-    _check_view_ranges(s.value_priorities, lambda p: f"valuePriorities[{p.agent}:{p.value}]", out)
-    _check_view_ranges(
-        s.value_connections,
-        lambda c: f"valueConnections[{c.agent}:{c.activity}:{c.value}]", out)
-    for a in s.affordances:
-        if not 0.0 <= a.strength <= 1.0:
-            out.append(
-                Violation(
-                    ViolationKind.VIEW_RANGE,
-                    f"affordances[{a.context_element}:{a.activity}]: strength "
-                    f"{a.strength!r} outside [0, 1]",
-                )
-            )
-    for lv in s.competence_levels:
-        if not 0.0 <= lv.level <= 1.0:
-            out.append(
-                Violation(
-                    ViolationKind.VIEW_RANGE,
-                    f"competences.levels[{lv.agent}:{lv.competence}]: level "
-                    f"{lv.level!r} outside [0, 1]",
-                )
-            )
-    for rq in s.competence_requirements:
-        if not 0.0 <= rq.required <= 1.0:
-            out.append(
-                Violation(
-                    ViolationKind.VIEW_RANGE,
-                    f"competences.requirements[{rq.activity}:{rq.competence}]: required "
-                    f"{rq.required!r} outside [0, 1]",
-                )
-            )
-    return out
-
-
-def _check_multiplicity(s: Scenario) -> list[Violation]:
-    out: list[Violation] = []
-
-    def dups(rows, fields: tuple[str, ...], what: str) -> None:
-        keys = list(map(attrgetter(*fields), rows))
+def _check_rows(s: Scenario) -> list[Violation]:
+    """The checks `ROW_SECTIONS` declares, section by section: numbers
+    outside [0, 1], then, after every range finding, duplicate keys."""
+    ranges: list[Violation] = []
+    duplicates: list[Violation] = []
+    for sec in ROW_SECTIONS:
+        rows = attrgetter(sec.attr)(s)
+        if sec.bounded == "views":
+            _check_view_ranges(rows, sec, ranges)
+        elif sec.bounded is not None:
+            for row in rows:
+                x = getattr(row, sec.bounded)
+                if not 0.0 <= x <= 1.0:
+                    ranges.append(
+                        Violation(
+                            ViolationKind.VIEW_RANGE,
+                            f"{sec.name}[{sec.label(row)}]: {sec.bounded} {x!r} outside [0, 1]",
+                        )
+                    )
+        if sec.duplicate is None:
+            continue
+        keys = list(map(sec.order, rows))
         if len(set(keys)) == len(keys):
-            return
+            continue
         seen: set = set()
         flagged: set = set()
-        for k in keys:
+        for row, k in zip(rows, keys):
             if k in seen and k not in flagged:
                 flagged.add(k)
-                label = ":".join(str(p) for p in k)
-                out.append(Violation(ViolationKind.MULTIPLICITY, f"duplicate {what} {label!r}"))
+                duplicates.append(
+                    Violation(ViolationKind.MULTIPLICITY,
+                              f"duplicate {sec.duplicate} {sec.label(row)!r}")
+                )
             seen.add(k)
-
-    dups(s.habitual_connections, ("agent", "activity", "context_element"), "habitual connection")
-    dups(s.value_priorities, ("agent", "value"), "value priority")
-    dups(s.value_connections, ("agent", "activity", "value"), "value connection")
-    dups(s.affordances, ("context_element", "activity"), "affordance")
-    dups(s.competence_levels, ("agent", "competence"), "competence level")
-    dups(s.competence_requirements, ("activity", "competence"), "competence requirement")
-    return out
+    return ranges + duplicates
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Full structural check; empty report means the scenario is runnable."""
-    kinds = _kinds(s)
-    report: list[Violation] = []
-    report.extend(_check_references(s, kinds))
-    report.extend(_check_kind_usage(s, kinds))
-    report.extend(_check_parent_forests(s))
+    kinds, parent = _elements(s)
+    dangling, mismatched, _ = _check_references(s, kinds)
+    report = dangling + mismatched
+    report.extend(_check_parent_forests(parent))
     report.extend(_check_activity_graph(s))
-    report.extend(_check_ranges(s))
-    report.extend(_check_multiplicity(s))
+    report.extend(_check_rows(s))
     return report

@@ -169,9 +169,6 @@ class ReferenceHabitStore:
             self._c.append(0.0)
         return i
 
-    def has(self, activity: int, element: int) -> bool:
-        return (activity, element) in self._slot
-
     def set_views(self, activity: int, element: int, strength: float,
                   personal: float, collective: float) -> None:
         i = self._ensure(activity, element)

@@ -21,6 +21,11 @@ def _views(state, scenario, activity, element):
     return state.habits.get_views(idx.activity_index(activity), idx.element_index(element))
 
 
+def _keys(state):
+    """The (activity, element) index pairs the agent's habit store holds."""
+    return {(a, e) for a, e, *_ in state.habits.items()}
+
+
 def _reinforce(state, scenario, activity, ctx):
     """Reinforce `activity` over `ctx` at the agent's habit rate: a habit
     tick at decay rate 0, which leaves every other entry as it is."""
@@ -178,13 +183,10 @@ def test_observe_strengthens_acted_and_weakens_competitors():
     assert got[2] == pytest.approx(0.6 * 0.7)
     assert got[0] == 0.6
     # Absent competing pairs are not created by the negative update.
-    assert not states["ag2"].habits.has(
-        s.index.activity_index("opt_b"), s.index.element_index("Morning")
-    )
+    idx = s.index
+    assert (idx.activity_index("opt_b"), idx.element_index("Morning")) not in _keys(states["ag2"])
     # The actor's own tables are untouched by someone else's observation.
-    assert not states["ag1"].habits.has(
-        s.index.activity_index("opt_a"), s.index.element_index("Home")
-    )
+    assert (idx.activity_index("opt_a"), idx.element_index("Home")) not in _keys(states["ag1"])
 
 
 def test_observe_requires_co_location():
@@ -306,8 +308,7 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
     # Each observer did learn something from the others.
     idx = s.index
     for observer in here:
-        assert fanned[observer].habits.has(idx.activity_index("opt_a"),
-                                           idx.element_index("Home"))
+        assert (idx.activity_index("opt_a"), idx.element_index("Home")) in _keys(fanned[observer])
 
 
 def test_observation_event_rejects_actor_among_observers():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
+import re
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from helpers import make_doc
@@ -20,6 +24,7 @@ from sopra import (
     serialize_scenario,
     validate_scenario,
 )
+from sopra.model import ROW_SECTIONS
 from sopra.scenarios import bundled_document, list_bundled
 from sopra.testing import random_scenario_document
 
@@ -170,12 +175,162 @@ def test_random_round_trip(seed):
     assert build_scenario(serialize_scenario(s)) == s
 
 
-def test_declaration_order_is_canonicalized():
+def _every_section_doc():
+    """make_doc with at least two rows in every section, so that a shuffle
+    can put each section out of order."""
     doc = make_doc()
-    flipped = dict(doc)
-    flipped["contextElements"] = list(reversed(doc["contextElements"]))
-    flipped["valueConnections"] = list(reversed(doc["valueConnections"]))
-    assert build_scenario(doc) == build_scenario(flipped)
+    doc["contextElements"] += [
+        {"id": "tool", "kind": "Resource"},
+        {"id": "cup", "kind": "Resource"},
+        {"id": "Evening", "kind": "Timepoint"},
+    ]
+    doc["agents"].append({"id": "ag0", "habitRate": 0.2, "attentionBudget": 2, "location": "Away"})
+    doc["values"].append("comfort")
+    doc["habitualConnections"] = [
+        {"agent": ag, "activity": a, "contextElement": e, "strength": 0.5, "personalView": 0.5}
+        for ag in ("ag1", "ag0") for a in ("opt_b", "opt_a") for e in ("Home", "Morning")
+    ]
+    doc["valuePriorities"] += [
+        {"agent": ag, "value": "comfort", "strength": 0.125, "personalView": 0.125}
+        for ag in ("ag1", "ag0")
+    ]
+    doc["affordances"] = [
+        {"contextElement": e, "activity": a, "strength": 1.0}
+        for e in ("tool", "cup") for a in ("opt_b", "opt_a")
+    ]
+    doc["competences"] = {
+        "levels": [{"agent": ag, "competence": c, "level": 0.5}
+                   for ag in ("ag1", "ag0") for c in ("pour", "carry")],
+        "requirements": [{"activity": a, "competence": c, "required": 0.25}
+                         for a in ("opt_b", "opt_a") for c in ("pour", "carry")],
+    }
+    doc["environment"] = {
+        "timepoints": ["Morning", "Evening"],
+        "placements": {"Home": ["tool", "cup"], "Away": ["cup", "tool"]},
+        "relocations": [{"tick": t, "agent": ag, "location": loc}
+                        for t in (5, 2) for ag in ("ag1", "ag0") for loc in ("Home", "Away")],
+    }
+    return doc
+
+
+def _shuffled(doc, rng):
+    """Copy of `doc` with every row section, the values and the placements
+    in a random order. Roots and timepoints keep theirs: both orders mean
+    something."""
+    out = copy.deepcopy(doc)
+    sections = [out, out.get("competences", {})]
+    for rows in (v for part in sections for v in part.values()):
+        if isinstance(rows, list) and rows is not out["roots"]:
+            rng.shuffle(rows)
+    env = out["environment"]
+    rng.shuffle(env["relocations"])
+    env["placements"] = {
+        loc: rng.sample(res, len(res))
+        for loc, res in rng.sample(list(env["placements"].items()), len(env["placements"]))
+    }
+    return out
+
+
+def _sorted_by(rows, key):
+    return tuple(sorted(rows, key=key))
+
+
+def _assert_canonical(doc, rng):
+    s = build_scenario(doc)
+    for _ in range(4):
+        assert build_scenario(_shuffled(doc, rng)) == s
+
+    # Every collection is in its canonical order...
+    for sec in ROW_SECTIONS:
+        rows = attrgetter(sec.attr)(s)
+        assert rows == _sorted_by(rows, sec.order), sec.name
+    assert s.values == tuple(sorted(s.values))
+    placements = s.environment.placements
+    assert placements == tuple(sorted((loc, tuple(sorted(res))) for loc, res in placements))
+
+    # ...so every grouping of the index is too.
+    idx = s.index
+    for ids in (idx.element_ids, idx.activity_ids, idx.agent_ids, idx.value_ids):
+        assert ids == tuple(sorted(ids))
+    for kids in idx._children.values():
+        assert kids == tuple(sorted(kids))
+    section = {sec.attr: sec for sec in ROW_SECTIONS}
+    for table, attr in ((idx.habitual_by_agent, "habitual_connections"),
+                        (idx.priorities_by_agent, "value_priorities"),
+                        (idx.connections_by_agent, "value_connections"),
+                        (idx.relocations_by_tick, "environment.relocations")):
+        for rows in table.values():
+            assert rows == _sorted_by(rows, section[attr].order), attr
+    for reqs in idx.requirements_by_activity.values():
+        assert reqs == tuple(sorted(reqs))
+
+    # A scenario made in code is canonical as well.
+    for sec in ROW_SECTIONS:
+        if sec.attr == "environment.relocations":
+            env = dataclasses.replace(
+                s.environment, relocations=s.environment.relocations[::-1],
+                placements=tuple((loc, res[::-1]) for loc, res in placements[::-1]))
+            assert dataclasses.replace(s, environment=env) == s
+        else:
+            reversed_rows = {sec.attr: getattr(s, sec.attr)[::-1]}
+            assert dataclasses.replace(s, **reversed_rows) == s, sec.name
+    assert dataclasses.replace(s, values=s.values[::-1]) == s
+
+
+def test_declaration_order_is_canonicalized():
+    rng = random.Random(7)
+    for name in ("commuting", "cascade", "extensions_demo"):
+        _assert_canonical(bundled_document(name), rng)
+    for seed in range(5):
+        _assert_canonical(random_scenario_document(random.Random(seed)), rng)
+    _assert_canonical(_every_section_doc(), rng)
+
+
+def test_schema_doc_lists_each_row_section_as_the_code_does():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
+    table = [[cell.strip() for cell in line.split("|")[1:-1]]
+             for line in text.splitlines() if line.startswith("| `")]
+    table = [row for row in table if len(row) == 5]
+
+    def camel(field):
+        return re.sub(r"_(\w)", lambda m: m.group(1).upper(), field)
+
+    assert [row[:2] for row in table] == [
+        [f"`{sec.name}`", ", ".join(f"`{camel(f)}`" for f in sec.key)] for sec in ROW_SECTIONS
+    ]
+    for row, sec in zip(table, ROW_SECTIONS):
+        if sec.duplicate is not None:
+            assert row[2] == f"`duplicate {sec.duplicate}`"
+        assert row[3] == ("" if sec.bounded is None
+                          else "views" if sec.bounded == "views" else f"`{sec.bounded}`")
+
+
+_EMPTY_ID_SITES = {
+    "roots": ({"roots": ["", "act_root"]}, "roots: unknown activity ''"),
+    "timepoints": ({"timepoints": ["Morning", ""]}, "environment.timepoints: unknown element ''"),
+    "placement-location": ({"placements": {"": []}},
+                           "environment.placements: unknown element ''"),
+    "placement-resource": ({"placements": {"Home": [""]}},
+                           "environment.placements[Home]: unknown element ''"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_EMPTY_ID_SITES))
+def test_empty_id_in_an_id_list_is_dangling(site):
+    # These lists' entries are not read as identifiers, so no other check
+    # reports an empty one: the builder rejects it as dangling, with the
+    # validator's message.
+    change, message = _EMPTY_ID_SITES[site]
+    doc = make_doc()
+    if "roots" in change:
+        doc.update(change)
+    else:
+        doc["environment"].update(change)
+    report = validate_scenario(build_scenario(doc, check_refs=False))
+    assert [v.message for v in report] == [message]
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc)
+    assert exc.value.problems == [message]
 
 
 def test_rows_built_without_views_do_not_share_one():
