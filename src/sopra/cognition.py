@@ -9,6 +9,9 @@ pressure among the candidates clears the threshold, or when attentional
 resources are exhausted; otherwise it is intentional, costs attention,
 and maximizes the value-weighted score. Ties go to the lexicographically
 smallest candidate id unless the scenario opts into uniform tie-breaks.
+
+Activities are the scenario index's activity ints throughout, interned
+in sorted-id order, so the smallest id is the smallest int.
 """
 
 from __future__ import annotations
@@ -29,16 +32,17 @@ _AGG_CODES = {"mean": AGG_MEAN, "max": AGG_MAX, "sum": AGG_SUM}
 class DecisionStep:
     """One decision of a cycle: the pick at `node` among `candidates`.
 
-    Built positionally once per step by `decide_step`, or by
+    `node`, `chosen` and `candidates` are activity ints of the scenario
+    index. Built positionally once per step by `decide_step`, or by
     `decision_cycle` for an atomic root. A plain slotted record, so it
     is mutable and unhashable; nothing updates it after construction."""
 
-    node: str
-    chosen: str
+    node: int
+    chosen: int
     mode: DecisionMode
     pressure: float  # habitual pressure of the chosen candidate
     score: float  # priority-normalized intentional score of the chosen candidate
-    candidates: tuple[str, ...]
+    candidates: tuple[int, ...]
     feasibility_fallback: bool = False
 
 
@@ -52,23 +56,24 @@ def _pressures(state: AgentState, activities: Sequence[int], ctx: ContextSnapsho
                                   _AGG_CODES[g.pressure_aggregation])
 
 
-def habitual_pressure(state: AgentState, activity: str, ctx: ContextSnapshot,
+def habitual_pressure(state: AgentState, activity: int, ctx: ContextSnapshot,
                       scenario: Scenario) -> float:
-    """Aggregate effective habit strength of `activity` over the present
-    context. An element with no stored strength borrows from its nearest
-    hierarchy ancestor that has one, discounted by attenuation per step."""
-    return _pressures(state, (scenario.index.activity_index(activity),), ctx, scenario)[0]
+    """Aggregate effective habit strength of the activity int `activity`
+    over the present context. An element with no stored strength borrows
+    from its nearest hierarchy ancestor that has one, discounted by
+    attenuation per step."""
+    return _pressures(state, (activity,), ctx, scenario)[0]
 
 
-def candidate_set(node: str, exec_state: ExecutionState,
-                  scenario: Scenario) -> tuple[str, ...]:
-    """Children eligible at `node`, in id order: implementations of an
-    abstract node, or the not-yet-completed parts of a sequential one."""
+def candidate_set(node: int, exec_state: ExecutionState,
+                  scenario: Scenario) -> tuple[int, ...]:
+    """Children eligible at the activity int `node`, as activity ints in
+    id order: implementations of an abstract node, or the not-yet-completed
+    parts of a sequential one."""
     idx = scenario.index
     options = idx.options.get(node)
     if options is None:
-        idx.type_of(node)  # UnknownIdError for an unknown id
-        raise ValueError(f"atomic activity {node!r} has no candidates")
+        raise ValueError(f"atomic activity {idx.activity_ids[node]!r} has no candidates")
     # Only sequential activities have frames.
     for frame in reversed(exec_state.pending):
         if frame.activity == node:
@@ -89,22 +94,21 @@ def _pick(values: list[float], best: float, rng: random.Random, uniform: bool) -
     return pick
 
 
-def decide_step(state: AgentState, node: str, ctx: ContextSnapshot,
+def decide_step(state: AgentState, node: int, ctx: ContextSnapshot,
                 exec_state: ExecutionState, scenario: Scenario,
                 rng: random.Random) -> DecisionStep:
-    """Pick one child of `node`, habitually or intentionally. Scores are
-    read from `state.score_raw`/`score_norm`, which `build_score_cache`
-    fills."""
+    """Pick one child of the activity int `node`, habitually or
+    intentionally. Scores are read from `state.score_raw`/`score_norm`,
+    which `build_score_cache` fills."""
     g = scenario.globals
     cands = candidate_set(node, exec_state, scenario)
     if not cands:
-        raise ValueError(f"no candidates at {node!r}")
+        raise ValueError(f"no candidates at {scenario.index.activity_ids[node]!r}")
     fallback = False
     if g.extensions_enabled:
         kept, fallback = filter_candidates(cands, state.agent_id, ctx, scenario)
         cands = tuple(kept)
-    aidx = scenario.index.aidx
-    pressures = _pressures(state, [aidx[c] for c in cands], ctx, scenario)
+    pressures = _pressures(state, cands, ctx, scenario)
     uniform = g.tie_break == "uniform"
     top = max(pressures)
     if top >= g.habit_threshold or state.resources < g.deliberation_cost:
@@ -125,7 +129,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
                    rng: random.Random) -> list[DecisionStep]:
     """Walk from the resume point down to an atomic activity, maintaining
     the sequential execution stack, and return the steps taken; the last
-    step's `chosen` is the activity to perform.
+    step's `chosen` is the activity int to perform.
 
     An atomic root is one habitual step with itself as its only
     candidate: nothing is chosen, so no attention is spent.
@@ -142,10 +146,10 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     if pending:
         node = pending[-1].activity
     else:
-        if not scenario.roots:
+        node = idx.root
+        if node is None:
             raise ValueError("scenario declares no root activity")
-        node = scenario.roots[0]
-        root_type = idx.type_of(node)
+        root_type = atype[node]
         if root_type is ActivityType.ATOMIC:
             pressure = habitual_pressure(state, node, ctx, scenario)
             return [DecisionStep(node, node, DecisionMode.HABITUAL, pressure,
@@ -161,7 +165,8 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     while atype[node] is not ActivityType.ATOMIC:
         guard -= 1
         if guard <= 0:
-            raise RuntimeError(f"decision walk did not terminate at {node!r}")
+            raise RuntimeError(
+                f"decision walk did not terminate at {idx.activity_ids[node]!r}")
         step = decide_step(state, node, ctx, exec_state, scenario, rng)
         steps.append(step)
         chosen = step.chosen

@@ -20,7 +20,7 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .cognition import decision_cycle
 from .learning import ObservationEvent, habit_tick, observe, update_personal_view
@@ -43,6 +43,9 @@ def _snap_score(x: float) -> float:
 
 @dataclass(slots=True)
 class Event:
+    """One logged decision. Its ids are names, not the ints the tick
+    works on: this is the record `events.csv` writes."""
+
     tick: int
     agent: str
     activity: str
@@ -73,28 +76,30 @@ class MetricsRow:
     mean_collective_view: float
 
 
-def snapshot_context(world: World, agent_id: str,
-                     here: Sequence[str] | None = None) -> ContextSnapshot:
-    """What `agent_id` perceives right now: its location, the current
-    timepoint, resources placed there, co-located agents, and its own
-    previous activity.
+def snapshot_context(world: World, agent: int,
+                     here: Collection[int] | None = None) -> ContextSnapshot:
+    """What the agent with element int `agent` perceives right now: its
+    location, the current timepoint, resources placed there, co-located
+    agents, and its own previous activity.
 
-    `here` lists the agents at the agent's location, the agent itself
-    included, as `World.step` buckets them once per tick; without it
-    every agent's location is scanned."""
+    `here` holds the element ints of the agents at the agent's location,
+    the agent itself included, as `World.step` buckets them once per
+    tick; without it every agent's location is scanned."""
     idx = world.scenario.index
-    state = world.states[agent_id]
+    state = world.states[idx.element_ids[agent]]
+    location = state.location
     if here is None:
-        here = [ag for ag in idx.agent_ids if world.states[ag].location == state.location]
-    present = {other_id for other_id in here if other_id != agent_id}
-    present.add(state.location)
-    tp = idx.timepoint_at(world.tick)
-    if tp is not None:
-        present.add(tp)
-    present.update(idx.placements.get(state.location, ()))
+        here = [e for e, other in zip(idx.agent_elements, world.states.values())
+                if other.location == location]
+    present = set(here)
+    present.discard(agent)
+    present.update(idx.cues[location])
+    timepoints = idx.timepoint_elements
+    if timepoints:
+        present.add(timepoints[world.tick % len(timepoints)])
     if state.last_activity is not None:
         present.add(state.last_activity)
-    return ContextSnapshot.of(idx, present)
+    return ContextSnapshot(tuple(sorted(present)), idx.element_ids)
 
 
 class World:
@@ -119,62 +124,65 @@ class World:
         s = self.scenario
         idx = s.index
         agent_ids = idx.agent_ids
+        agent_elements = idx.agent_elements
+        # Agent states by position in agent_ids; every per-tick list below
+        # is indexed the same way.
+        states = list(self.states.values())
         tick = self.tick
-        timepoint = idx.timepoint_at(tick)
 
-        # Location -> its id-sorted agents; relocations only apply at the
-        # end of the tick, so phases 1 and 4 share this map.
-        by_location: dict[str, list[str]] = {}
-        for ag in agent_ids:
-            by_location.setdefault(self.states[ag].location, []).append(ag)
-        snaps = {
-            ag: snapshot_context(self, ag, by_location[self.states[ag].location])
-            for ag in agent_ids
-        }
+        # Location -> the positions of its agents, ascending; relocations
+        # only apply at the end of the tick, so phases 1 and 4 share this map.
+        by_location: dict[int, list[int]] = {}
+        for i, state in enumerate(states):
+            by_location.setdefault(state.location, []).append(i)
+        here = {loc: [agent_elements[i] for i in at] for loc, at in by_location.items()}
+        snaps = [snapshot_context(self, agent_elements[i], here[state.location])
+                 for i, state in enumerate(states)]
 
         # The last step of each agent's cycle is the decision it acts on.
-        decided = {
-            ag: decision_cycle(self.states[ag], snaps[ag], s, self.rng)[-1]
-            for ag in agent_ids
-        }
+        decided = [decision_cycle(state, snap, s, self.rng)[-1]
+                   for state, snap in zip(states, snaps)]
 
-        for ag in agent_ids:
-            habit_tick(self.states[ag], decided[ag].chosen, snaps[ag], s)
-            update_personal_view(self.states[ag], s)
+        for state, step, snap in zip(states, decided, snaps):
+            habit_tick(state, step.chosen, snap, s)
+            update_personal_view(state, s)
 
         # Each actor's performance goes to all other agents at its location
         # in one event. Actors run in id order because each observer must
         # apply them in that order (docs/model.md, Observation).
         for location in sorted(by_location):
-            here = by_location[location]
-            if len(here) < 2:
+            at = by_location[location]
+            if len(at) < 2:
                 continue
-            for actor in here:
+            names = [agent_ids[i] for i in at]
+            for k, i in enumerate(at):
+                step = decided[i]
                 event = ObservationEvent(
-                    tuple(ag for ag in here if ag != actor),
-                    actor, decided[actor].chosen, snaps[actor], tick,
+                    (*names[:k], *names[k + 1:]), names[k], step.chosen, snaps[i], tick,
                 )
-                observe(event, s, self.states, decided[actor].candidates)
-                self.observation_count += len(here) - 1
+                observe(event, s, self.states, step.candidates)
+            self.observation_count += len(at) * (len(at) - 1)
 
+        activity_ids = idx.activity_ids
+        activity_elements = idx.activity_elements
+        element_ids = idx.element_ids
+        timepoint = idx.timepoints[tick % len(idx.timepoints)] if idx.timepoints else None
         new_events = []
-        for ag in agent_ids:
-            state = self.states[ag]
-            step = decided[ag]
+        for ag, spec, state, step in zip(agent_ids, s.agents, states, decided):
             new_events.append(
-                Event(tick, ag, step.chosen, step.mode, step.pressure, _snap_score(step.score),
-                      state.location, timepoint)
+                Event(tick, ag, activity_ids[step.chosen], step.mode, step.pressure,
+                      _snap_score(step.score), element_ids[state.location], timepoint)
             )
-            state.last_activity = step.chosen
-            state.resources = idx.agent_specs[ag].attention_budget
+            state.last_activity = activity_elements[step.chosen]
+            state.resources = spec.attention_budget
         self.events.extend(new_events)
 
         connections = 0
         strength_total = 0.0
         personal_total = 0.0
         collective_total = 0.0
-        for ag in agent_ids:
-            n, ts, tp, tc = self.states[ag].habits.sums()
+        for state in states:
+            n, ts, tp, tc = state.habits.sums()
             connections += n
             strength_total = strength_total + ts
             personal_total = personal_total + tp
@@ -183,8 +191,8 @@ class World:
             StrengthSample(connections, strength_total, personal_total, collective_total)
         )
 
-        for relocation in idx.relocations_by_tick.get(tick, ()):
-            self.states[relocation.agent].location = relocation.location
+        for i, location in idx.relocations_by_tick.get(tick, ()):
+            states[i].location = location
         self.tick += 1
         return new_events
 

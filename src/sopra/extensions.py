@@ -14,16 +14,14 @@ from .model import Scenario
 from .state import ContextSnapshot
 
 
-def afforded(activity: str, ctx: ContextSnapshot, scenario: Scenario) -> float:
-    """How strongly the present context affords `activity`.
+def afforded(activity: int, ctx: ContextSnapshot, scenario: Scenario) -> float:
+    """How strongly the present context affords the activity int `activity`.
 
     Activities with no declared affordance connections are unconstrained
     (1.0); otherwise the best offer among present elements counts, and a
     context with none of them affords nothing.
     """
-    idx = scenario.index
-    idx.activity_index(activity)
-    offers = idx.affordances_by_activity.get(activity)
+    offers = scenario.index.affordances_by_activity.get(activity)
     if offers is None:
         return 1.0
     best = 0.0
@@ -34,11 +32,10 @@ def afforded(activity: str, ctx: ContextSnapshot, scenario: Scenario) -> float:
     return best
 
 
-def competent(agent_id: str, activity: str, scenario: Scenario) -> float:
-    """min(1, level/required) over the activity's requirements; 1.0 when
-    nothing is required."""
+def competent(agent_id: str, activity: int, scenario: Scenario) -> float:
+    """min(1, level/required) over the requirements of the activity int
+    `activity`; 1.0 when nothing is required."""
     idx = scenario.index
-    idx.activity_index(activity)
     levels = idx.levels_by_agent.get(agent_id, {})
     result = 1.0
     for competence, required in idx.requirements_by_activity.get(activity, ()):
@@ -50,10 +47,10 @@ def competent(agent_id: str, activity: str, scenario: Scenario) -> float:
     return result
 
 
-def filter_candidates(candidates: Sequence[str], agent_id: str, ctx: ContextSnapshot,
-                      scenario: Scenario) -> tuple[list[str], bool]:
-    """Drop candidates whose feasibility (afforded x competent) falls
-    below the configured threshold.
+def filter_candidates(candidates: Sequence[int], agent_id: str, ctx: ContextSnapshot,
+                      scenario: Scenario) -> tuple[list[int], bool]:
+    """Drop candidates (activity ints) whose feasibility (afforded x
+    competent) falls below the configured threshold.
 
     Returns the kept candidates in input order plus a fallback flag: when
     nothing survives, the original set is returned unfiltered and the

@@ -49,23 +49,24 @@ def propagate_value_connection(agent_id: str, value: str, activity: str,
     if agent_id not in idx.agent_specs:
         raise UnknownIdError(f"unknown agent: {agent_id!r}")
     idx.value_index(value)
-    strength = {vc.activity: vc.views.strength
+    root = idx.activity_index(activity)
+    strength = {idx.aidx[vc.activity]: vc.views.strength
                 for vc in idx.connections_by_agent.get(agent_id, ()) if vc.value == value}
-    memo: dict[str, float] = {}
+    memo: dict[int, float] = {}
 
-    def walk(node: str) -> float:
+    def walk(node: int) -> float:
         got = memo.get(node)
         if got is not None:
             return got
         kids = idx.options.get(node)
-        if kids is None:  # atomic, or UnknownIdError for an unknown id
-            idx.activity_index(node)
+        if kids is None:  # atomic
             result = strength.get(node, 0.0)
         elif not kids:
-            raise ScenarioError(f"non-atomic activity {node!r} has no children")
+            raise ScenarioError(
+                f"non-atomic activity {idx.activity_ids[node]!r} has no children")
         else:
             result = min(walk(k) for k in kids)
         memo[node] = result
         return result
 
-    return walk(activity)
+    return walk(root)

@@ -20,9 +20,9 @@ from .state import AgentState, ContextSnapshot
 class ObservationEvent:
     """One performance and everyone who saw it."""
 
-    observers: tuple[str, ...]
+    observers: tuple[str, ...]  # agent ids
     actor: str
-    activity: str  # atomic activity the actor performed
+    activity: int  # activity int of the atomic activity the actor performed
     context: ContextSnapshot  # the actor's context at that tick
     tick: int
 
@@ -31,9 +31,10 @@ class ObservationEvent:
             raise ValueError("an agent does not observe itself")
 
 
-def habit_tick(state: AgentState, performed: str, ctx: ContextSnapshot,
+def habit_tick(state: AgentState, performed: int, ctx: ContextSnapshot,
                scenario: Scenario) -> None:
-    """One tick of strength dynamics from tick-start values.
+    """One tick of strength dynamics from tick-start values, for the
+    activity int `performed`.
 
     Default mode composes reinforcement with decay of everything else.
     In decayAll mode the performed connections take the combined step
@@ -41,7 +42,7 @@ def habit_tick(state: AgentState, performed: str, ctx: ContextSnapshot,
     """
     g = scenario.globals
     state.habits.habit_tick(
-        scenario.index.activity_index(performed),
+        performed,
         ctx.ids,
         scenario.index.agent_specs[state.agent_id].habit_rate,
         g.decay_rate,
@@ -57,12 +58,13 @@ def update_personal_view(state: AgentState, scenario: Scenario) -> None:
 
 def observe(event: ObservationEvent, scenario: Scenario,
             states: Mapping[str, AgentState],
-            candidates: Sequence[str] = ()) -> None:
+            candidates: Sequence[int] = ()) -> None:
     """Fold one observed performance into each observer's collective views.
 
     Every observer strengthens its collective view of (activity, element)
     for every element of the actor's context, and weakens existing views
-    for the `candidates` the actor could have picked instead. Connections
+    for the `candidates` (activity ints) the actor could have picked
+    instead. Connections
     the negative update would create are left absent. Observers must
     share the actor's location; if one does not, nobody is updated.
     """
@@ -72,11 +74,8 @@ def observe(event: ObservationEvent, scenario: Scenario,
             raise ValueError(
                 f"{name!r} cannot observe {event.actor!r} from another location"
             )
-    idx = scenario.index
-    acted = idx.activity_index(event.activity)
-    competing = sorted(
-        {idx.activity_index(c) for c in candidates if c != event.activity}
-    )
+    acted = event.activity
+    competing = sorted(set(candidates) - {acted})
     elements = event.context.ids
     rate = scenario.globals.social_learning_rate
     for name in event.observers:

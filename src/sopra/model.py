@@ -159,11 +159,12 @@ class Relocation:
 class RowSection:
     """One row section of a scenario document.
 
-    `key` names the fields that order the section's rows canonically. In
-    a section with a `duplicate` label it is also the key no two rows may
-    share, and a report names a row by it, as ``name[a:b]``. `bounded` is
-    the field whose numbers must lie in [0, 1]; ``"views"`` means every
-    number of the row's view triple.
+    `key` names the fields that order the section's rows canonically.
+    `unique` names the fields no two rows of a section with a `duplicate`
+    label may share; left empty, it is the whole key. A report names a
+    row by those fields, as ``name[a:b]``. `bounded` is the field whose
+    numbers must lie in [0, 1]; ``"views"`` means every number of the
+    row's view triple.
     """
 
     attr: str  # Scenario attribute; "environment.relocations" is the environment's
@@ -171,13 +172,18 @@ class RowSection:
     key: tuple[str, ...]
     duplicate: str | None = None  # multiplicity label; None: checked elsewhere or not at all
     bounded: str | None = None
+    unique: tuple[str, ...] = ()
 
     @property
     def order(self):
         return attrgetter(*self.key)
 
+    @property
+    def identity(self):
+        return attrgetter(*(self.unique or self.key))
+
     def label(self, row) -> str:
-        return ":".join(str(getattr(row, f)) for f in self.key)
+        return ":".join(str(getattr(row, f)) for f in self.unique or self.key)
 
 
 # Element, activity and agent ids share one namespace, whose uniqueness
@@ -200,8 +206,10 @@ ROW_SECTIONS: tuple[RowSection, ...] = (
                "competence level", "level"),
     RowSection("competence_requirements", "competences.requirements",
                ("activity", "competence"), "competence requirement", "required"),
+    # One agent moves at most once per tick; `location` only completes
+    # the order, so any two documents with the same rows build equal.
     RowSection("environment.relocations", "environment.relocations",
-               ("tick", "agent", "location")),
+               ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
 )
 
 
@@ -287,11 +295,15 @@ class ScenarioIndex:
 
     Ids are interned to dense integers in sorted-id order, so index order
     and lexicographic id order coincide; the kernels rely on that for
-    deterministic iteration. Every table is grouped in the scenario's
-    canonical row order, which `Scenario` guarantees, so only
-    `element_ids`, which merges three sections, is sorted here. Building
-    the index assumes references resolve and parent chains are acyclic
-    (`build_scenario` checks the former, `validate_scenario` the latter).
+    deterministic iteration. An *element int* indexes `element_ids` and
+    an *activity int* `activity_ids`. The tick works on these ints; names
+    go in only through the lookups (`aidx`, `eidx`, `children`, ...) and
+    the tables keyed by agent id (`agent_specs`, `*_by_agent`). Every
+    table is grouped in the scenario's canonical row order, which
+    `Scenario` guarantees, so only `element_ids`, which merges three
+    sections, is sorted here. Building the index assumes references
+    resolve and parent chains are acyclic (`build_scenario` checks the
+    former, `validate_scenario` the latter).
     """
 
     def __init__(self, s: Scenario):
@@ -301,13 +313,19 @@ class ScenarioIndex:
         }
         self.element_ids: tuple[str, ...] = tuple(sorted(parent_of))
         self.eidx: dict[str, int] = {e: i for i, e in enumerate(self.element_ids)}
+        eidx = self.eidx.__getitem__
 
         self.activity_ids: tuple[str, ...] = tuple(a.id for a in s.activities)
         self.aidx: dict[str, int] = {a: i for i, a in enumerate(self.activity_ids)}
-        self.activity_type: dict[str, ActivityType] = {a.id: a.type for a in s.activities}
+        aidx = self.aidx.__getitem__
+        # By activity int: its type, and its element int.
+        self.activity_type: tuple[ActivityType, ...] = tuple(a.type for a in s.activities)
+        self.activity_elements: tuple[int, ...] = tuple(map(eidx, self.activity_ids))
         self.atomic_ids: tuple[str, ...] = tuple(
-            a for a in self.activity_ids if self.activity_type[a] is ActivityType.ATOMIC
+            a.id for a in s.activities if a.type is ActivityType.ATOMIC
         )
+        # The activity int every decision walk starts from.
+        self.root: int | None = self.activity_index(s.roots[0]) if s.roots else None
 
         self.value_ids: tuple[str, ...] = s.values
         self.vidx: dict[str, int] = {v: i for i, v in enumerate(self.value_ids)}
@@ -337,17 +355,18 @@ class ScenarioIndex:
             children.setdefault((c.parent, c.relation), []).append(c.child)
             children.setdefault((c.parent, None), []).append(c.child)
         self._children = {k: tuple(v) for k, v in children.items()}
-        # What a decision at each composite node chooses among, id-ordered:
-        # the IsA children of an abstract node, the PartOf parts of a
-        # sequential one. Atomic nodes have no entry.
+        # What a decision at each composite node chooses among, as activity
+        # ints in id order: the IsA children of an abstract node, the
+        # PartOf parts of a sequential one. Atomic nodes have no entry.
         relation = {ActivityType.ABSTRACT: RelationType.IS_A,
                     ActivityType.SEQUENTIAL: RelationType.PART_OF}
-        self.options: dict[str, tuple[str, ...]] = {
-            a: self._children.get((a, relation[t]), ())
-            for a, t in self.activity_type.items() if t is not ActivityType.ATOMIC
+        self.options: dict[int, tuple[int, ...]] = {
+            i: tuple(map(aidx, self._children.get((a.id, relation[a.type]), ())))
+            for i, a in enumerate(s.activities) if a.type is not ActivityType.ATOMIC
         }
 
         self.agent_ids: tuple[str, ...] = tuple(a.id for a in s.agents)
+        self.agent_elements: tuple[int, ...] = tuple(map(eidx, self.agent_ids))
         self.agent_specs: dict[str, AgentSpec] = {a.id: a for a in s.agents}
 
         by_agent: dict[str, list[HabitualConnection]] = {}
@@ -365,27 +384,37 @@ class ScenarioIndex:
             conn.setdefault(vc.agent, []).append(vc)
         self.connections_by_agent = {ag: tuple(rows) for ag, rows in conn.items()}
 
-        aff: dict[str, dict[int, float]] = {}
+        # activity int -> element int -> affordance strength
+        aff: dict[int, dict[int, float]] = {}
         for af in s.affordances:
-            aff.setdefault(af.activity, {})[self.eidx[af.context_element]] = af.strength
+            aff.setdefault(aidx(af.activity), {})[eidx(af.context_element)] = af.strength
         self.affordances_by_activity = aff
 
-        reqs: dict[str, list[tuple[str, float]]] = {}
+        # activity int -> its (competence, required) pairs
+        reqs: dict[int, list[tuple[str, float]]] = {}
         for cr in s.competence_requirements:
-            reqs.setdefault(cr.activity, []).append((cr.competence, cr.required))
+            reqs.setdefault(aidx(cr.activity), []).append((cr.competence, cr.required))
         self.requirements_by_activity = {a: tuple(r) for a, r in reqs.items()}
         self.levels_by_agent: dict[str, dict[str, float]] = {}
         for cl in s.competence_levels:
             self.levels_by_agent.setdefault(cl.agent, {})[cl.competence] = cl.level
 
-        self.placements: dict[str, tuple[str, ...]] = {
-            loc: res for loc, res in s.environment.placements
+        # A location's cues, by its element int: the location itself, then
+        # the resources placed there.
+        self.cues: dict[int, tuple[int, ...]] = {
+            eidx(e.id): (eidx(e.id),) for e in s.context_elements
+            if e.kind is ElementKind.LOCATION
         }
-        reloc: dict[int, list[Relocation]] = {}
+        for loc, res in s.environment.placements:
+            self.cues[eidx(loc)] = (eidx(loc), *map(eidx, res))
+        # tick -> (agent position in agent_ids, location element int)
+        position = {ag: i for i, ag in enumerate(self.agent_ids)}
+        reloc: dict[int, list[tuple[int, int]]] = {}
         for r in s.environment.relocations:
-            reloc.setdefault(r.tick, []).append(r)
+            reloc.setdefault(r.tick, []).append((position[r.agent], eidx(r.location)))
         self.relocations_by_tick = {t: tuple(rs) for t, rs in reloc.items()}
-        self.timepoints = s.environment.timepoints
+        self.timepoints: tuple[str, ...] = s.environment.timepoints
+        self.timepoint_elements: tuple[int, ...] = tuple(map(eidx, self.timepoints))
 
     def element_index(self, element: str) -> int:
         try:
@@ -406,18 +435,9 @@ class ScenarioIndex:
             raise UnknownIdError(f"unknown value: {value!r}") from None
 
     def type_of(self, activity: str) -> ActivityType:
-        try:
-            return self.activity_type[activity]
-        except KeyError:
-            raise UnknownIdError(f"unknown activity: {activity!r}") from None
+        return self.activity_type[self.activity_index(activity)]
 
     def children(self, activity: str, relation: RelationType | None = None) -> tuple[str, ...]:
-        if activity not in self.activity_type:
-            raise UnknownIdError(f"unknown activity: {activity!r}")
+        self.activity_index(activity)  # UnknownIdError for an unknown id
         return self._children.get((activity, relation), ())
-
-    def timepoint_at(self, tick: int) -> str | None:
-        if not self.timepoints:
-            return None
-        return self.timepoints[tick % len(self.timepoints)]
 

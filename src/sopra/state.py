@@ -3,47 +3,41 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ._kernel import get_backend
-from .errors import UnknownIdError
-from .model import Scenario, ScenarioIndex
+from .model import Scenario
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ContextSnapshot:
-    """The element tokens an agent perceives at one tick: its location,
+    """The context elements an agent perceives at one tick: its location,
     the current timepoint, resources placed at the location, co-located
-    agents, and its own previous activity. Built by `of`, which interns
-    the tokens once, when the snapshot is taken."""
+    agents, and its own previous activity. `ids` holds them as element
+    ints of the scenario index, ascending; `present` names them.
 
-    present: frozenset[str]
-    ids: tuple[int, ...]  # `present` interned by the scenario index, ascending
+    A plain slotted record, cheaper to make than a frozen one; nothing
+    updates it after construction."""
 
-    @classmethod
-    def of(cls, index: ScenarioIndex, present: Iterable[str]) -> ContextSnapshot:
-        """The snapshot of `present`; an element `index` does not know
-        raises UnknownIdError."""
-        present = frozenset(present)
-        try:
-            ids = tuple(sorted(map(index.eidx.__getitem__, present)))
-        except KeyError as exc:
-            raise UnknownIdError(f"unknown context element: {exc.args[0]!r}") from None
-        return cls(present, ids)
+    ids: tuple[int, ...]
+    element_ids: tuple[str, ...] = field(repr=False, compare=False)  # the index's
+
+    @property
+    def present(self) -> frozenset[str]:
+        return frozenset(map(self.element_ids.__getitem__, self.ids))
 
 
 @dataclass(slots=True)
 class SequentialFrame:
     """An entered sequential activity that still has parts to perform.
 
-    `completed` holds the PartOf children already done. `part_in_parent`
-    is the part of the enclosing frame's activity this subtree was
-    entered through.
+    All three fields hold activity ints. `completed` holds the PartOf
+    children already done. `part_in_parent` is the part of the enclosing
+    frame's activity this subtree was entered through.
     """
 
-    activity: str
-    completed: set[str] = field(default_factory=set)
-    part_in_parent: str | None = None
+    activity: int
+    completed: set[int] = field(default_factory=set)
+    part_in_parent: int | None = None
 
 
 @dataclass
@@ -53,15 +47,19 @@ class ExecutionState:
 
 @dataclass
 class AgentState:
+    """An agent's mutable state. `location` and `last_activity` hold
+    element ints of the scenario index; the score lists are indexed by
+    activity int."""
+
     agent_id: str
     habits: object  # HabitStore (selected backend)
     exec_state: ExecutionState
     resources: int
-    location: str
-    last_activity: str | None = None
-    # activity -> intentional score, raw and normalised; set by build_score_cache
-    score_raw: dict[str, float] | None = None
-    score_norm: dict[str, float] | None = None
+    location: int
+    last_activity: int | None = None
+    # intentional score of each activity, raw and normalised; set by build_score_cache
+    score_raw: list[float] | None = None
+    score_norm: list[float] | None = None
 
 
 def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
@@ -85,7 +83,7 @@ def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
         habits=store,
         exec_state=ExecutionState(),
         resources=spec.initial_resources,
-        location=spec.location,
+        location=idx.element_index(spec.location),
     )
 
 
@@ -105,11 +103,11 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
     total = 0.0
     for p in priorities.values():
         total = total + p
-    # activity -> value -> connection personal view
-    views: dict[str, dict[str, float]] = {}
+    # activity int -> value -> connection personal view
+    views: dict[int, dict[str, float]] = {}
     for vc in idx.connections_by_agent.get(agent, ()):
-        views.setdefault(vc.activity, {})[vc.value] = vc.views.personal_view
-    raw = dict.fromkeys(idx.activity_ids, 0.0)
+        views.setdefault(idx.aidx[vc.activity], {})[vc.value] = vc.views.personal_view
+    raw = [0.0] * len(idx.activity_ids)
     for a, row in views.items():
         acc = 0.0
         for v, p in priorities.items():
@@ -118,4 +116,4 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
                 acc = acc + p * view
         raw[a] = acc
     state.score_raw = raw
-    state.score_norm = {a: acc / total if total > 0.0 else 0.0 for a, acc in raw.items()}
+    state.score_norm = [acc / total if total > 0.0 else 0.0 for acc in raw]

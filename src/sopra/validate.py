@@ -342,7 +342,7 @@ def _check_rows(s: Scenario) -> list[Violation]:
                     )
         if sec.duplicate is None:
             continue
-        keys = list(map(sec.order, rows))
+        keys = list(map(sec.identity, rows))
         if len(set(keys)) == len(keys):
             continue
         seen: set = set()

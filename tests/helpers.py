@@ -1,14 +1,33 @@
-"""Shared document builders, the reference habit store and the reference
-argmax for the test suite."""
+"""Shared document builders, name-to-int conversions, the reference habit
+store and the reference argmax for the test suite."""
 
 from __future__ import annotations
 
 import copy
 import random
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from sopra._kernel import AGG_MAX, AGG_MEAN
+from sopra.model import ScenarioIndex
 from sopra.scenarios import bundled_document
+from sopra.state import ContextSnapshot
+
+
+def snapshot_of(index: ScenarioIndex, names: Iterable[str]) -> ContextSnapshot:
+    """The snapshot of the named elements; an unknown name raises
+    UnknownIdError."""
+    ids = {index.element_index(e) for e in names}
+    return ContextSnapshot(tuple(sorted(ids)), index.element_ids)
+
+
+def activity_ints(index: ScenarioIndex, names: Iterable[str]) -> tuple[int, ...]:
+    """The activity ints of `names`, in the given order; an unknown name
+    raises UnknownIdError."""
+    return tuple(index.activity_index(a) for a in names)
+
+
+def activity_names(index: ScenarioIndex, ints: Iterable[int]) -> tuple[str, ...]:
+    return tuple(index.activity_ids[a] for a in ints)
 
 
 def make_doc(**overrides: Any) -> dict[str, Any]:

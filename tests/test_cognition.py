@@ -4,11 +4,10 @@ import math
 import random
 
 import pytest
-from helpers import make_doc, reference_argmax
+from helpers import activity_names, make_doc, reference_argmax, snapshot_of
 from hypothesis import given, settings, strategies as st
 
 from sopra import (
-    ContextSnapshot,
     DecisionMode,
     DecisionStep,
     build_scenario,
@@ -38,14 +37,34 @@ def bob(commuting):
     return _agent(commuting, "bob")
 
 
+def _pressure(state, activity, ctx, scenario):
+    """`habitual_pressure` of the named activity."""
+    return habitual_pressure(state, scenario.index.aidx[activity], ctx, scenario)
+
+
+def _decide(state, node, ctx, exec_state, scenario, rng):
+    """`decide_step` at the named node."""
+    return decide_step(state, scenario.index.aidx[node], ctx, exec_state, scenario, rng)
+
+
+def _candidates(node, exec_state, scenario):
+    """`candidate_set` at the named node, as names."""
+    idx = scenario.index
+    return activity_names(idx, candidate_set(idx.activity_index(node), exec_state, scenario))
+
+
+def _chosen(step, scenario):
+    return scenario.index.activity_ids[step.chosen]
+
+
 def test_pressure_is_mean_over_context(commuting, bob):
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning"})
-    assert habitual_pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
+    ctx = snapshot_of(commuting.index, {"bobs_car", "Morning"})
+    assert _pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
         (0.8 + 0.4) / 2
     )
     # An element with no stored strength anywhere on its chain counts 0.
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning", "Home"})
-    assert habitual_pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
+    ctx = snapshot_of(commuting.index, {"bobs_car", "Morning", "Home"})
+    assert _pressure(bob, "drive_car_to_work", ctx, commuting) == pytest.approx(
         (0.8 + 0.4 + 0.0) / 3
     )
 
@@ -56,8 +75,8 @@ def test_pressure_aggregation_modes(commuting_doc):
                                                pressureAggregation=mode))
         s = build_scenario(doc)
         state = init_agent_state(s, "bob")
-        ctx = ContextSnapshot.of(s.index, {"bobs_car", "Morning"})
-        assert habitual_pressure(state, "drive_car_to_work", ctx, s) == pytest.approx(want)
+        ctx = snapshot_of(s.index, {"bobs_car", "Morning"})
+        assert _pressure(state, "drive_car_to_work", ctx, s) == pytest.approx(want)
 
 
 def test_pressure_attenuates_along_ancestors():
@@ -74,10 +93,10 @@ def test_pressure_attenuates_along_ancestors():
     doc["globals"] = {"attenuation": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    one = lambda e: ContextSnapshot.of(s.index, {e})
-    assert habitual_pressure(state, "opt_a", one("c1"), s) == pytest.approx(0.8)
-    assert habitual_pressure(state, "opt_a", one("c2"), s) == pytest.approx(0.4)
-    assert habitual_pressure(state, "opt_a", one("c3"), s) == pytest.approx(0.2)
+    one = lambda e: snapshot_of(s.index, {e})
+    assert _pressure(state, "opt_a", one("c1"), s) == pytest.approx(0.8)
+    assert _pressure(state, "opt_a", one("c2"), s) == pytest.approx(0.4)
+    assert _pressure(state, "opt_a", one("c3"), s) == pytest.approx(0.2)
 
 
 def test_pressure_skips_zero_strength_ancestors():
@@ -98,79 +117,81 @@ def test_pressure_skips_zero_strength_ancestors():
     doc["globals"] = {"attenuation": 0.5}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    ctx = ContextSnapshot.of(s.index, {"c3"})
-    assert habitual_pressure(state, "opt_a", ctx, s) == pytest.approx(0.2)
+    ctx = snapshot_of(s.index, {"c3"})
+    assert _pressure(state, "opt_a", ctx, s) == pytest.approx(0.2)
 
 
 def test_empty_context_is_an_error(commuting, bob):
     with pytest.raises(ValueError):
-        habitual_pressure(bob, "drive_car_to_work", ContextSnapshot.of(commuting.index, ()),
-                          commuting)
+        _pressure(bob, "drive_car_to_work", snapshot_of(commuting.index, ()), commuting)
 
 
 def test_intentional_score_examples(commuting, bob):
+    aidx = commuting.index.aidx
     # priorities: environmentalism 1.0, efficiency 0.2
-    assert bob.score_raw["ride_bike_to_work"] == pytest.approx(1.0)
-    assert bob.score_raw["drive_car_to_work"] == pytest.approx(0.2)
-    assert bob.score_raw["take_train_to_work"] == pytest.approx(0.14)
-    assert set(bob.score_raw) == set(commuting.index.activity_ids)
+    assert bob.score_raw[aidx["ride_bike_to_work"]] == pytest.approx(1.0)
+    assert bob.score_raw[aidx["drive_car_to_work"]] == pytest.approx(0.2)
+    assert bob.score_raw[aidx["take_train_to_work"]] == pytest.approx(0.14)
+    assert len(bob.score_raw) == len(commuting.index.activity_ids)
     total = 1.0 + 0.2
-    for a, raw in bob.score_raw.items():
+    for a, raw in enumerate(bob.score_raw):
         assert bob.score_norm[a] == pytest.approx(raw / total)
     alice = _agent(commuting, "alice")
-    assert alice.score_raw["drive_car_to_work"] == pytest.approx(0.9 * 0.95)
+    assert alice.score_raw[aidx["drive_car_to_work"]] == pytest.approx(0.9 * 0.95)
 
 
 def test_candidate_set(commuting):
     es = ExecutionState()
-    assert candidate_set("commuting", es, commuting) == (
+    assert _candidates("commuting", es, commuting) == (
         "bring_kids_to_school", "go_to_work"
     )
-    assert candidate_set("go_to_work", es, commuting) == (
+    assert _candidates("go_to_work", es, commuting) == (
         "drive_car_to_work", "ride_bike_to_work", "take_train_to_work", "walk_to_work"
     )
     with pytest.raises(ValueError):
-        candidate_set("walk_to_work", es, commuting)
+        _candidates("walk_to_work", es, commuting)
 
 
 def test_candidate_set_excludes_completed_parts(commuting):
     from sopra.state import SequentialFrame
 
+    aidx = commuting.index.aidx
     es = ExecutionState()
-    es.pending.append(SequentialFrame("commuting", completed={"bring_kids_to_school"}))
-    assert candidate_set("commuting", es, commuting) == ("go_to_work",)
+    es.pending.append(SequentialFrame(aidx["commuting"],
+                                      completed={aidx["bring_kids_to_school"]}))
+    assert _candidates("commuting", es, commuting) == ("go_to_work",)
 
 
 def _ctx(scenario, *extra):
-    return ContextSnapshot.of(scenario.index, {"Home", "Morning", *extra})
+    return snapshot_of(scenario.index, {"Home", "Morning", *extra})
 
 
 def test_decide_step_habitual_above_threshold(commuting, bob):
     # bobs_car present: pressure over {Home, Morning, bobs_car} for
     # drive_car_to_work is (0 + 0.4 + 0.8) / 3 = 0.4 < 0.5 threshold, so
     # raise the car cue to Morning-only context instead.
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning"})
-    step = decide_step(bob, "go_to_work", ctx, ExecutionState(), commuting, RNG())
+    ctx = snapshot_of(commuting.index, {"bobs_car", "Morning"})
+    step = _decide(bob, "go_to_work", ctx, ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
-    assert step.chosen == "drive_car_to_work"
+    assert _chosen(step, commuting) == "drive_car_to_work"
     assert step.pressure == pytest.approx(0.6)
     assert bob.resources == 2  # habitual picks are free
 
 
 def test_decide_step_intentional_below_threshold(commuting, bob):
-    step = decide_step(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
+    step = _decide(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
-    assert step.chosen == "ride_bike_to_work"  # score 1.0 beats 0.2/0.14/0.9
+    assert _chosen(step, commuting) == "ride_bike_to_work"  # score 1.0 beats 0.2/0.14/0.9
     assert step.score == pytest.approx(1.0 / 1.2)
     assert bob.resources == 1  # one deliberation spent
 
 
 def test_decide_step_habitual_when_attention_exhausted(commuting, bob):
     bob.resources = 0
-    step = decide_step(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
+    step = _decide(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
     # Pressures over {Home, Morning}: drive_car (0 + 0.4) / 2, rest 0.
-    assert step.chosen == "drive_car_to_work"
+    assert _chosen(step, commuting) == "drive_car_to_work"
     assert step.pressure == pytest.approx(0.2)
 
 
@@ -180,9 +201,9 @@ def test_decide_step_lexicographic_ties():
     doc["valueConnections"][1]["personalView"] = 0.9
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s, RNG())
+    step = _decide(state, "act_root", _ctx(s), ExecutionState(), s, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
-    assert step.chosen == "opt_a"
+    assert _chosen(step, s) == "opt_a"
 
 
 def test_decide_step_uniform_ties_use_rng():
@@ -194,9 +215,9 @@ def test_decide_step_uniform_ties_use_rng():
     picks = set()
     for seed in range(12):
         state = _agent(s, "ag1")
-        step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s,
+        step = _decide(state, "act_root", _ctx(s), ExecutionState(), s,
                            random.Random(seed))
-        picks.add(step.chosen)
+        picks.add(_chosen(step, s))
     assert picks == {"opt_a", "opt_b"}
 
 
@@ -207,8 +228,8 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
     state = _agent(s, "ag1")
     rng = random.Random(5)
     before = rng.getstate()
-    step = decide_step(state, "act_root", _ctx(s), ExecutionState(), s, rng)
-    assert step.chosen == "opt_a"
+    step = _decide(state, "act_root", _ctx(s), ExecutionState(), s, rng)
+    assert _chosen(step, s) == "opt_a"
     assert rng.getstate() == before
 
 
@@ -234,26 +255,28 @@ def test_decision_cycle_walks_to_atomic(commuting, bob):
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     # Fresh cycle enters the sequential root, picks the lexicographically
     # planned part order by score: both parts tie at 0, so bring_kids wins.
-    assert [s.node for s in steps] == ["commuting", "bring_kids_to_school"]
-    assert steps[-1].chosen == "ride_bike_to_school"
+    idx = commuting.index
+    assert activity_names(idx, [s.node for s in steps]) == ("commuting", "bring_kids_to_school")
+    assert _chosen(steps[-1], commuting) == "ride_bike_to_school"
     frame = bob.exec_state.pending[-1]
-    assert frame.activity == "commuting"
-    assert frame.completed == {"bring_kids_to_school"}
+    assert frame.activity == idx.aidx["commuting"]
+    assert frame.completed == {idx.aidx["bring_kids_to_school"]}
 
 
 def test_decision_cycle_resumes_pending_sequential(commuting, bob):
     decision_cycle(bob, _ctx(commuting), commuting, RNG())
     bob.resources = 2  # what the engine's per-tick replenish would do
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
-    assert steps[0].node == "commuting"
-    assert steps[0].chosen == "go_to_work"
-    assert steps[-1].chosen == "ride_bike_to_work"
+    aidx = commuting.index.aidx
+    assert steps[0].node == aidx["commuting"]
+    assert steps[0].chosen == aidx["go_to_work"]
+    assert steps[-1].chosen == aidx["ride_bike_to_work"]
     # All parts done: the stack unwinds and the next cycle starts fresh.
     assert bob.exec_state.pending == []
     bob.resources = 2
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
-    assert steps[0].node == "commuting"
-    assert steps[-1].chosen == "ride_bike_to_school"
+    assert steps[0].node == aidx["commuting"]
+    assert steps[-1].chosen == aidx["ride_bike_to_school"]
 
 
 def test_decision_cycle_atomic_root():
@@ -264,9 +287,10 @@ def test_decision_cycle_atomic_root():
     doc["roots"] = ["only"]
     s = build_scenario(doc)
     state = _agent(s, "ag1")
+    only = s.index.aidx["only"]
     # One habitual step with no choice: no attention is spent.
     assert decision_cycle(state, _ctx(s), s, RNG()) == [
-        DecisionStep("only", "only", DecisionMode.HABITUAL, 0.0, 0.0, ("only",))
+        DecisionStep(only, only, DecisionMode.HABITUAL, 0.0, 0.0, (only,))
     ]
     assert state.resources == 1
 
@@ -278,12 +302,13 @@ def test_decision_cycle_attention_budget_depletes(commuting, bob):
     assert bob.resources == 0
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert [s.mode for s in steps] == [DecisionMode.HABITUAL] * 2
-    assert steps[-1].chosen == "drive_car_to_work"  # only nonzero pressure via Morning cue
+    # only nonzero pressure via Morning cue
+    assert _chosen(steps[-1], commuting) == "drive_car_to_work"
 
 
 def test_last_step_candidates(commuting, bob):
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
-    assert steps[-1].candidates == (
+    assert activity_names(commuting.index, steps[-1].candidates) == (
         "drive_car_to_school", "ride_bike_to_school",
         "take_train_to_school", "walk_to_school",
     )
@@ -314,6 +339,6 @@ def test_nested_sequential_completion():
     doc["roots"] = ["outer"]
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    performed = [decision_cycle(state, _ctx(s), s, RNG())[-1].chosen for _ in range(3)]
+    performed = [_chosen(decision_cycle(state, _ctx(s), s, RNG())[-1], s) for _ in range(3)]
     assert performed == ["a1", "a2", "tail"]
     assert state.exec_state.pending == []

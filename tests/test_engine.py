@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from helpers import make_doc, mutation_fixtures
+from helpers import make_doc, mutation_fixtures, snapshot_of
 
 from sopra import (
-    ContextSnapshot,
     DecisionMode,
     InvalidScenarioError,
     UnknownIdError,
@@ -33,35 +32,37 @@ def _two_agents_doc():
 
 def test_snapshot_contents():
     w = World(build_scenario(_two_agents_doc()))
-    assert snapshot_context(w, "ag1").present == {"Home", "Morning", "mat", "ag2"}
-    w.states["ag1"].last_activity = "opt_b"
-    assert snapshot_context(w, "ag1").present == {"Home", "Morning", "mat", "ag2", "opt_b"}
+    eidx = w.scenario.index.eidx
+    ag1, ag2 = eidx["ag1"], eidx["ag2"]
+    assert snapshot_context(w, ag1).present == {"Home", "Morning", "mat", "ag2"}
+    w.states["ag1"].last_activity = eidx["opt_b"]
+    assert snapshot_context(w, ag1).present == {"Home", "Morning", "mat", "ag2", "opt_b"}
     # Timepoints cycle with the tick; other locations drop co-location.
     w.tick = 1
-    w.states["ag2"].location = "Away"
-    assert snapshot_context(w, "ag1").present == {"Home", "Evening", "mat", "opt_b"}
-    assert snapshot_context(w, "ag2").present == {"Away", "Evening"}
+    w.states["ag2"].location = eidx["Away"]
+    assert snapshot_context(w, ag1).present == {"Home", "Evening", "mat", "opt_b"}
+    assert snapshot_context(w, ag2).present == {"Away", "Evening"}
     w.tick = 2
-    assert "Morning" in snapshot_context(w, "ag1").present
+    assert "Morning" in snapshot_context(w, ag1).present
 
 
 
 def test_snapshot_interns_its_elements_when_taken():
     s = build_scenario(_two_agents_doc())
     idx = s.index
-    snap = ContextSnapshot.of(idx, ["ag2", "Morning", "Home", "Morning"])
+    snap = snapshot_of(idx, ["ag2", "Morning", "Home", "Morning"])
     assert snap.present == {"Home", "Morning", "ag2"}
     assert snap.ids == tuple(sorted(idx.element_index(e) for e in snap.present))
-    assert snap == ContextSnapshot.of(idx, {"Home", "Morning", "ag2"})
+    assert snap == snapshot_of(idx, {"Home", "Morning", "ag2"})
     w = World(s)
-    taken = snapshot_context(w, "ag1")
+    taken = snapshot_context(w, idx.eidx["ag1"])
     assert taken.ids == tuple(sorted(idx.element_index(e) for e in taken.present))
 
 
 def test_snapshot_with_unknown_element_fails_to_intern():
     s = build_scenario(_two_agents_doc())
     with pytest.raises(UnknownIdError, match="nowhere"):
-        ContextSnapshot.of(s.index, {"Home", "nowhere"})
+        snapshot_of(s.index, {"Home", "nowhere"})
 
 
 def test_event_rows_per_tick(commuting):

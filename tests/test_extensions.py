@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from helpers import make_doc
+from helpers import activity_ints, activity_names, make_doc, snapshot_of
 
 from sopra import (
-    ContextSnapshot,
     DecisionMode,
     ScenarioError,
     World,
@@ -19,19 +18,36 @@ from sopra import (
 
 
 def _ctx(scenario, *elems):
-    return ContextSnapshot.of(scenario.index, elems)
+    return snapshot_of(scenario.index, elems)
+
+
+def _afforded(activity, ctx, scenario):
+    """`afforded` for the named activity."""
+    return afforded(scenario.index.activity_index(activity), ctx, scenario)
+
+
+def _competent(agent_id, activity, scenario):
+    """`competent` for the named activity."""
+    return competent(agent_id, scenario.index.activity_index(activity), scenario)
+
+
+def _filter(candidates, agent_id, ctx, scenario):
+    """`filter_candidates` over named candidates; the kept ones by name."""
+    idx = scenario.index
+    kept, fallback = filter_candidates(activity_ints(idx, candidates), agent_id, ctx, scenario)
+    return list(activity_names(idx, kept)), fallback
 
 
 def test_afforded(extensions_demo):
     s = extensions_demo
-    assert afforded("sit", _ctx(s, "LivingRoom", "chair"), s) == 1.0
+    assert _afforded("sit", _ctx(s, "LivingRoom", "chair"), s) == 1.0
     # The declared affordance exists but its element is absent here.
-    assert afforded("sit", _ctx(s, "Patio"), s) == 0.0
+    assert _afforded("sit", _ctx(s, "Patio"), s) == 0.0
     # Undeclared activities are unconstrained anywhere.
-    assert afforded("stand", _ctx(s, "Patio"), s) == 1.0
-    assert afforded("relax", _ctx(s, "Patio"), s) == 1.0
+    assert _afforded("stand", _ctx(s, "Patio"), s) == 1.0
+    assert _afforded("relax", _ctx(s, "Patio"), s) == 1.0
     with pytest.raises(ScenarioError):
-        afforded("fly", _ctx(s, "Patio"), s)
+        _afforded("fly", _ctx(s, "Patio"), s)
 
 
 def test_afforded_takes_best_present_offer():
@@ -45,9 +61,9 @@ def test_afforded_takes_best_present_offer():
         {"contextElement": "sofa", "activity": "opt_a", "strength": 0.9},
     ]
     s = build_scenario(doc)
-    assert afforded("opt_a", _ctx(s, "Home", "stool"), s) == 0.4
-    assert afforded("opt_a", _ctx(s, "Home", "stool", "sofa"), s) == 0.9
-    assert afforded("opt_a", _ctx(s, "Home"), s) == 0.0
+    assert _afforded("opt_a", _ctx(s, "Home", "stool"), s) == 0.4
+    assert _afforded("opt_a", _ctx(s, "Home", "stool", "sofa"), s) == 0.9
+    assert _afforded("opt_a", _ctx(s, "Home"), s) == 0.0
 
 
 def test_afforded_counts_any_context_element():
@@ -57,17 +73,18 @@ def test_afforded_counts_any_context_element():
     doc = bundled_document("extensions_demo")
     doc["affordances"] = [{"contextElement": "LivingRoom", "activity": "sit", "strength": 0.7}]
     w = World(build_scenario(doc))
-    assert afforded("sit", snapshot_context(w, "dana"), w.scenario) == 0.7
-    w.states["dana"].location = "Patio"
-    assert afforded("sit", snapshot_context(w, "dana"), w.scenario) == 0.0
+    eidx = w.scenario.index.eidx
+    assert _afforded("sit", snapshot_context(w, eidx["dana"]), w.scenario) == 0.7
+    w.states["dana"].location = eidx["Patio"]
+    assert _afforded("sit", snapshot_context(w, eidx["dana"]), w.scenario) == 0.0
 
 
 def test_competent(extensions_demo):
     s = extensions_demo
-    assert competent("dana", "sit", s) == pytest.approx(1.0)  # 0.8/0.4 capped at 1
-    assert competent("dana", "stand", s) == 1.0  # nothing required
+    assert _competent("dana", "sit", s) == pytest.approx(1.0)  # 0.8/0.4 capped at 1
+    assert _competent("dana", "stand", s) == 1.0  # nothing required
     with pytest.raises(ScenarioError):
-        competent("dana", "hover", s)
+        _competent("dana", "hover", s)
 
 
 def test_competent_partial_and_missing_levels():
@@ -80,9 +97,9 @@ def test_competent_partial_and_missing_levels():
         ],
     }
     s = build_scenario(doc)
-    assert competent("ag1", "opt_a", s) == pytest.approx(0.5)
+    assert _competent("ag1", "opt_a", s) == pytest.approx(0.5)
     # A requirement with no declared level scores zero.
-    assert competent("ag1", "opt_b", s) == 0.0
+    assert _competent("ag1", "opt_b", s) == 0.0
 
 
 def test_competent_multiple_requirements_take_min():
@@ -98,15 +115,14 @@ def test_competent_multiple_requirements_take_min():
         ],
     }
     s = build_scenario(doc)
-    assert competent("ag1", "opt_a", s) == pytest.approx(0.25)
+    assert _competent("ag1", "opt_a", s) == pytest.approx(0.25)
 
 
 def test_filter_candidates(extensions_demo):
     s = extensions_demo  # feasibilityThreshold 0.5
-    kept, fallback = filter_candidates(["sit", "stand"], "dana",
-                                       _ctx(s, "LivingRoom", "chair"), s)
+    kept, fallback = _filter(["sit", "stand"], "dana", _ctx(s, "LivingRoom", "chair"), s)
     assert (kept, fallback) == (["sit", "stand"], False)
-    kept, fallback = filter_candidates(["sit", "stand"], "dana", _ctx(s, "Patio"), s)
+    kept, fallback = _filter(["sit", "stand"], "dana", _ctx(s, "Patio"), s)
     assert (kept, fallback) == (["stand"], False)
 
 
@@ -118,7 +134,7 @@ def test_filter_candidates_fallback_keeps_original():
     ]
     doc["globals"] = {"extensionsEnabled": True, "feasibilityThreshold": 0.5}
     s = build_scenario(doc)
-    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
+    kept, fallback = _filter(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
     assert (kept, fallback) == (["opt_a", "opt_b"], True)
 
 
@@ -129,7 +145,7 @@ def test_threshold_zero_is_identity():
     ]
     doc["globals"] = {"extensionsEnabled": True, "feasibilityThreshold": 0.0}
     s = build_scenario(doc)
-    kept, fallback = filter_candidates(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
+    kept, fallback = _filter(["opt_a", "opt_b"], "ag1", _ctx(s, "Home"), s)
     assert (kept, fallback) == (["opt_a", "opt_b"], False)
 
 

@@ -57,11 +57,11 @@ def test_children_by_relation(commuting, commuting_doc):
 def _assert_options_follow_children(scenario):
     idx = scenario.index
     composite = [a for a in idx.activity_ids if idx.type_of(a) is not ActivityType.ATOMIC]
-    assert sorted(idx.options) == composite  # atomic nodes are absent
+    assert sorted(idx.options) == [idx.aidx[a] for a in composite]  # atomic nodes are absent
     for a in composite:
         relation = (RelationType.IS_A if idx.type_of(a) is ActivityType.ABSTRACT
                     else RelationType.PART_OF)
-        assert idx.options[a] == idx.children(a, relation)
+        assert idx.options[idx.aidx[a]] == tuple(idx.aidx[c] for c in idx.children(a, relation))
 
 
 @pytest.mark.parametrize("name", list_bundled())

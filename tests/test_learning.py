@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from helpers import make_doc
+from helpers import activity_ints, make_doc, snapshot_of
 
 from sopra import (
-    ContextSnapshot,
     ObservationEvent,
     build_scenario,
     equilibrium_strength,
@@ -34,18 +33,13 @@ def _reinforce(state, scenario, activity, ctx):
                             idx.agent_specs[state.agent_id].habit_rate, 0.0, False)
 
 
-def _home():
-    """A snapshot of just Home, for tests that need no scenario."""
-    return ContextSnapshot.of(build_scenario(make_doc()).index, {"Home"})
-
-
 @pytest.fixture
 def bob(commuting):
     return init_agent_state(commuting, "bob")
 
 
 def test_reinforce_closes_gap_to_one(commuting, bob):
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car", "Morning", "Home"})
+    ctx = snapshot_of(commuting.index, {"bobs_car", "Morning", "Home"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[0] == pytest.approx(
         0.8 + 0.1 * 0.2
@@ -60,7 +54,7 @@ def test_reinforce_closes_gap_to_one(commuting, bob):
 
 
 def test_reinforce_leaves_personal_views_alone(commuting, bob):
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car"})
+    ctx = snapshot_of(commuting.index, {"bobs_car"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)
     assert _views(bob, commuting, "drive_car_to_work", "bobs_car")[1] == 0.8
 
@@ -96,7 +90,7 @@ def test_habit_tick_decay_all_uses_fused_update():
     doc["globals"] = {"decayRate": 0.1, "decayAll": True}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    habit_tick(state, "opt_a", ContextSnapshot.of(s.index, {"Home"}), s)
+    habit_tick(state, s.index.aidx["opt_a"], snapshot_of(s.index, {"Home"}), s)
     # (1-d)h + r(1-h) = 0.45 + 0.25, not the sequential 0.675.
     assert _views(state, s, "opt_a", "Home")[0] == pytest.approx(0.7)
 
@@ -118,11 +112,11 @@ def test_decay_all_converges_to_equilibrium():
     doc["globals"] = {"decayRate": 0.05, "decayAll": True}
     s = build_scenario(doc)
     state = init_agent_state(s, "ag1")
-    ctx = ContextSnapshot.of(s.index, {"Home"})
+    ctx = snapshot_of(s.index, {"Home"})
     star = equilibrium_strength(0.2, 0.05)
     gap = star  # starts at 0
     for _ in range(60):
-        habit_tick(state, "opt_a", ctx, s)
+        habit_tick(state, s.index.aidx["opt_a"], ctx, s)
         h = _views(state, s, "opt_a", "Home")[0]
         new_gap = abs(h - star)
         # The update contracts toward the fixed point by |1 - r - d|.
@@ -138,14 +132,14 @@ def test_faster_habit_rate_reinforces_more():
         doc["agents"][0]["habitRate"] = rate
         s = build_scenario(doc)
         state = init_agent_state(s, "ag1")
-        habit_tick(state, "opt_a", ContextSnapshot.of(s.index, {"Home"}), s)
+        habit_tick(state, s.index.aidx["opt_a"], snapshot_of(s.index, {"Home"}), s)
         h = _views(state, s, "opt_a", "Home")[0]
         assert h > prev
         prev = h
 
 
 def test_update_personal_view_tracks_strength(commuting, bob):
-    ctx = ContextSnapshot.of(commuting.index, {"bobs_car"})
+    ctx = snapshot_of(commuting.index, {"bobs_car"})
     _reinforce(bob, commuting, "drive_car_to_work", ctx)  # s: 0.8 -> 0.82
     update_personal_view(bob, commuting)  # awareness 0.5
     s, p, _ = _views(bob, commuting, "drive_car_to_work", "bobs_car")
@@ -171,10 +165,10 @@ def _two_agent_scenario(**globals_overrides):
 def test_observe_strengthens_acted_and_weakens_competitors():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    ctx = ContextSnapshot.of(s.index, {"Home", "Morning"})
-    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
+    ctx = snapshot_of(s.index, {"Home", "Morning"})
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity=s.index.aidx["opt_a"],
                           context=ctx, tick=3)
-    observe(ev, s, states, candidates=("opt_a", "opt_b"))
+    observe(ev, s, states, candidates=activity_ints(s.index, ("opt_a", "opt_b")))
     # New collective views form at 0 and move up by the learning rate.
     assert _views(states["ag2"], s, "opt_a", "Home")[2] == pytest.approx(0.3)
     assert _views(states["ag2"], s, "opt_a", "Morning")[2] == pytest.approx(0.3)
@@ -192,26 +186,27 @@ def test_observe_strengthens_acted_and_weakens_competitors():
 def test_observe_requires_co_location():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    states["ag1"].location = "Away"
-    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
-                          context=ContextSnapshot.of(s.index, {"Away"}), tick=0)
+    states["ag1"].location = s.index.eidx["Away"]
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity=s.index.aidx["opt_a"],
+                          context=snapshot_of(s.index, {"Away"}), tick=0)
     with pytest.raises(ValueError):
         observe(ev, s, states)
 
 
 def test_observation_event_rejects_self():
+    s = build_scenario(make_doc())
     with pytest.raises(ValueError):
-        ObservationEvent(observers=("ag1",), actor="ag1", activity="opt_a",
-                         context=_home(), tick=0)
+        ObservationEvent(observers=("ag1",), actor="ag1", activity=s.index.aidx["opt_a"],
+                         context=snapshot_of(s.index, {"Home"}), tick=0)
 
 
 def test_observe_ignores_acted_among_candidates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    ctx = ContextSnapshot.of(s.index, {"Home"})
-    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
+    ctx = snapshot_of(s.index, {"Home"})
+    ev = ObservationEvent(observers=("ag2",), actor="ag1", activity=s.index.aidx["opt_a"],
                           context=ctx, tick=0)
-    observe(ev, s, states, candidates=("opt_a",))
+    observe(ev, s, states, candidates=activity_ints(s.index, ("opt_a",)))
     # One positive update only; the acted activity is not its own competitor.
     assert _views(states["ag2"], s, "opt_a", "Home")[2] == pytest.approx(0.3)
 
@@ -219,10 +214,10 @@ def test_observe_ignores_acted_among_candidates():
 def test_repeated_observation_saturates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
-    ctx = ContextSnapshot.of(s.index, {"Home"})
+    ctx = snapshot_of(s.index, {"Home"})
     last = 0.0
     for t in range(80):
-        ev = ObservationEvent(observers=("ag2",), actor="ag1", activity="opt_a",
+        ev = ObservationEvent(observers=("ag2",), actor="ag1", activity=s.index.aidx["opt_a"],
                               context=ctx, tick=t)
         observe(ev, s, states)
         cur = _views(states["ag2"], s, "opt_a", "Home")[2]
@@ -292,17 +287,19 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
     for actor in here:
         activity, ctx, cands = _PERFORMANCES[actor]
         observers = tuple(ag for ag in here if ag != actor)
-        ev = ObservationEvent(observers=observers, actor=actor, activity=activity,
-                              context=ContextSnapshot.of(s.index, ctx), tick=0)
-        observe(ev, s, fanned, candidates=cands)
+        ev = ObservationEvent(observers=observers, actor=actor,
+                              activity=s.index.aidx[activity],
+                              context=snapshot_of(s.index, ctx), tick=0)
+        observe(ev, s, fanned, candidates=activity_ints(s.index, cands))
     for observer in here:
         for actor in here:
             if actor == observer:
                 continue
             activity, ctx, cands = _PERFORMANCES[actor]
-            ev = ObservationEvent(observers=(observer,), actor=actor, activity=activity,
-                                  context=ContextSnapshot.of(s.index, ctx), tick=0)
-            observe(ev, s, paired, candidates=cands)
+            ev = ObservationEvent(observers=(observer,), actor=actor,
+                                  activity=s.index.aidx[activity],
+                                  context=snapshot_of(s.index, ctx), tick=0)
+            observe(ev, s, paired, candidates=activity_ints(s.index, cands))
     for ag in fanned:
         assert fanned[ag].habits.items() == paired[ag].habits.items()
     # Each observer did learn something from the others.
@@ -312,17 +309,19 @@ def test_fan_out_equals_pairwise_observation_in_id_order():
 
 
 def test_observation_event_rejects_actor_among_observers():
+    s = build_scenario(make_doc())
     with pytest.raises(ValueError):
         ObservationEvent(observers=("ag2", "ag1", "ag3"), actor="ag1",
-                         activity="opt_a", context=_home(), tick=0)
+                         activity=s.index.aidx["opt_a"],
+                         context=snapshot_of(s.index, {"Home"}), tick=0)
 
 
 def test_fan_out_rejects_non_co_located_observer_and_updates_nobody():
     s, states = _crowd_scenario()
     before = {ag: states[ag].habits.items() for ag in states}
-    ev = ObservationEvent(observers=("ag2", "ag5"), actor="ag1", activity="opt_a",
-                          context=ContextSnapshot.of(s.index, {"Home"}), tick=0)
+    ev = ObservationEvent(observers=("ag2", "ag5"), actor="ag1", activity=s.index.aidx["opt_a"],
+                          context=snapshot_of(s.index, {"Home"}), tick=0)
     with pytest.raises(ValueError, match="ag5"):
-        observe(ev, s, states, candidates=("opt_a", "opt_b"))
+        observe(ev, s, states, candidates=activity_ints(s.index, ("opt_a", "opt_b")))
     for ag in states:
         assert states[ag].habits.items() == before[ag]

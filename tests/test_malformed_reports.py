@@ -195,6 +195,13 @@ CASES: dict[str, Callable[[Doc], None]] = {
         _set("valueConnections", 3, "value", "speed"),
     ),
     "mapping_proxy_rows": _proxy_rows,
+    # One agent relocated twice at one tick; the location does not matter.
+    "duplicate_relocation": lambda doc: doc["environment"]["relocations"].extend([
+        {"tick": 3, "agent": "bob", "location": "Office"},
+        {"tick": 3, "agent": "alice", "location": "Office"},
+        {"tick": 4, "agent": "bob", "location": "Office"},
+        {"tick": 3, "agent": "bob", "location": "School"},
+    ]),
     "mixed_defects": _all(
         _set("contextElements", 0, "id", "Ho me"),
         _set("activities", 2, "type", "Composite"),
@@ -433,6 +440,13 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "dangling-reference: valueConnections[dave]: unknown agent 'dave'",
             "dangling-reference: valueConnections[dave]: unknown activity 'teleport'",
             "dangling-reference: valueConnections[dave]: unknown value 'speed'",
+        ],
+    ),
+    "duplicate_relocation": (
+        [],
+        [],
+        [
+            "multiplicity: duplicate relocation '3:bob'",
         ],
     ),
     "good_id_after_bad": (

@@ -221,16 +221,48 @@ def test_bucketed_snapshot_equals_standalone_scan(world_and_seed):
     world = World(scenario, seed)
     taken = []
 
-    def check(w, agent_id, here):
-        snap = snapshot_context(w, agent_id, here)
-        alone = snapshot_context(w, agent_id)
+    def check(w, agent, here):
+        snap = snapshot_context(w, agent, here)
+        alone = snapshot_context(w, agent)
         assert snap == alone
         assert snap.ids == tuple(
             sorted(w.scenario.index.element_index(e) for e in alone.present)
         )
-        taken.append(agent_id)
+        taken.append(agent)
         return snap
 
     with mock.patch.object(sopra.engine, "snapshot_context", check):
         world.run(7)
-    assert taken == list(scenario.index.agent_ids) * 7
+    idx = scenario.index
+    assert [idx.element_ids[e] for e in taken] == list(idx.agent_ids) * 7
+
+
+@given(relocating_worlds())
+@settings(max_examples=40, deadline=None)
+def test_snapshot_is_the_documented_context(world_and_seed):
+    """C(a, t) as docs/model.md defines it, from names: the agent's
+    location, the tick's timepoint, the resources placed there, the other
+    agents there, and the activity it performed last tick."""
+    scenario, seed = world_and_seed
+    idx = scenario.index
+    env = scenario.environment
+    placements = dict(env.placements)
+    location = {spec.id: spec.location for spec in scenario.agents}
+    last: dict[str, str] = {}
+    world = World(scenario, seed)
+    for t in range(8):
+        for a, here in location.items():
+            want = {here, *placements.get(here, ())}
+            want.update(b for b, there in location.items() if b != a and there == here)
+            if env.timepoints:
+                want.add(env.timepoints[t % len(env.timepoints)])
+            if a in last:
+                want.add(last[a])
+            snap = snapshot_context(world, idx.eidx[a])
+            assert snap.ids == tuple(sorted(idx.eidx[e] for e in want))
+            assert snap.present == want
+        for e in world.step():
+            last[e.agent] = e.activity
+        for r in env.relocations:
+            if r.tick == t:
+                location[r.agent] = r.location

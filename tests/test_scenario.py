@@ -257,10 +257,12 @@ def _assert_canonical(doc, rng):
     section = {sec.attr: sec for sec in ROW_SECTIONS}
     for table, attr in ((idx.habitual_by_agent, "habitual_connections"),
                         (idx.priorities_by_agent, "value_priorities"),
-                        (idx.connections_by_agent, "value_connections"),
-                        (idx.relocations_by_tick, "environment.relocations")):
+                        (idx.connections_by_agent, "value_connections")):
         for rows in table.values():
             assert rows == _sorted_by(rows, section[attr].order), attr
+    # (agent position, location int) pairs, and ints follow id order.
+    for moves in idx.relocations_by_tick.values():
+        assert moves == tuple(sorted(moves))
     for reqs in idx.requirements_by_activity.values():
         assert reqs == tuple(sorted(reqs))
 
@@ -300,7 +302,8 @@ def test_schema_doc_lists_each_row_section_as_the_code_does():
     ]
     for row, sec in zip(table, ROW_SECTIONS):
         if sec.duplicate is not None:
-            assert row[2] == f"`duplicate {sec.duplicate}`"
+            on = " on " + ", ".join(f"`{camel(f)}`" for f in sec.unique) if sec.unique else ""
+            assert row[2] == f"`duplicate {sec.duplicate}`{on}"
         assert row[3] == ("" if sec.bounded is None
                           else "views" if sec.bounded == "views" else f"`{sec.bounded}`")
 

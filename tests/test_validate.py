@@ -118,3 +118,16 @@ def test_diamond_sharing_is_legal():
         {"child": "opt_a", "parent": "alt_root", "relation": "IsA"}
     )
     assert validate_scenario(build_scenario(doc)) == []
+
+
+def test_two_relocations_of_one_agent_at_one_tick_are_reported_in_either_order():
+    moves = [{"tick": 0, "agent": "ag1", "location": "Away"},
+             {"tick": 0, "agent": "ag1", "location": "Home"}]
+    built = [build_scenario(make_doc(environment={"timepoints": ["Morning"], "placements": {},
+                                                  "relocations": order}))
+             for order in (moves, moves[::-1])]
+    assert built[0] == built[1]
+    for s in built:
+        assert [(v.kind, v.message) for v in validate_scenario(s)] == [
+            (ViolationKind.MULTIPLICITY, "duplicate relocation '0:ag1'")
+        ]
