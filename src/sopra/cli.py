@@ -11,7 +11,6 @@ import itertools
 import json
 import sys
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -190,7 +189,10 @@ def _cmd_sweep(args) -> int:
     combos = list(itertools.product(*(vals for _, vals in grid)))
     # Read the document once, so every run starts from the same one. Build
     # and validate every run and check every output path before simulating
-    # anything, so a sweep that fails writes nothing.
+    # anything, so a sweep that fails there writes nothing. The runs then
+    # go one at a time, in run order, and each is written as soon as it
+    # ends, so only one run's logs are held at once: a failure while
+    # simulating or writing leaves the earlier runs and no sweep.csv.
     doc = _load_document(args.scenario)
     scenarios = [
         _valid_scenario(doc, [f"{k}={v}" for k, v in zip(names, combo)])
@@ -202,22 +204,15 @@ def _cmd_sweep(args) -> int:
     if problem:
         return _fail(problem)
 
-    def one(scenario):
-        return World(scenario, args.seed, validate=False).run(args.ticks)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, scenarios))
-    else:
-        results = [one(s) for s in scenarios]
-
     rows = [",".join(["run"] + names + ["final_habitual_fraction", "final_mean_strength"])]
-    for i, (combo, scenario, (events, metrics)) in enumerate(zip(combos, scenarios, results)):
+    for i, (combo, scenario) in enumerate(zip(combos, scenarios)):
         label = f"run_{i:03d}"
+        events, metrics = World(scenario, args.seed, validate=False).run(args.ticks)
         _write_run_outputs(out / label, events, metrics, scenario.index.atomic_ids)
         fraction = metrics[-1].habitual_fraction if metrics else 0.0
         strength = metrics[-1].mean_strength if metrics else 0.0
         rows.append(",".join([label, *combo, f"{fraction:.6f}", f"{strength:.6f}"]))
+        del events, metrics
     out.mkdir(parents=True, exist_ok=True)
     write_text_atomic("\n".join(rows) + "\n", sweep_path)
     print(f"runs={len(combos)} out={out}")
@@ -258,9 +253,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", action="append", default=[], metavar="NAME=V1,V2",
                    help="values to sweep for one globals entry (repeatable)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="runs at once, in threads of this process; they do not overlap "
-                        "under the GIL, so more than 1 is slower (8 runs x 600 ticks on 2 "
-                        "cores: a median 0.55 s at 2 against 0.45 s at 1)")
+                   help="accepted for a process pool to come; no effect yet: runs go "
+                        "one at a time, in run order")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
     return parser

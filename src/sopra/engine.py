@@ -240,13 +240,19 @@ def collect_metrics(events: Sequence[Event], samples: Sequence[StrengthSample],
     return rows
 
 
+# Each mode's log text, read by one dict lookup per row rather than the
+# enum's `value` descriptor.
+_MODE_TEXT = {m: m.value for m in DecisionMode}
+
+
 def events_csv(events: Iterable[Event]) -> str:
+    modes = _MODE_TEXT
     lines = [EVENTS_HEADER]
-    for e in events:
-        lines.append(
-            f"{e.tick},{e.agent},{e.activity},{e.mode.value},"
-            f"{e.pressure:.6f},{e.score:.6f},{e.location},{e.timepoint or ''}"
-        )
+    lines.extend(
+        f"{e.tick},{e.agent},{e.activity},{modes[e.mode]},"
+        f"{e.pressure:.6f},{e.score:.6f},{e.location},{e.timepoint or ''}"
+        for e in events
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -254,23 +260,29 @@ def metrics_csv(rows: Iterable[MetricsRow], atomic_ids: Sequence[str]) -> str:
     header = ["tick", "habitual_fraction"]
     header.extend(f"count_{a}" for a in atomic_ids)
     header.extend(["mean_strength", "mean_personal_view", "mean_collective_view"])
+    # One %-format per row; a row whose counts do not match `atomic_ids`
+    # raises rather than shifting its columns.
+    row = ",".join(["%s", "%.6f", *["%s"] * len(atomic_ids), "%.6f", "%.6f", "%.6f"])
     lines = [",".join(header)]
-    for r in rows:
-        cells = [str(r.tick), f"{r.habitual_fraction:.6f}"]
-        cells.extend(str(c) for c in r.counts)
-        cells.extend(
-            f"{v:.6f}"
-            for v in (r.mean_strength, r.mean_personal_view, r.mean_collective_view)
-        )
-        lines.append(",".join(cells))
+    lines.extend(
+        row % (r.tick, r.habitual_fraction, *r.counts,
+               r.mean_strength, r.mean_personal_view, r.mean_collective_view)
+        for r in rows
+    )
     return "\n".join(lines) + "\n"
 
 
 def write_text_atomic(text: str, path: str | Path) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file. Always LF line endings."""
+    partial file. Always LF line endings. A write that fails removes the
+    temp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -10,6 +10,7 @@ builder usable on documents you want to diagnose rather than refuse.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Mapping
 from typing import Any
 
@@ -66,6 +67,12 @@ _GLOBALS_KEYS = {
 }
 
 
+# Characters no identifier may hold: a comma, a line break or a carriage
+# return would split a CSV row, and a lone surrogate cannot be written as
+# UTF-8.
+_UNSAFE_ID_CHAR = re.compile("[,\n\r\ud800-\udfff]")
+
+
 def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -112,7 +119,7 @@ class _Reader:
         v = obj.get(key)
         if type(v) is str and v in self._idents:
             return v
-        if not isinstance(v, str) or not v or v != v.strip() or "," in v or "\n" in v:
+        if not isinstance(v, str) or not v or v != v.strip() or _UNSAFE_ID_CHAR.search(v):
             self.fail(section, i, f"{key!r} must be a plain identifier string, got {v!r}")
             return ""
         self._idents.add(v)

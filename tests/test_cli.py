@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -239,6 +242,78 @@ def test_sweep_jobs_parity(scenario_file, tmp_path):
     for i in range(3):
         assert ((seq / f"run_{i:03d}" / "events.csv").read_text()
                 == (par / f"run_{i:03d}" / "events.csv").read_text())
+
+
+def test_sweep_writes_each_run_before_the_next_starts(scenario_file, tmp_path, monkeypatch):
+    # Runs go one at a time: when a run starts, the one before it is on
+    # disk, and neither its World nor its logs are reachable any more.
+    out = tmp_path / "sweep"
+    started: list[tuple[weakref.ref, ...]] = []
+
+    class Logs(list):  # a list that can be weakly referenced
+        pass
+
+    class ProbeWorld(sopra.cli.World):
+        def run(self, ticks):
+            if started:
+                previous = out / f"run_{len(started) - 1:03d}"
+                assert (previous / "events.csv").read_text().startswith("tick,agent,")
+                assert (previous / "metrics.csv").read_text().startswith("tick,")
+                gc.collect()
+                assert [ref() for ref in started[-1]] == [None, None, None]
+            assert not (out / "sweep.csv").exists()
+            events, metrics = super().run(ticks)
+            events, metrics = Logs(events), Logs(metrics)
+            started.append((weakref.ref(self), weakref.ref(events), weakref.ref(metrics)))
+            return events, metrics
+
+    monkeypatch.setattr(sopra.cli, "World", ProbeWorld)
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "5", "--out", str(out),
+                 "--param", "habitThreshold=0.3,0.6,0.9"]) == 0
+    assert len(started) == 3
+    assert (out / "sweep.csv").exists()
+
+
+def test_sweep_jobs_starts_no_thread(scenario_file, tmp_path, monkeypatch):
+    common = ["sweep", "--scenario", scenario_file, "--ticks", "15",
+              "--param", "habitThreshold=0.3,0.6,0.9", "--param", "decayRate=0.0,0.05"]
+    assert main(common + ["--out", str(tmp_path / "seq")]) == 0
+
+    def no_thread(self):
+        raise AssertionError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(common + ["--out", str(tmp_path / "par"), "--jobs", "3"]) == 0
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    seq, par = tree(tmp_path / "seq"), tree(tmp_path / "par")
+    assert len(seq) == 1 + 2 * 6
+    assert seq == par
+
+
+def test_sweep_failure_while_simulating_keeps_the_earlier_runs(scenario_file, tmp_path,
+                                                               monkeypatch, capsys):
+    # Past the up-front checks a failure stops the sweep: the runs already
+    # written stay, and sweep.csv is not written.
+    out = tmp_path / "sweep"
+    runs = []
+
+    class FailingWorld(sopra.cli.World):
+        def run(self, ticks):
+            runs.append(ticks)
+            if len(runs) == 2:
+                raise OSError("disk gone")
+            return super().run(ticks)
+
+    monkeypatch.setattr(sopra.cli, "World", FailingWorld)
+    assert main(["sweep", "--scenario", scenario_file, "--ticks", "3", "--out", str(out),
+                 "--param", "decayRate=0.0,0.05,0.1"]) == 1
+    assert capsys.readouterr().err == "error: disk gone\n"
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "run_000", "run_000/events.csv", "run_000/metrics.csv"]
 
 
 def test_sweep_reads_the_document_once(scenario_file, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from helpers import make_doc, mutation_fixtures, snapshot_of
 
@@ -15,7 +17,7 @@ from sopra import (
     run,
     snapshot_context,
 )
-from sopra.engine import EVENTS_HEADER
+from sopra.engine import EVENTS_HEADER, write_text_atomic
 
 
 def _two_agents_doc():
@@ -111,6 +113,34 @@ def test_metrics_csv_format(commuting):
         cells = row.split(",")
         assert len(cells) == 2 + len(atomic) + 3
         assert sum(int(c) for c in cells[2:-3]) == 2  # one activity per agent
+
+
+def test_metrics_csv_refuses_counts_that_do_not_match_the_ids(commuting):
+    _, metrics = run(commuting, 1)
+    atomic = commuting.index.atomic_ids
+    short = dataclasses.replace(metrics[0], counts=metrics[0].counts[1:])
+    with pytest.raises(TypeError):
+        metrics_csv([short], atomic)
+    with pytest.raises(TypeError):
+        metrics_csv(metrics, atomic[1:])
+    assert metrics_csv([], ()) == (
+        "tick,habitual_fraction,mean_strength,mean_personal_view,mean_collective_view\n")
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "events.csv"
+    # A lone surrogate cannot be encoded as UTF-8.
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic("tick\nbo\ud800b\n", target)
+    assert list(tmp_path.iterdir()) == []
+    # The rename fails when the target is a directory.
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_text_atomic("tick\n", target)
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    write_text_atomic("tick\n", tmp_path / "ok.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "ok.csv"]
+    assert (tmp_path / "ok.csv").read_bytes() == b"tick\n"
 
 
 def test_metrics_match_events(commuting):

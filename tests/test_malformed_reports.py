@@ -61,6 +61,10 @@ ID_DEFECTS = {
     "lead_space": " bob",
     "trail_space": "bob ",
     "newline": "bo\nb",
+    # A carriage return splits a CSV row; a lone surrogate cannot be
+    # written as UTF-8.
+    "carriage_return": "bo\rb",
+    "surrogate": "bo\ud800b",
 }
 ID_SITES = {
     "vc_agent": ("valueConnections", 2, "agent"),
@@ -507,6 +511,54 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
         None,
     ),
+    "id_carriage_return_agent_id": (
+        [
+            "agents[0]: 'id' must be a plain identifier string, got 'bo\\rb'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
+        ],
+        [
+            "agents[0]: 'id' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "id_carriage_return_element_parent": (
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "id_carriage_return_habit_element": (
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "id_carriage_return_vc_agent": (
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "id_carriage_return_vc_value": (
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
     "id_comma_agent_id": (
         [
             "agents[0]: 'id' must be a plain identifier string, got 'bo,b'",
@@ -928,6 +980,54 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
         [
             "valueConnections[4]: 'value' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "id_surrogate_agent_id": (
+        [
+            "agents[0]: 'id' must be a plain identifier string, got 'bo\\ud800b'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
+        ],
+        [
+            "agents[0]: 'id' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "id_surrogate_element_parent": (
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "id_surrogate_habit_element": (
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "id_surrogate_vc_agent": (
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "id_surrogate_vc_value": (
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got 'bo\\ud800b'",
         ],
         None,
     ),
