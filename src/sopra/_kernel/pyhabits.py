@@ -5,7 +5,24 @@ One `HabitStore` holds a single agent's sparse (activity, element) ->
 ancestor chains, and implements the per-tick hot loops: pressure
 aggregation, the habit tick, view tracking, and observation smoothing.
 
-Layout: two tables.
+The chains arrive flat (`chain_data[chain_start[e]:chain_start[e + 1]]`
+is element e, then its ancestors, nearest first). `pressures` reads them
+through the element-chain table, `_chains`: element -> chain tuple,
+filled by `_chain` the first time a query names an element. The range
+check lives in that fill, so a negative or out-of-range element is never
+entered and raises `IndexError` on every query that names it. Nothing
+is filled when a store is built.
+
+A chain is a function of the two chain arrays alone, so consecutive
+stores built from the same two tuple objects (every agent of one
+scenario index) share one table, and each chain tuple is made once per
+index, not once per store. Per-store tuples measured worse: on a
+400-agent world they added a few thousand objects per run, enough to
+move one full garbage collection out of the run and into the set-up
+that follows it. Stores over other chain arrays get a table of their
+own.
+
+Layout of the habit entries: two tables.
 
 * The collective table holds every entry. Each entry has a slot, its
   position in creation order: `_rows[activity][element]` maps the entry
@@ -54,17 +71,30 @@ AGG_MAX = 1
 AGG_SUM = 2
 
 
+# [chain_data, chain_start, element-chain table] of the latest store built
+# from new chain arrays. A list updated in place: assigning a class
+# attribute instead would invalidate the type's attribute caches once per
+# scenario index.
+_latest: list = [(), (), {}]
+
+
 class HabitStore:
     backend = "python"
 
-    __slots__ = ("_chain_data", "_chain_start", "_rows", "_keys", "_c",
+    __slots__ = ("_chain_data", "_chain_start", "_chains", "_rows", "_keys", "_c",
                  "_hrows", "_hslots", "_s", "_p")
 
     def __init__(self, chain_data: Sequence[int], chain_start: Sequence[int]):
         # tuple() returns a tuple argument itself, so stores built from
-        # one index share its chains.
-        self._chain_data = tuple(chain_data)
-        self._chain_start = tuple(chain_start)
+        # one index share its chains, and with them the element-chain
+        # table of the latest store built from those two tuple objects.
+        data = self._chain_data = tuple(chain_data)
+        start = self._chain_start = tuple(chain_start)
+        latest_data, latest_start, table = _latest
+        if data is not latest_data or start is not latest_start:
+            table = {}
+            _latest[:] = data, start, table
+        self._chains: dict[int, tuple[int, ...]] = table
         # Collective table, every entry in creation (slot) order.
         self._rows: dict[int, dict[int, int]] = {}  # activity -> element -> slot
         self._keys: list[tuple[int, int]] = []
@@ -150,18 +180,29 @@ class HabitStore:
             return (0.0, 0.0, self._c[i])
         return (self._s[h], self._p[h], self._c[i])
 
+    def _chain(self, element: int) -> tuple[int, ...]:
+        # Fill the element-chain table for one element. A negative id
+        # would index the chain offsets from the end, so check the range
+        # before slicing. An empty chain (only a hand-built chain array
+        # has one) reads as a miss and is refilled, which is harmless.
+        start = self._chain_start
+        if not 0 <= element < len(start) - 1:
+            raise IndexError(f"context element {element} out of range "
+                             f"for {max(len(start) - 1, 0)} elements")
+        chain = self._chains[element] = self._chain_data[start[element]:start[element + 1]]
+        return chain
+
     def pressures(self, activities: Sequence[int], ctx_elements: Sequence[int],
                   attenuation: float, aggregation: int) -> list[float]:
         # Per element: the nearest ancestor holding a nonzero strength
         # wins, discounted by attenuation per hierarchy step. Zero-strength
-        # entries behave exactly like absent ones.
-        data = self._chain_data
-        start = self._chain_start
-        # A negative id would index the chain offsets from the end.
-        if ctx_elements and min(ctx_elements) < 0:
-            raise IndexError(f"context element {min(ctx_elements)} out of range "
-                             f"for {len(start) - 1} elements")
-        chains = [data[start[e]:start[e + 1]] for e in ctx_elements]
+        # entries behave exactly like absent ones. Chains come from the
+        # element-chain table; `_chain` fills a missing one and checks
+        # its range there, so an unknown element raises IndexError on
+        # every query, and a known one costs one dict lookup.
+        table = self._chains
+        fill = self._chain
+        chains = [table.get(e) or fill(e) for e in ctx_elements]
         n = len(chains)
         s = self._s
         hrows = self._hrows

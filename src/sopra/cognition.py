@@ -27,6 +27,14 @@ from .state import AgentState, ContextSnapshot, ExecutionState, SequentialFrame
 
 _AGG_CODES = {"mean": AGG_MEAN, "max": AGG_MAX, "sum": AGG_SUM}
 
+# Enum members bound once: on Python 3.11 each `ActivityType.ATOMIC`
+# attribute read goes through the enum class, over ten times the cost
+# of reading a global, and the decision walk makes several per step.
+_ATOMIC = ActivityType.ATOMIC
+_SEQUENTIAL = ActivityType.SEQUENTIAL
+_HABITUAL = DecisionMode.HABITUAL
+_INTENTIONAL = DecisionMode.INTENTIONAL
+
 
 @dataclass(slots=True)
 class DecisionStep:
@@ -112,10 +120,10 @@ def decide_step(state: AgentState, node: int, ctx: ContextSnapshot,
     uniform = g.tie_break == "uniform"
     top = max(pressures)
     if top >= g.habit_threshold or state.resources < g.deliberation_cost:
-        mode = DecisionMode.HABITUAL
+        mode = _HABITUAL
         pick = _pick(pressures, top, rng, uniform)
     else:
-        mode = DecisionMode.INTENTIONAL
+        mode = _INTENTIONAL
         score_raw = state.score_raw
         scores = [score_raw[c] for c in cands]
         pick = _pick(scores, max(scores), rng, uniform)
@@ -150,11 +158,11 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
         if node is None:
             raise ValueError("scenario declares no root activity")
         root_type = atype[node]
-        if root_type is ActivityType.ATOMIC:
+        if root_type is _ATOMIC:
             pressure = habitual_pressure(state, node, ctx, scenario)
-            return [DecisionStep(node, node, DecisionMode.HABITUAL, pressure,
+            return [DecisionStep(node, node, _HABITUAL, pressure,
                                  state.score_norm[node], (node,))]
-        if root_type is ActivityType.SEQUENTIAL:
+        if root_type is _SEQUENTIAL:
             pending.append(SequentialFrame(node))
 
     steps: list[DecisionStep] = []
@@ -162,7 +170,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     # right after it is entered or resumed, so this is always current.
     part = None
     guard = len(idx.activity_ids) + 1
-    while atype[node] is not ActivityType.ATOMIC:
+    while atype[node] is not _ATOMIC:
         guard -= 1
         if guard <= 0:
             raise RuntimeError(
@@ -172,7 +180,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
         chosen = step.chosen
         if pending and pending[-1].activity == node:
             part = chosen
-        if atype[chosen] is ActivityType.SEQUENTIAL:
+        if atype[chosen] is _SEQUENTIAL:
             pending.append(SequentialFrame(chosen, part_in_parent=part))
         node = chosen
 

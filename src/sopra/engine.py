@@ -208,6 +208,11 @@ def run(scenario: Scenario, ticks: int, seed: int = 0) -> tuple[list[Event], lis
     return World(scenario, seed).run(ticks)
 
 
+# Bound once: on Python 3.11 an enum member read through its class costs
+# over ten times a global read, and the metrics test one per event.
+_HABITUAL = DecisionMode.HABITUAL
+
+
 def collect_metrics(events: Sequence[Event], samples: Sequence[StrengthSample],
                     atomic_ids: Sequence[str]) -> list[MetricsRow]:
     """Per-tick aggregates: habitual fraction, activity counts, and mean
@@ -223,7 +228,7 @@ def collect_metrics(events: Sequence[Event], samples: Sequence[StrengthSample],
         habitual = 0
         for e in tick_events:
             counts[positions[e.activity]] += 1
-            if e.mode is DecisionMode.HABITUAL:
+            if e.mode is _HABITUAL:
                 habitual += 1
         n_agents = len(tick_events)
         n_conn = sample.connections

@@ -68,9 +68,9 @@ _GLOBALS_KEYS = {
 
 
 # Characters no identifier may hold: a comma, a line break or a carriage
-# return would split a CSV row, and a lone surrogate cannot be written as
-# UTF-8.
-_UNSAFE_ID_CHAR = re.compile("[,\n\r\ud800-\udfff]")
+# return would split a CSV row, a double quote would open a quoted CSV
+# field, and a lone surrogate cannot be written as UTF-8.
+_UNSAFE_ID_CHAR = re.compile('[,"\n\r\ud800-\udfff]')
 
 
 def _is_number(x: Any) -> bool:

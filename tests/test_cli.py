@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import os
@@ -12,9 +13,13 @@ from pathlib import Path
 
 import pytest
 from helpers import mutation_fixtures
+from test_golden_logs import _generated_document
 
 import sopra
+from sopra import build_scenario
 from sopra.cli import main
+from sopra.engine import EVENTS_HEADER
+from sopra.scenarios import bundled_document, list_bundled
 
 
 @pytest.fixture
@@ -69,6 +74,41 @@ def test_run_writes_outputs(scenario_file, tmp_path, capsys):
     assert metrics.startswith("tick,habitual_fraction,count_")
     summary = capsys.readouterr().out.strip()
     assert summary.startswith("ticks=8 agents=2 final_habitual_fraction=0.")
+
+
+def _csv_records(path: Path) -> list[list[str]]:
+    # Every line of the file must be exactly one CSV record.
+    with path.open(encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    assert len(records) == path.read_text(encoding="utf-8").count("\n")
+    return records
+
+
+@pytest.mark.parametrize("name", [*list_bundled(), "generated"])
+def test_run_csvs_read_back_one_record_per_line(name, tmp_path):
+    doc = _generated_document("mean") if name == "generated" else bundled_document(name)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", _write(tmp_path, doc), "--ticks", "40",
+                 "--out", str(out)]) == 0
+    agents = {a["id"] for a in doc["agents"]}
+    elements = {e["id"] for e in doc["contextElements"]}
+    atomic_ids = build_scenario(doc).index.atomic_ids
+
+    header, *rows = _csv_records(out / "events.csv")
+    assert header == EVENTS_HEADER.split(",")
+    assert len(rows) == 40 * len(agents)
+    for row in rows:
+        assert len(row) == len(header)
+        _, agent, activity, _, _, _, location, timepoint = row
+        assert agent in agents
+        assert activity in atomic_ids
+        assert location in elements
+        assert timepoint == "" or timepoint in elements
+
+    header, *rows = _csv_records(out / "metrics.csv")
+    assert header[2:-3] == [f"count_{a}" for a in atomic_ids]
+    assert [row[0] for row in rows] == [str(t) for t in range(40)]
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_run_rejects_negative_ticks_before_anything_else(tmp_path, capsys):

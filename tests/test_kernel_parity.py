@@ -234,6 +234,70 @@ def test_pressures_reject_unknown_context_elements(backend):
     assert store.pressures([0], [], 0.5, AGG_SUM) == [0.0]
 
 
+# Strengths (activity, element, strength) and pressure queries for the
+# element-chain table test, over the five elements of _chains().
+_CHAIN_STRENGTHS = [(0, 0, 0.64), (0, 3, 0.3), (1, 1, 0.5), (1, 4, 0.2), (2, 2, 0.9),
+                    (2, 1, 0.0)]
+_CHAIN_QUERIES = [[0], [1], [2], [3], [4], [0, 1, 2, 3, 4], [4, 2], [2, 4, 0], [3, 1]]
+
+
+def _chain_store(cls, chain_data, chain_start, strengths=_CHAIN_STRENGTHS):
+    store = cls(chain_data, chain_start)
+    for a, e, strength in strengths:
+        store.set_views(a, e, strength, 0.0, 0.0)
+    return store
+
+
+def _chain_answers(store) -> list[list[str]]:
+    return [_hex(store.pressures([0, 1, 2, 3], ctx, 0.5, agg))
+            for ctx in _CHAIN_QUERIES for agg in (AGG_MEAN, AGG_MAX, AGG_SUM)]
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_repeated_pressures_match_a_cold_store(backend):
+    # A store may keep what it learns about an element's chain between
+    # queries; its answers must not change, and unknown elements must
+    # keep raising, however warm it is.
+    cls = _STORES[backend]
+    chains = _chains()
+    n = len(chains[1]) - 1
+    warm = _chain_store(cls, *chains)
+    for e in range(n):
+        warm.pressures([0, 1, 2, 3], [e], 0.5, AGG_MEAN)
+    for ctx in ([-1], [-2], [n], [7000000], [1, -1]):
+        with pytest.raises(IndexError):
+            warm.pressures([0], ctx, 0.5, AGG_MEAN)
+    ref = _chain_answers(_chain_store(ReferenceHabitStore, *chains))
+    assert _chain_answers(_chain_store(cls, *chains)) == ref  # cold
+    assert _chain_answers(warm) == ref
+    assert _chain_answers(warm) == ref
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_stores_over_different_chains_keep_their_own_answers(backend):
+    # Stores built one after another from the same tuple objects, as one
+    # scenario index builds its agents' stores, and from arrays that share
+    # one of the two tuple objects: other chains on the same offsets
+    # (0 root, 1 -> 3, 2 -> 4 -> 3, 3 root, 4 -> 3), and the same data on
+    # other offsets (0 -> 1, 1 reads 0, 2 -> 1 -> 0, 3 root, 4 -> 3).
+    # Each store has its own strengths.
+    data, start = map(tuple, _chains())
+    ours = (data, start)
+    other_chains = ((0, 1, 3, 2, 4, 3, 3, 4, 3), start)
+    other_offsets = (data, (0, 2, 3, 6, 7, 9))
+    more = [(a, e, strength / 2) for a, e, strength in _CHAIN_STRENGTHS] + [(3, 0, 0.25)]
+    built = [(ours, _CHAIN_STRENGTHS), (ours, more), (other_chains, _CHAIN_STRENGTHS),
+             (ours, _CHAIN_STRENGTHS), (other_offsets, _CHAIN_STRENGTHS), (ours, more),
+             (other_chains, more)]
+    want = [_chain_answers(_chain_store(ReferenceHabitStore, *chains, strengths))
+            for chains, strengths in built]
+    assert len({str(w) for w in want}) == 5
+    stores = [_chain_store(_STORES[backend], *chains, strengths)
+              for chains, strengths in built]
+    for _ in range(2):  # interleaved, so each store is queried warm too
+        assert [_chain_answers(st) for st in stores] == want
+
+
 # (seeded (activity, element, collective view) entries, observe
 # arguments), on stores over the five elements of _chains().
 _OBSERVE_CASES = {

@@ -65,6 +65,9 @@ ID_DEFECTS = {
     # written as UTF-8.
     "carriage_return": "bo\rb",
     "surrogate": "bo\ud800b",
+    # A leading double quote opens a quoted CSV field that swallows the
+    # rows after it.
+    "double_quote": '"bob',
 }
 ID_SITES = {
     "vc_agent": ("valueConnections", 2, "agent"),
@@ -652,6 +655,54 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
         [
             "valueConnections[4]: 'value' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        None,
+    ),
+    "id_double_quote_agent_id": (
+        [
+            "agents[0]: 'id' must be a plain identifier string, got '\"bob'",
+            "habitualConnections[bob]: unknown agent 'bob'",
+            "valuePriorities[bob]: unknown agent 'bob'",
+            "valueConnections[bob]: unknown agent 'bob'",
+        ],
+        [
+            "agents[0]: 'id' must be a plain identifier string, got '\"bob'",
+        ],
+        None,
+    ),
+    "id_double_quote_element_parent": (
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got '\"bob'",
+        ],
+        [
+            "contextElements[6]: 'parent' must be a plain identifier string, got '\"bob'",
+        ],
+        None,
+    ),
+    "id_double_quote_habit_element": (
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got '\"bob'",
+        ],
+        [
+            "habitualConnections[0]: 'contextElement' must be a plain identifier string, got '\"bob'",
+        ],
+        None,
+    ),
+    "id_double_quote_vc_agent": (
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got '\"bob'",
+        ],
+        [
+            "valueConnections[2]: 'agent' must be a plain identifier string, got '\"bob'",
+        ],
+        None,
+    ),
+    "id_double_quote_vc_value": (
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got '\"bob'",
+        ],
+        [
+            "valueConnections[4]: 'value' must be a plain identifier string, got '\"bob'",
         ],
         None,
     ),
