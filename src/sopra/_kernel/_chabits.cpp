@@ -2,21 +2,23 @@
 //
 // Bit-identical to `pyhabits.HabitStore`, written against the public
 // CPython C API. The two kernels share the per-entry expressions, the
-// order of entry creation, the order of updates within each entry and the
-// summation order of `sums` (creation order); their layouts may differ.
-// Here every entry has a slot in the parallel columns `s`, `p` and `c`;
-// `rows[activity][element]` maps the entry to it and `ka`/`ke` hold each
-// slot's activity and element in creation order. The module must be
-// compiled with -ffp-contract=off (no fused multiply-add), so both
-// backends produce bit-identical doubles. setup.py builds it; README.md
-// gives the g++ command for building it by hand.
+// order of entry creation and the order of updates within each entry;
+// their layouts may differ, and `sums` is correctly rounded, so it needs
+// no order either. Here every entry has a slot in the parallel columns
+// `s`, `p` and `c`; `rows[activity][element]` maps the entry to it and
+// `ka`/`ke` hold each slot's activity and element in creation order. The
+// module must be compiled with -ffp-contract=off (no fused multiply-add),
+// so both backends produce bit-identical doubles. setup.py builds it;
+// README.md gives the g++ command for building it by hand.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <cmath>
 #include <new>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -295,14 +297,51 @@ PyObject *observe(Table &t, PyObject *const *args) {
     Py_RETURN_NONE;
 }
 
-PyObject *sums(Table &t, PyObject *const *) {
-    double ts = 0.0, tp = 0.0, tc = 0.0;
-    for (Py_ssize_t i = 0; i < t.size(); i++) {
-        ts = ts + t.s[i];
-        tp = tp + t.p[i];
-        tc = tc + t.c[i];
+// The correctly rounded sum of finite doubles, in any order: CPython's
+// math.fsum (Shewchuk's partials, then half-even rounding across them)
+// without its inf, nan and overflow branches, which bounded views never take.
+double fsum(const std::vector<double> &values) {
+    std::vector<double> partials;
+    for (double x : values) {
+        size_t i = 0;
+        for (double y : partials) {  // rewritten in place, as in CPython
+            if (std::fabs(x) < std::fabs(y)) {
+                std::swap(x, y);
+            }
+            double hi = x + y;
+            double lo = y - (hi - x);
+            if (lo != 0.0) {
+                partials[i++] = lo;
+            }
+            x = hi;
+        }
+        partials.resize(i);
+        if (x != 0.0) {  // a zero partial would make [-0.0] sum to -0.0
+            partials.push_back(x);
+        }
     }
-    return Py_BuildValue("(nddd)", t.size(), ts, tp, tc);
+    size_t n = partials.size();
+    double hi = n > 0 ? partials[--n] : 0.0, lo = 0.0;
+    while (n > 0) {  // add from the top while the sum stays exact
+        double x = hi, y = partials[--n];
+        hi = x + y;
+        lo = y - (hi - x);
+        if (lo != 0.0) {
+            break;
+        }
+    }
+    // Half-even across partials: the sign of the ones below breaks a tie.
+    if (n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0))) {
+        double y = lo * 2.0, x = hi + y;
+        if (y == x - hi) {
+            hi = x;
+        }
+    }
+    return hi;
+}
+
+PyObject *sums(Table &t, PyObject *const *) {
+    return Py_BuildValue("(nddd)", t.size(), fsum(t.s), fsum(t.p), fsum(t.c));
 }
 
 PyObject *items(Table &t, PyObject *const *) {

@@ -29,29 +29,25 @@ Layout of the habit entries: two tables.
   to its slot, `_keys[slot]` is its (activity, element) and `_c[slot]`
   its collective view. `observe` reads and writes only this table.
 * The habit table holds strength `_s` and personal view `_p` only for
-  entries that `set_views` or `habit_tick` has written. `_hrows` maps
-  such an entry to its position there, and `_hslots[position]` is its
-  slot. An entry that only observation created is not in it and reads
+  entries that `set_views` or `habit_tick` has written, in the order
+  they were first written. `_hrows` maps such an entry to its position
+  there. An entry that only observation created is not in it and reads
   0.0 strength and personal view: decay and tracking would keep it at
   exactly 0, and pressures treat a zero strength like an absent entry.
   So `pressures`, `habit_tick`, `track_personal` and the strength and
   personal sums walk performed entries only.
 
-The habit table is kept in slot order, because `sums` must add the same
-nonzero terms in the same order as a sum over every slot. Leaving an
-entry out only drops `+ 0.0` terms, which are exact. New entries join at
-the end; an observed entry performed for the first time after a later
-entry has joined is inserted at its slot's position, and the positions
-after it are renumbered.
+`sums` returns correctly rounded totals (`math.fsum`), which do not
+depend on the order of the terms, so the two tables need not agree on
+one.
 
 This is the reference implementation; the compiled backend in
 `_chabits.cpp` must stay bit-identical to it, with a layout of its own.
 The kernels share: the same expression for each entry, the same order
-of entry creation, the same order of updates within each entry
+of entry creation and the same order of updates within each entry
 (`observe` applies, per entry, the positive update first, then the
-negative ones) and the summation order of `sums`. Passes over
-independent entries may run in any order. Any arithmetic change here
-has to be copied there verbatim.
+negative ones). Passes over independent entries may run in any order.
+Any arithmetic change here has to be copied there verbatim.
 
 Both kernels rely on one precondition: `ctx_elements` holds no
 duplicates, which `ContextSnapshot.ids` guarantees. With a duplicate
@@ -63,7 +59,7 @@ entry's updates differently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from math import fsum
 from typing import Sequence
 
 AGG_MEAN = 0
@@ -82,7 +78,7 @@ class HabitStore:
     backend = "python"
 
     __slots__ = ("_chain_data", "_chain_start", "_chains", "_rows", "_keys", "_c",
-                 "_hrows", "_hslots", "_s", "_p")
+                 "_hrows", "_s", "_p")
 
     def __init__(self, chain_data: Sequence[int], chain_start: Sequence[int]):
         # tuple() returns a tuple argument itself, so stores built from
@@ -99,9 +95,8 @@ class HabitStore:
         self._rows: dict[int, dict[int, int]] = {}  # activity -> element -> slot
         self._keys: list[tuple[int, int]] = []
         self._c: list[float] = []
-        # Habit table, performed entries in slot order.
+        # Habit table, performed entries in the order first performed.
         self._hrows: dict[int, dict[int, int]] = {}  # activity -> element -> position
-        self._hslots: list[int] = []  # position -> slot, ascending
         self._s: list[float] = []
         self._p: list[float] = []
 
@@ -123,51 +118,23 @@ class HabitStore:
             i = self._add(row, activity, element)
         return i
 
-    def _join(self, hrow: dict[int, int], element: int, slot: int) -> int:
-        # Put the entry at `slot` into the habit table at 0 strength and
-        # personal view; return its position.
-        hslots = self._hslots
-        h = len(hslots)
-        if h and hslots[-1] > slot:
-            h = bisect_left(hslots, slot)
-            hslots.insert(h, slot)
-            self._s.insert(h, 0.0)
-            self._p.insert(h, 0.0)
-            keys = self._keys
-            hrows = self._hrows
-            for j in range(h + 1, len(hslots)):
-                a, e = keys[hslots[j]]
-                hrows[a][e] = j
-        else:
-            hslots.append(slot)
-            self._s.append(0.0)
-            self._p.append(0.0)
-        hrow[element] = h
+    def _join(self, hrow: dict[int, int], element: int) -> int:
+        # Append the entry to the habit table at 0 strength and personal
+        # view; return its position.
+        h = hrow[element] = len(self._s)
+        self._s.append(0.0)
+        self._p.append(0.0)
         return h
 
     def set_views(self, activity: int, element: int, strength: float,
                   personal: float, collective: float) -> None:
-        row = self._rows.get(activity)
-        if row is None:
-            row = self._rows[activity] = {}
+        self._c[self._ensure(activity, element)] = collective
         hrow = self._hrows.get(activity)
         if hrow is None:
             hrow = self._hrows[activity] = {}
-        i = row.get(element)
-        if i is None:
-            # A new entry: the last slot and the last habit position.
-            i = row[element] = len(self._keys)
-            self._keys.append((activity, element))
-            self._c.append(collective)
-            hrow[element] = len(self._hslots)
-            self._hslots.append(i)
-            self._s.append(strength)
-            self._p.append(personal)
-            return
-        self._c[i] = collective
         h = hrow.get(element)
         if h is None:
-            h = self._join(hrow, element, i)
+            h = self._join(hrow, element)
         self._s[h] = strength
         self._p[h] = personal
 
@@ -242,11 +209,11 @@ class HabitStore:
         try:
             at = list(map(hrow.__getitem__, ctx_elements))
         except KeyError:
-            # Join in context order, so new entries are created in it;
-            # then read every position, since an insert renumbers.
+            # Join in context order, so new entries are created in it.
             for e in ctx_elements:
                 if e not in hrow:
-                    self._join(hrow, e, self._ensure(performed, e))
+                    self._ensure(performed, e)
+                    self._join(hrow, e)
             at = list(map(hrow.__getitem__, ctx_elements))
         s = self._s
         keep = 1.0 - decay_rate
@@ -289,28 +256,14 @@ class HabitStore:
                         col[j] = keep * col[j]
 
     def sums(self) -> tuple[int, float, float, float]:
-        # Plain left-to-right loops: builtin sum() compensates from
-        # Python 3.12 on, which would change the bits. The habit table
-        # holds every nonzero strength and personal view, in slot order.
-        ts = 0.0
-        for v in self._s:
-            ts = ts + v
-        tp = 0.0
-        for v in self._p:
-            tp = tp + v
-        tc = 0.0
-        for v in self._c:
-            tc = tc + v
-        return (len(self._keys), ts, tp, tc)
+        return (len(self._keys), fsum(self._s), fsum(self._p), fsum(self._c))
 
     def items(self) -> list[tuple[int, int, float, float, float]]:
-        n = len(self._keys)
-        s = [0.0] * n
-        p = [0.0] * n
-        for k, sv, pv in zip(self._hslots, self._s, self._p):
-            s[k] = sv
-            p[k] = pv
-        return [
-            (a, e, sv, pv, c)
-            for (a, e), sv, pv, c in zip(self._keys, s, p, self._c)
-        ]
+        hrows = self._hrows
+        s = self._s
+        p = self._p
+        out = []
+        for (a, e), c in zip(self._keys, self._c):
+            h = hrows.get(a, {}).get(e)
+            out.append((a, e, 0.0, 0.0, c) if h is None else (a, e, s[h], p[h], c))
+        return out

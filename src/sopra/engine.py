@@ -19,6 +19,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import count
+from math import fsum
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
@@ -177,19 +179,15 @@ class World:
             state.resources = spec.attention_budget
         self.events.extend(new_events)
 
-        connections = 0
-        strength_total = 0.0
-        personal_total = 0.0
-        collective_total = 0.0
-        for state in states:
-            n, ts, tp, tc = state.habits.sums()
-            connections += n
-            strength_total = strength_total + ts
-            personal_total = personal_total + tp
-            collective_total = collective_total + tc
-        self.samples.append(
-            StrengthSample(connections, strength_total, personal_total, collective_total)
-        )
+        # Correctly rounded totals, so no order of agents or entries is
+        # part of the logs (docs/model.md, Logs).
+        totals = [state.habits.sums() for state in states]
+        self.samples.append(StrengthSample(
+            sum([t[0] for t in totals]),
+            fsum([t[1] for t in totals]),
+            fsum([t[2] for t in totals]),
+            fsum([t[3] for t in totals]),
+        ))
 
         for i, location in idx.relocations_by_tick.get(tick, ()):
             states[i].location = location
@@ -279,11 +277,18 @@ def metrics_csv(rows: Iterable[MetricsRow], atomic_ids: Sequence[str]) -> str:
 
 def write_text_atomic(text: str, path: str | Path) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file. Always LF line endings. A write that fails removes the
-    temp file and re-raises."""
+    partial file. The temp file is created exclusively, under the first
+    free name `<name>.<n>.tmp`, so no other file is overwritten. Always
+    LF line endings. A write that fails removes the temp file and
+    re-raises."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    for n in count():
+        tmp = path.with_name(f"{path.name}.{n}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        except FileExistsError:
+            continue
+        break
     try:
         with fh:
             fh.write(text)

@@ -5,21 +5,21 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import ScenarioError, UnknownIdError
-from .model import ActivityType, RelationType, Scenario
+from .model import ActivityType, Scenario
 
 
-def descendants(activity: str, scenario: Scenario, relation: RelationType | None = None) -> set[str]:
+def descendants(activity: str, scenario: Scenario) -> set[str]:
     """Everything reachable downward from `activity` (excluding it)."""
     idx = scenario.index
     idx.activity_index(activity)
     seen: set[str] = set()
-    queue = deque(idx.children(activity, relation))
+    queue = deque(idx.children(activity))
     while queue:
         node = queue.popleft()
         if node in seen:
             continue
         seen.add(node)
-        queue.extend(idx.children(node, relation))
+        queue.extend(idx.children(node))
     return seen
 
 

@@ -348,20 +348,17 @@ class ScenarioIndex:
         self.chain_data = tuple(chain_data)
         self.chain_start = tuple(chain_start)
 
-        # Each node's children, id-ordered: keyed by (parent, relation),
-        # and by (parent, None) for both relations together.
-        children: dict[tuple[str, RelationType | None], list[str]] = {}
+        # Each node's children, id-ordered, by parent id.
+        children: dict[str, list[str]] = {}
         for c in s.activity_connections:
-            children.setdefault((c.parent, c.relation), []).append(c.child)
-            children.setdefault((c.parent, None), []).append(c.child)
+            children.setdefault(c.parent, []).append(c.child)
         self._children = {k: tuple(v) for k, v in children.items()}
         # What a decision at each composite node chooses among, as activity
-        # ints in id order: the IsA children of an abstract node, the
-        # PartOf parts of a sequential one. Atomic nodes have no entry.
-        relation = {ActivityType.ABSTRACT: RelationType.IS_A,
-                    ActivityType.SEQUENTIAL: RelationType.PART_OF}
+        # ints in id order: its children, which the validator allows only
+        # one relation (IsA alternatives of an abstract node, PartOf parts
+        # of a sequential one). Atomic nodes have no entry.
         self.options: dict[int, tuple[int, ...]] = {
-            i: tuple(map(aidx, self._children.get((a.id, relation[a.type]), ())))
+            i: tuple(map(aidx, self._children.get(a.id, ())))
             for i, a in enumerate(s.activities) if a.type is not ActivityType.ATOMIC
         }
 
@@ -437,7 +434,7 @@ class ScenarioIndex:
     def type_of(self, activity: str) -> ActivityType:
         return self.activity_type[self.activity_index(activity)]
 
-    def children(self, activity: str, relation: RelationType | None = None) -> tuple[str, ...]:
+    def children(self, activity: str) -> tuple[str, ...]:
         self.activity_index(activity)  # UnknownIdError for an unknown id
-        return self._children.get((activity, relation), ())
+        return self._children.get(activity, ())
 

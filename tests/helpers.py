@@ -4,6 +4,7 @@ store and the reference argmax for the test suite."""
 from __future__ import annotations
 
 import copy
+import math
 import random
 from typing import Any, Iterable, Sequence
 
@@ -277,15 +278,8 @@ class ReferenceHabitStore:
                     col[j] = (1.0 - rate) * col[j]
 
     def sums(self) -> tuple[int, float, float, float]:
-        n = len(self._keys)
-        ts = 0.0
-        tp = 0.0
-        tc = 0.0
-        for i in range(n):
-            ts = ts + self._s[i]
-            tp = tp + self._p[i]
-            tc = tc + self._c[i]
-        return (n, ts, tp, tc)
+        # Correctly rounded, so the same whatever the order of the entries.
+        return (len(self._keys), math.fsum(self._s), math.fsum(self._p), math.fsum(self._c))
 
     def items(self) -> list[tuple[int, int, float, float, float]]:
         return [

@@ -126,6 +126,27 @@ def test_run_refuses_overwrite_without_force(scenario_file, tmp_path, capsys):
     assert main(args + ["--force"]) == 0
 
 
+def test_run_leaves_files_named_like_its_temp_files(scenario_file, tmp_path):
+    # The outputs go through temp files beside them; a user's files with
+    # the names such a temp file could take must survive, and the outputs
+    # get the permissions a plain write gives.
+    out = tmp_path / "out"
+    out.mkdir()
+    mine = ["events.csv.tmp", "events.csv.0.tmp", "metrics.csv.0.tmp"]
+    for name in mine:
+        (out / name).write_text(f"{name} is mine\n", encoding="utf-8")
+    assert main(["run", "--scenario", scenario_file, "--ticks", "2",
+                 "--out", str(out)]) == 0
+    for name in mine:
+        assert (out / name).read_text(encoding="utf-8") == f"{name} is mine\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        mine + ["events.csv", "metrics.csv"])
+    plain = tmp_path / "plain.csv"
+    plain.write_text("", encoding="utf-8")
+    for name in ("events.csv", "metrics.csv"):
+        assert (out / name).stat().st_mode == plain.stat().st_mode
+
+
 def test_run_zero_ticks(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--scenario", scenario_file, "--ticks", "0",

@@ -3,10 +3,13 @@ same results bit for bit, in any operation order, on any scenario."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from helpers import ReferenceHabitStore, make_doc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sopra.state
 from sopra import build_scenario, events_csv, metrics_csv, run
@@ -377,9 +380,8 @@ def _assert_same_store(got, ref):
 def test_first_performance_of_an_observed_entry_keeps_creation_order(backend):
     # Observation creates (0, 3); habit ticks create (1, 2), (1, 4) and
     # (0, 2); only then is (0, 3) performed, in one tick with (0, 2),
-    # which comes first in the context. The strength and personal view
-    # of (0, 3) must still come first in their sums: at these rates, both
-    # sums change bits if the terms rotate.
+    # which comes first in the context. (0, 3) must still come first in
+    # items(), with the strength and personal view it was given.
     stores = [_STORES[backend](*_chains()), ReferenceHabitStore(*_chains())]
     for st in stores:
         st.observe(0, [], [3], 0.5)
@@ -415,6 +417,58 @@ def test_observed_only_entries_hold_no_strength_or_personal_view(backend):
         assert (0, e, 0.0, 0.0, 0.5) in seen.items()
     # They add nothing to the strength and personal sums.
     assert _hex(seen.sums()[1:3]) == _hex(plain.sums()[1:3])
+
+
+# CPython's finite math.fsum test vectors (testFsum in Lib/test/test_math.py),
+# and signed zeros, which a partials loop that keeps zero partials sums
+# to -0.0.
+_FSUM_VECTORS = [
+    [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+    [1e100, 1.0, -1e100, 1e-100, 1e50, -1.0, -1e50],
+    [2.0**53, -0.5, -2.0**-54],
+    [2.0**53, 1.0, 2.0**-100],
+    [2.0**53 + 10.0, 1.0, 2.0**-100],
+    [2.0**53 - 4.0, 0.5, 2.0**-54],
+    [1.0, 1e100, 1.0, -1e100],
+    [1.0 / n for n in range(1, 1001)],
+    [(-1.0)**n / n for n in range(1, 1001)],
+    [1e16, 1.0, 1e-16],
+    [1e16 - 2.0, 1.0 - 2.0**-53, -(1e16 - 2.0), -(1.0 - 2.0**-53)],
+    [2.0**n - 2.0**(n + 50) + 2.0**(n + 52) for n in range(-1074, 972, 2)] + [-2.0**1022],
+]
+
+# Finite, bounded so no partial sum overflows, with subnormals, signed
+# zeros and exact cancellations among them.
+_FSUM_TERMS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -2.0**-1022, 1.0, -1.0,
+                     2.0**53, -(2.0**53), 1e16, 1e-16]),
+)
+
+
+def _assert_sums_are_fsum(cls, values):
+    # Each column holds the values in another order; every total must be
+    # math.fsum's, bit for bit.
+    store = cls(*_chains())
+    columns = (values, values[::-1], values[1::2] + values[::2])
+    for k, views in enumerate(zip(*columns)):
+        store.set_views(k, 0, *views)
+    n, *totals = store.sums()
+    assert n == len(values)
+    assert _hex(totals) == _hex([math.fsum(values)] * 3)
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_sums_are_correctly_rounded(backend):
+    for values in _FSUM_VECTORS:
+        _assert_sums_are_fsum(_STORES[backend], values)
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+@given(st.lists(_FSUM_TERMS, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_sums_are_correctly_rounded_on_random_terms(backend, values):
+    _assert_sums_are_fsum(_STORES[backend], values)
 
 
 def _crowd_doc() -> dict:
