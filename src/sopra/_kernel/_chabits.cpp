@@ -4,17 +4,28 @@
 // CPython C API. The two kernels share the per-entry expressions, the
 // order of entry creation and the order of updates within each entry;
 // their layouts may differ, and `sums` is correctly rounded, so it needs
-// no order either. Here every entry has a slot in the parallel columns
-// `s`, `p` and `c`; `rows[activity][element]` maps the entry to it and
-// `ka`/`ke` hold each slot's activity and element in creation order. The
-// module must be compiled with -ffp-contract=off (no fused multiply-add),
-// so both backends produce bit-identical doubles. setup.py builds it;
-// README.md gives the g++ command for building it by hand.
+// no order either.
+//
+// `sums` is CPython's math.fsum with a fast path: views in [2^-40, 2),
+// which bounded views mostly are, go exactly into one 128-bit integer
+// count of 2^-92, and only the rest go through the partials loop. It
+// keeps fsum's special values: an inf or nan view makes a total inf or
+// nan, -inf with inf raises ValueError, and a finite sum out of range
+// raises OverflowError.
+//
+// Every entry has a slot in the parallel columns `s`, `p` and `c`;
+// `rows[activity][element]` maps the entry to it and `ka`/`ke` hold each
+// slot's activity and element in creation order. The module must be
+// compiled with -ffp-contract=off (no fused multiply-add), so both
+// backends produce bit-identical doubles. setup.py builds it; README.md
+// gives the g++ command for building it by hand.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <new>
 #include <unordered_map>
 #include <unordered_set>
@@ -297,12 +308,24 @@ PyObject *observe(Table &t, PyObject *const *args) {
     Py_RETURN_NONE;
 }
 
-// The correctly rounded sum of finite doubles, in any order: CPython's
-// math.fsum (Shewchuk's partials, then half-even rounding across them)
-// without its inf, nan and overflow branches, which bounded views never take.
-double fsum(const std::vector<double> &values) {
+// CPython's math.fsum over `values` in their order: Shewchuk's partials,
+// then half-even rounding across them, with fsum's special values. An
+// inf or nan term makes the result the plain sum of those terms, or
+// raises ValueError for -inf + inf; a finite term that takes a partial
+// sum out of range raises OverflowError. Returns false with that error
+// set.
+//
+// Fast path: a view in [2^-40, 2) is a whole number of units of 2^-92
+// below 2^93, so it is added exactly into the 128-bit count `units`
+// (room for 2^35 such terms). Zeros are skipped: they leave every
+// partial sum as it was. Only the other terms go through the partials
+// loop, and then the count, as three pieces of 53 bits or fewer, each
+// a double exactly. The sum is the same correctly rounded one.
+bool fsum(const std::vector<double> &values, double &out) {
     std::vector<double> partials;
-    for (double x : values) {
+    double special_sum = 0.0, inf_sum = 0.0;
+    auto add = [&](double x) {
+        double xsave = x;
         size_t i = 0;
         for (double y : partials) {  // rewritten in place, as in CPython
             if (std::fabs(x) < std::fabs(y)) {
@@ -316,9 +339,51 @@ double fsum(const std::vector<double> &values) {
             x = hi;
         }
         partials.resize(i);
-        if (x != 0.0) {  // a zero partial would make [-0.0] sum to -0.0
+        if (x == 0.0) {  // a zero partial would make [-0.0] sum to -0.0
+            return true;
+        }
+        if (!std::isfinite(x)) {
+            if (std::isfinite(xsave)) {
+                PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
+                return false;
+            }
+            if (std::isinf(xsave)) {
+                inf_sum += xsave;
+            }
+            special_sum += xsave;
+            partials.clear();
+        } else {
             partials.push_back(x);
         }
+        return true;
+    };
+    unsigned __int128 units = 0;
+    for (double x : values) {
+        uint64_t bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        // Sign and biased exponent; 983 to 1023 is [2^-40, 2).
+        uint64_t exponent = bits >> 52;
+        if (exponent - 983 <= 40) {
+            unsigned __int128 mantissa = (bits & ((uint64_t(1) << 52) - 1)) | (uint64_t(1) << 52);
+            units += mantissa << (exponent - 983);
+        } else if (x != 0.0 && !add(x)) {
+            return false;
+        }
+    }
+    const uint64_t piece = (uint64_t(1) << 53) - 1;
+    for (int shift : {0, 53, 106}) {
+        uint64_t bits = uint64_t(units >> shift) & piece;
+        if (bits != 0 && !add(std::ldexp(double(bits), shift - 92))) {
+            return false;
+        }
+    }
+    if (special_sum != 0.0) {
+        if (std::isnan(inf_sum)) {
+            PyErr_SetString(PyExc_ValueError, "-inf + inf in fsum");
+            return false;
+        }
+        out = special_sum;
+        return true;
     }
     size_t n = partials.size();
     double hi = n > 0 ? partials[--n] : 0.0, lo = 0.0;
@@ -337,11 +402,16 @@ double fsum(const std::vector<double> &values) {
             hi = x;
         }
     }
-    return hi;
+    out = hi;
+    return true;
 }
 
 PyObject *sums(Table &t, PyObject *const *) {
-    return Py_BuildValue("(nddd)", t.size(), fsum(t.s), fsum(t.p), fsum(t.c));
+    double s, p, c;
+    if (!fsum(t.s, s) || !fsum(t.p, p) || !fsum(t.c, c)) {
+        return NULL;
+    }
+    return Py_BuildValue("(nddd)", t.size(), s, p, c);
 }
 
 PyObject *items(Table &t, PyObject *const *) {

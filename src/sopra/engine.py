@@ -12,6 +12,13 @@ Each tick runs in five phases over agents in ascending id order:
 Because phases never read state another agent mutated in the same phase
 sweep, and all iteration is over sorted ids, identical scenario + seed
 gives byte-identical logs in any process.
+
+Phases 1 and 4 read one co-location layout: which agents share each
+location, each location's base context (its agents and its cues) and
+each actor's observers. A `World` keeps it between ticks and rebuilds it
+whenever the agents' locations differ from those it was built for: after
+a relocation row, or after a caller assigned `state.location` between
+steps.
 """
 
 from __future__ import annotations
@@ -79,29 +86,58 @@ class MetricsRow:
 
 
 def snapshot_context(world: World, agent: int,
-                     here: Collection[int] | None = None) -> ContextSnapshot:
+                     base: Collection[int] | None = None) -> ContextSnapshot:
     """What the agent with element int `agent` perceives right now: its
     location, the current timepoint, resources placed there, co-located
     agents, and its own previous activity.
 
-    `here` holds the element ints of the agents at the agent's location,
-    the agent itself included, as `World.step` buckets them once per
-    tick; without it every agent's location is scanned."""
+    `base` is the base context of the agent's location: the element ints
+    of the agents there, the agent itself included, and the location's
+    cues (`ScenarioIndex.cues`), as `World.step` keeps them between
+    ticks; without it every agent's location is scanned."""
     idx = world.scenario.index
     state = world.states[idx.element_ids[agent]]
     location = state.location
-    if here is None:
-        here = [e for e, other in zip(idx.agent_elements, world.states.values())
+    if base is None:
+        base = [e for e, other in zip(idx.agent_elements, world.states.values())
                 if other.location == location]
-    present = set(here)
+        base.extend(idx.cues[location])
+    present = set(base)
     present.discard(agent)
-    present.update(idx.cues[location])
     timepoints = idx.timepoint_elements
     if timepoints:
         present.add(timepoints[world.tick % len(timepoints)])
     if state.last_activity is not None:
         present.add(state.last_activity)
     return ContextSnapshot(tuple(sorted(present)), idx.element_ids)
+
+
+def _co_location_layout(scenario: Scenario, locations: tuple[int, ...]) -> tuple:
+    """(bases, groups, observations) for agents at `locations`, element
+    ints by agent position: bases[i] is the base context of agent i's
+    location; groups holds, for each location with two or more agents in
+    ascending order, their positions and each one's observer names; and
+    observations counts the ordered observer pairs. Only tuples of ints
+    and strings, which the cyclic collector stops tracking."""
+    idx = scenario.index
+    agent_ids = idx.agent_ids
+    agent_elements = idx.agent_elements
+    cues = idx.cues
+    by_location: dict[int, list[int]] = {}
+    for i, location in enumerate(locations):
+        by_location.setdefault(location, []).append(i)
+    base = {}
+    groups = []
+    observations = 0
+    for location in sorted(by_location):
+        at = by_location[location]
+        base[location] = (*map(agent_elements.__getitem__, at), *cues[location])
+        n = len(at)
+        if n > 1:
+            names = tuple(map(agent_ids.__getitem__, at))
+            groups.append((tuple(at), tuple([names[:k] + names[k + 1:] for k in range(n)])))
+            observations += n * (n - 1)
+    return tuple(map(base.__getitem__, locations)), tuple(groups), observations
 
 
 class World:
@@ -121,25 +157,29 @@ class World:
         }
         for state in self.states.values():
             build_score_cache(state, scenario)
+        # The agents' locations the co-location layout was built for, and
+        # the layout.
+        self._layout_key: tuple[int, ...] | None = None
+        self._layout: tuple = ()
 
     def step(self) -> list[Event]:
         s = self.scenario
         idx = s.index
         agent_ids = idx.agent_ids
-        agent_elements = idx.agent_elements
         # Agent states by position in agent_ids; every per-tick list below
         # is indexed the same way.
         states = list(self.states.values())
         tick = self.tick
 
-        # Location -> the positions of its agents, ascending; relocations
-        # only apply at the end of the tick, so phases 1 and 4 share this map.
-        by_location: dict[int, list[int]] = {}
-        for i, state in enumerate(states):
-            by_location.setdefault(state.location, []).append(i)
-        here = {loc: [agent_elements[i] for i in at] for loc, at in by_location.items()}
-        snaps = [snapshot_context(self, agent_elements[i], here[state.location])
-                 for i, state in enumerate(states)]
+        # Relocations only apply at the end of the tick, so phases 1 and 4
+        # share one layout.
+        locations = tuple([state.location for state in states])
+        if locations != self._layout_key:
+            self._layout = _co_location_layout(s, locations)
+            self._layout_key = locations
+        bases, groups, observations = self._layout
+        snaps = [snapshot_context(self, e, base)
+                 for e, base in zip(idx.agent_elements, bases)]
 
         # The last step of each agent's cycle is the decision it acts on.
         decided = [decision_cycle(state, snap, s, self.rng)[-1]
@@ -152,18 +192,12 @@ class World:
         # Each actor's performance goes to all other agents at its location
         # in one event. Actors run in id order because each observer must
         # apply them in that order (docs/model.md, Observation).
-        for location in sorted(by_location):
-            at = by_location[location]
-            if len(at) < 2:
-                continue
-            names = [agent_ids[i] for i in at]
-            for k, i in enumerate(at):
+        for at, observers in groups:
+            for i, names in zip(at, observers):
                 step = decided[i]
-                event = ObservationEvent(
-                    (*names[:k], *names[k + 1:]), names[k], step.chosen, snaps[i], tick,
-                )
+                event = ObservationEvent(names, agent_ids[i], step.chosen, snaps[i], tick)
                 observe(event, s, self.states, step.candidates)
-            self.observation_count += len(at) * (len(at) - 1)
+        self.observation_count += observations
 
         activity_ids = idx.activity_ids
         activity_elements = idx.activity_elements

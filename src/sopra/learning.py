@@ -20,7 +20,7 @@ from .state import AgentState, ContextSnapshot
 class ObservationEvent:
     """One performance and everyone who saw it."""
 
-    observers: tuple[str, ...]  # agent ids
+    observers: tuple[str, ...]  # distinct agent ids, the actor not among them
     actor: str
     activity: int  # activity int of the atomic activity the actor performed
     context: ContextSnapshot  # the actor's context at that tick
@@ -29,6 +29,8 @@ class ObservationEvent:
     def __post_init__(self):
         if self.actor in self.observers:
             raise ValueError("an agent does not observe itself")
+        if len(set(self.observers)) != len(self.observers):
+            raise ValueError("an observer is listed more than once")
 
 
 def habit_tick(state: AgentState, performed: int, ctx: ContextSnapshot,
@@ -44,7 +46,7 @@ def habit_tick(state: AgentState, performed: int, ctx: ContextSnapshot,
     state.habits.habit_tick(
         performed,
         ctx.ids,
-        scenario.index.agent_specs[state.agent_id].habit_rate,
+        state.habit_rate,
         g.decay_rate,
         g.decay_all,
     )

@@ -56,6 +56,7 @@ class AgentState:
     exec_state: ExecutionState
     resources: int
     location: int
+    habit_rate: float  # the agent's habitRate, read by every habit tick
     last_activity: int | None = None
     # intentional score of each activity, raw and normalised; set by build_score_cache
     score_raw: list[float] | None = None
@@ -84,6 +85,7 @@ def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
         exec_state=ExecutionState(),
         resources=spec.initial_resources,
         location=idx.element_index(spec.location),
+        habit_rate=spec.habit_rate,
     )
 
 

@@ -18,6 +18,7 @@ from sopra import (
     snapshot_context,
 )
 from sopra.engine import EVENTS_HEADER, write_text_atomic
+from sopra.scenarios import bundled_document
 
 
 def _two_agents_doc():
@@ -217,6 +218,31 @@ def test_relocation_applies_at_end_of_its_tick(cascade):
     assert ana[40].location == "Home"  # still home during the scheduled tick
     assert ana[41].location == "Venue"
     assert ana[42].location == "Venue"
+
+
+def test_assigned_location_equals_relocation_row():
+    # The tick keeps its co-location layout between ticks; assigning
+    # `state.location` between steps must rebuild it as a relocation row
+    # does. Cascade moves ana from Home, where ben and cas stay, to Venue
+    # at the end of tick 40; here that row is replaced by the assignment.
+    doc = bundled_document("cascade")
+    want = build_scenario(doc)
+    moved = [r for r in doc["environment"]["relocations"] if r["tick"] == 40]
+    assert [(r["agent"], r["location"]) for r in moved] == [("ana", "Venue")]
+    doc["environment"]["relocations"] = [
+        r for r in doc["environment"]["relocations"] if r["tick"] != 40
+    ]
+    w = World(build_scenario(doc), seed=5)
+    for _ in range(41):
+        w.step()
+    w.states["ana"].location = w.scenario.index.eidx["Venue"]
+    events, metrics = w.run(100 - 41)
+    ref = World(want, seed=5)
+    ref_events, ref_metrics = ref.run(100)
+    atomic = want.index.atomic_ids
+    assert events_csv(events) == events_csv(ref_events)
+    assert metrics_csv(metrics, atomic) == metrics_csv(ref_metrics, atomic)
+    assert w.observation_count == ref.observation_count
 
 
 def test_observation_count_counts_ordered_pairs(cascade):

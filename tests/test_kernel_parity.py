@@ -471,6 +471,81 @@ def test_sums_are_correctly_rounded_on_random_terms(backend, values):
     _assert_sums_are_fsum(_STORES[backend], values)
 
 
+# Around the compiled store's fast path, which adds each view in
+# [2^-40, 2) exactly as a whole number of units of 2^-92: both ends of
+# that range, the values just outside it, ties at the last bit of a sum,
+# and thousands of values near 2.0, whose count carries out of its low
+# 64-bit word and whose sum passes 2^14, where the count's top 53-bit
+# piece is used.
+_BELOW_UNIT = math.nextafter(2.0**-40, 0.0)
+_BELOW_TWO = math.nextafter(2.0, 0.0)
+_NEAR_TWO = [2.0 - k * 2.0**-52 for k in range(1, 9001)]
+_FAST_PATH_VECTORS = [
+    [2.0**-40], [_BELOW_UNIT], [_BELOW_TWO], [2.0],
+    [2.0**-40, _BELOW_UNIT, -(2.0**-40), -_BELOW_UNIT],
+    [_BELOW_TWO, 2.0, 2.0**-40, _BELOW_UNIT, 2.0**-1074, 1.0],
+    [_BELOW_TWO] * 3 + [-2.0**-93],
+    [1.0] * 16384 + [2.0**-39],  # a tie, kept at the even 2**14
+    [1.0] * 16384 + [2.0**-38, 2.0**-39],  # a tie, rounded up to even
+    [1.0] * 16384 + [2.0**-39, 2.0**-40 * (1 + 2.0**-52)],  # just above a tie
+    [1.0] * 16384 + [2.0**-39, -(2.0**-92)],  # just below a tie
+    _NEAR_TWO,
+    _NEAR_TWO[:3000],
+    _NEAR_TWO + [2.0**-40 * (1 + k * 2.0**-52) for k in range(3000)],
+    _NEAR_TWO + [-1e16, 1e16, 1e-300, -_BELOW_TWO],
+]
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_sums_are_correctly_rounded_around_the_fast_path(backend):
+    for values in _FAST_PATH_VECTORS:
+        _assert_sums_are_fsum(_STORES[backend], values)
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+@given(st.lists(st.one_of(st.floats(min_value=2.0**-41, max_value=2.5),
+                          st.sampled_from([0.0, 2.0**-40, _BELOW_UNIT, _BELOW_TWO, 2.0])),
+                min_size=1, max_size=24),
+       st.lists(_FSUM_TERMS, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_sums_are_correctly_rounded_on_views_near_the_fast_path(backend, views, others):
+    _assert_sums_are_fsum(_STORES[backend], views + others)
+
+
+def _fsum_outcome(call):
+    # What a sum returns, as hex (nan has one), or what it raises.
+    try:
+        total = call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(total) else total.hex()
+
+
+_INF = math.inf
+_SPECIAL_VECTORS = [
+    [1e308, 1e308], [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
+    [-1e308, 0.5, -1e308], [_INF, -_INF], [-_INF, 0.5, _INF], [_INF], [-_INF, 1.0],
+    [_INF, _INF, 1e308], [math.nan], [0.5, math.nan, _INF], [math.nan, _INF, -_INF],
+    [1e308, 1e308, _INF], [_INF, 1e308, 1e308],
+]
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_sums_fail_the_way_math_fsum_does(backend):
+    # Views no validated scenario stores: each total must return what
+    # math.fsum returns on its column, or raise what it raises.
+    for values in _SPECIAL_VECTORS:
+        for column in range(3):
+            store = _STORES[backend]([0], [0, 1])
+            for k, v in enumerate(values):
+                views = [0.0, 0.0, 0.0]
+                views[column] = v
+                store.set_views(k, 0, *views)
+            want = _fsum_outcome(lambda: math.fsum(values))
+            got = _fsum_outcome(lambda: store.sums()[1 + column])
+            assert got == want, (values, column)
+
+
 def _crowd_doc() -> dict:
     """Twelve agents at Home and three at Away choosing among three
     options: every co-located pair observes, with two competitors."""

@@ -200,6 +200,14 @@ def test_observation_event_rejects_self():
                          context=snapshot_of(s.index, {"Home"}), tick=0)
 
 
+def test_observation_event_rejects_a_repeated_observer():
+    # Listed twice, ag2 would learn the performance twice: 0.51, not 0.3.
+    s = build_scenario(make_doc())
+    with pytest.raises(ValueError):
+        ObservationEvent(observers=("ag2", "ag2"), actor="ag1", activity=s.index.aidx["opt_a"],
+                         context=snapshot_of(s.index, {"Home"}), tick=0)
+
+
 def test_observe_ignores_acted_among_candidates():
     s = _two_agent_scenario()
     states = {a.id: init_agent_state(s, a.id) for a in s.agents}
