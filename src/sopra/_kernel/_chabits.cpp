@@ -3,22 +3,34 @@
 // Bit-identical to `pyhabits.HabitStore`, written against the public
 // CPython C API. The two kernels share the per-entry expressions, the
 // order of entry creation and the order of updates within each entry;
-// their layouts may differ, and `sums` is correctly rounded, so it needs
-// no order either.
+// their layouts may differ.
 //
 // `sums` is CPython's math.fsum with a fast path: views in [2^-40, 2),
 // which bounded views mostly are, go exactly into one 128-bit integer
 // count of 2^-92, and only the rest go through the partials loop. It
 // keeps fsum's special values: an inf or nan view makes a total inf or
 // nan, -inf with inf raises ValueError, and a finite sum out of range
-// raises OverflowError.
+// raises OverflowError. A correctly rounded total does not depend on
+// the order of its terms, but whether a partial sum overflows does, so
+// both kernels add the terms in one order: collective views in slot
+// order, strengths and personal views in the order their entries were
+// first written by `set_views` or `habit_tick` (the pure store's habit
+// table order), which `written` holds.
 //
 // Every entry has a slot in the parallel columns `s`, `p` and `c`;
 // `rows[activity][element]` maps the entry to it and `ka`/`ke` hold each
-// slot's activity and element in creation order. The module must be
-// compiled with -ffp-contract=off (no fused multiply-add), so both
-// backends produce bit-identical doubles. setup.py builds it; README.md
-// gives the g++ command for building it by hand.
+// slot's activity and element in creation order.
+//
+// The ancestor chains are checked once and held in one immutable
+// `Chains` table, shared by every store built from the same two tuple
+// objects, as `pyhabits._latest` shares its element-chain table: both
+// kernels keep one chain table per pair of chain tuples, so one per
+// scenario index. Each query still checks its elements' range.
+//
+// The module must be compiled with -ffp-contract=off (no fused
+// multiply-add), so both backends produce bit-identical doubles.
+// setup.py builds it; README.md gives the g++ command for building it
+// by hand.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -26,6 +38,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,6 +51,22 @@ typedef long long i64;
 
 typedef std::unordered_map<i64, Py_ssize_t> Row;  // element -> slot
 
+// Element e's chain, e then its ancestors nearest first, is
+// data[start[e]:start[e + 1]]; store_init checks the offsets.
+struct Chains {
+    std::vector<Py_ssize_t> data;
+    std::vector<Py_ssize_t> start;
+
+    Py_ssize_t elements() const { return start.empty() ? 0 : (Py_ssize_t)start.size() - 1; }
+};
+
+// The chains of the latest store built from two new tuple objects, and
+// strong references to those tuples, so that neither can be freed and
+// its address reused by another argument while the chains are kept.
+PyObject *latest_data = NULL;
+PyObject *latest_start = NULL;
+std::shared_ptr<const Chains> latest_chains;
+
 struct Table {
     std::unordered_map<i64, Row> rows;  // activity -> its row
     std::vector<i64> ka;  // slot -> activity, creation order
@@ -45,10 +74,21 @@ struct Table {
     std::vector<double> s;
     std::vector<double> p;
     std::vector<double> c;
-    std::vector<Py_ssize_t> chain_data;
-    std::vector<Py_ssize_t> chain_start;
+    std::vector<char> wrote;  // slot -> set_views or habit_tick has written it
+    std::vector<Py_ssize_t> written;  // those slots, first write first
+    std::shared_ptr<const Chains> chains;  // NULL until store_init
 
     Py_ssize_t size() const { return (Py_ssize_t)ka.size(); }
+
+    // A slot `set_views` or `habit_tick` writes joins `written` on its
+    // first write. A slot only `observe` wrote keeps zero strength and
+    // personal view, and stays out of their sums.
+    void write(Py_ssize_t i) {
+        if (!wrote[i]) {
+            wrote[i] = 1;
+            written.push_back(i);
+        }
+    }
 
     const Row *row(i64 a) const {
         auto it = rows.find(a);
@@ -79,6 +119,7 @@ struct Table {
         s.push_back(0.0);
         p.push_back(0.0);
         c.push_back(0.0);
+        wrote.push_back(0);
         return i;
     }
 
@@ -86,10 +127,11 @@ struct Table {
 
     // Strength of the nearest ancestor of `element` with a nonzero entry
     // in activity row `r`, discounted by attenuation per hierarchy step.
-    double effective(const Row &r, Py_ssize_t element, double attenuation) const {
+    double effective(const Chains &ch, const Row &r, Py_ssize_t element,
+                     double attenuation) const {
         double factor = 1.0;
-        for (Py_ssize_t j = chain_start[element]; j < chain_start[element + 1]; j++) {
-            auto it = r.find((i64)chain_data[j]);
+        for (Py_ssize_t j = ch.start[element]; j < ch.start[element + 1]; j++) {
+            auto it = r.find((i64)ch.data[j]);
             if (it != r.end()) {
                 double v = s[it->second];
                 if (v > 0.0) {
@@ -150,6 +192,7 @@ PyObject *set_views(Table &t, PyObject *const *args) {
         return NULL;
     }
     Py_ssize_t i = t.ensure(a, e);
+    t.write(i);
     t.s[i] = strength;
     t.p[i] = personal;
     t.c[i] = collective;
@@ -179,9 +222,9 @@ PyObject *pressures(Table &t, PyObject *const *args) {
     if (aggregation == -1 && PyErr_Occurred()) {
         return NULL;
     }
-    // The chain walk indexes chain_start[e + 1]: refuse what the Python
+    // The chain walk indexes start[e + 1]: refuse what the Python
     // store's slice would refuse rather than read past the end.
-    Py_ssize_t n_elements = t.chain_start.empty() ? 0 : (Py_ssize_t)t.chain_start.size() - 1;
+    Py_ssize_t n_elements = t.chains ? t.chains->elements() : 0;
     for (Py_ssize_t e : ctx) {
         if (e < 0 || e >= n_elements) {
             PyErr_Format(PyExc_IndexError, "context element %zd out of range for %zd elements",
@@ -203,7 +246,7 @@ PyObject *pressures(Table &t, PyObject *const *args) {
         double acc = 0.0;
         if (r != NULL) {
             for (Py_ssize_t j = 0; j < n; j++) {
-                double v = t.effective(*r, ctx[j], attenuation);
+                double v = t.effective(*t.chains, *r, ctx[j], attenuation);
                 if (aggregation == 1) {  // max
                     if (v > acc) {
                         acc = v;
@@ -243,7 +286,7 @@ PyObject *habit_tick(Table &t, PyObject *const *args) {
     }
     std::unordered_set<i64> member;
     for (i64 e : ctx) {
-        t.ensure(performed, e);
+        t.write(t.ensure(performed, e));
         member.insert(e);
     }
     for (Py_ssize_t i = 0; i < t.size(); i++) {
@@ -308,12 +351,12 @@ PyObject *observe(Table &t, PyObject *const *args) {
     Py_RETURN_NONE;
 }
 
-// CPython's math.fsum over `values` in their order: Shewchuk's partials,
-// then half-even rounding across them, with fsum's special values. An
-// inf or nan term makes the result the plain sum of those terms, or
-// raises ValueError for -inf + inf; a finite term that takes a partial
-// sum out of range raises OverflowError. Returns false with that error
-// set.
+// CPython's math.fsum over value(0), ..., value(n - 1) in that order:
+// Shewchuk's partials, then half-even rounding across them, with fsum's
+// special values. An inf or nan term makes the result the plain sum of
+// those terms, or raises ValueError for -inf + inf; a finite term that
+// takes a partial sum out of range raises OverflowError. Returns false
+// with that error set.
 //
 // Fast path: a view in [2^-40, 2) is a whole number of units of 2^-92
 // below 2^93, so it is added exactly into the 128-bit count `units`
@@ -321,7 +364,8 @@ PyObject *observe(Table &t, PyObject *const *args) {
 // partial sum as it was. Only the other terms go through the partials
 // loop, and then the count, as three pieces of 53 bits or fewer, each
 // a double exactly. The sum is the same correctly rounded one.
-bool fsum(const std::vector<double> &values, double &out) {
+template <class Value>
+bool fsum(size_t n, Value value, double &out) {
     std::vector<double> partials;
     double special_sum = 0.0, inf_sum = 0.0;
     auto add = [&](double x) {
@@ -358,7 +402,8 @@ bool fsum(const std::vector<double> &values, double &out) {
         return true;
     };
     unsigned __int128 units = 0;
-    for (double x : values) {
+    for (size_t k = 0; k < n; k++) {
+        double x = value(k);
         uint64_t bits;
         std::memcpy(&bits, &x, sizeof bits);
         // Sign and biased exponent; 983 to 1023 is [2^-40, 2).
@@ -385,7 +430,7 @@ bool fsum(const std::vector<double> &values, double &out) {
         out = special_sum;
         return true;
     }
-    size_t n = partials.size();
+    n = partials.size();
     double hi = n > 0 ? partials[--n] : 0.0, lo = 0.0;
     while (n > 0) {  // add from the top while the sum stays exact
         double x = hi, y = partials[--n];
@@ -407,8 +452,11 @@ bool fsum(const std::vector<double> &values, double &out) {
 }
 
 PyObject *sums(Table &t, PyObject *const *) {
+    const std::vector<Py_ssize_t> &w = t.written;
     double s, p, c;
-    if (!fsum(t.s, s) || !fsum(t.p, p) || !fsum(t.c, c)) {
+    if (!fsum(w.size(), [&](size_t k) { return t.s[w[k]]; }, s)
+        || !fsum(w.size(), [&](size_t k) { return t.p[w[k]]; }, p)
+        || !fsum(t.c.size(), [&](size_t k) { return t.c[k]; }, c)) {
         return NULL;
     }
     return Py_BuildValue("(nddd)", t.size(), s, p, c);
@@ -494,11 +542,15 @@ int store_init(PyObject *self, PyObject *args, PyObject *kwds) {
     }
     Table &t = ((HabitStoreObject *)self)->t;
     try {
-        std::vector<Py_ssize_t> data, start;
+        if (data_arg == latest_data && start_arg == latest_start) {
+            t.chains = latest_chains;
+            return 0;
+        }
+        auto chains = std::make_shared<Chains>();
+        std::vector<Py_ssize_t> &data = chains->data, &start = chains->start;
         if (!as_ints(data_arg, data) || !as_ints(start_arg, start)) {
             return -1;
         }
-        // The chain walk reads chain_data[chain_start[e]:chain_start[e + 1]].
         for (size_t k = 0; k < start.size(); k++) {
             if (start[k] < 0 || start[k] > (Py_ssize_t)data.size()
                 || (k > 0 && start[k] < start[k - 1])) {
@@ -507,8 +559,18 @@ int store_init(PyObject *self, PyObject *args, PyObject *kwds) {
                 return -1;
             }
         }
-        t.chain_data.swap(data);
-        t.chain_start.swap(start);
+        t.chains = chains;
+        // Only tuples are kept: a list may change before the next store.
+        if (PyTuple_CheckExact(data_arg) && PyTuple_CheckExact(start_arg)) {
+            // Replace all three before releasing the old tuples, whose
+            // release could run code that builds another store.
+            PyObject *old_data = latest_data, *old_start = latest_start;
+            latest_data = Py_NewRef(data_arg);
+            latest_start = Py_NewRef(start_arg);
+            latest_chains = std::move(chains);
+            Py_XDECREF(old_data);
+            Py_XDECREF(old_start);
+        }
     } catch (const std::bad_alloc &) {
         PyErr_NoMemory();
         return -1;

@@ -16,11 +16,14 @@ is filled when a store is built.
 A chain is a function of the two chain arrays alone, so consecutive
 stores built from the same two tuple objects (every agent of one
 scenario index) share one table, and each chain tuple is made once per
-index, not once per store. Per-store tuples measured worse: on a
-400-agent world they added a few thousand objects per run, enough to
-move one full garbage collection out of the run and into the set-up
-that follows it. Stores over other chain arrays get a table of their
-own.
+index, not once per store. Both kernels keep one chain table per pair
+of chain tuples: the compiled store shares its checked chain arrays
+the same way. Per-store tuples measured worse: on a 400-agent world
+they added a few thousand objects per run, enough to move one full
+garbage collection out of the run and into the set-up that follows it.
+Stores over other chain arrays get a table of their own, after the
+same offset check the compiled store makes: `chain_start` must be
+nondecreasing offsets into `chain_data`.
 
 Layout of the habit entries: two tables.
 
@@ -37,9 +40,11 @@ Layout of the habit entries: two tables.
   So `pressures`, `habit_tick`, `track_personal` and the strength and
   personal sums walk performed entries only.
 
-`sums` returns correctly rounded totals (`math.fsum`), which do not
-depend on the order of the terms, so the two tables need not agree on
-one.
+`sums` returns correctly rounded totals (`math.fsum`). A total does not
+depend on the order of its terms, but whether a partial sum overflows
+does, so the compiled store adds them in this store's orders: strengths
+and personal views in habit-table order, collective views in slot
+order.
 
 This is the reference implementation; the compiled backend in
 `_chabits.cpp` must stay bit-identical to it, with a layout of its own.
@@ -88,6 +93,10 @@ class HabitStore:
         start = self._chain_start = tuple(chain_start)
         latest_data, latest_start, table = _latest
         if data is not latest_data or start is not latest_start:
+            # Every offset in [0, len(data)], each no less than the last.
+            bounds = [0, *start, len(data)]
+            if bounds != sorted(bounds):
+                raise ValueError("chain_start must be nondecreasing offsets into chain_data")
             table = {}
             _latest[:] = data, start, table
         self._chains: dict[int, tuple[int, ...]] = table

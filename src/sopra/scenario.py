@@ -11,7 +11,9 @@ builder usable on documents you want to diagnose rather than refuse.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterator, Mapping
+from itertools import repeat
 from typing import Any
 
 from .errors import ScenarioError
@@ -77,6 +79,25 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_plain_ident(v: Any) -> bool:
+    return (isinstance(v, str) and bool(v) and v == v.strip()
+            and _UNSAFE_ID_CHAR.search(v) is None)
+
+
+# A view section of this many rows or more is read a column at a time
+# (`_Reader.view_columns`). The column pass pays a fixed twenty or so
+# C-level calls and saves about a tenth of the row readers' cost per row:
+# on CPython 3.11 the two broke even at about 50 rows.
+_COLUMN_MIN_ROWS = 64
+
+# Type sets the column pass tests whole columns against:
+# `issuperset(map(type, column))` runs the loop in C.
+_DICT = frozenset({dict})
+_STR = frozenset({str})
+_FLOAT = frozenset({float})
+_FLOAT_OR_NONE = frozenset({float, type(None)})
+
+
 class _Reader:
     """Field readers for one `build_scenario` call.
 
@@ -119,7 +140,7 @@ class _Reader:
         v = obj.get(key)
         if type(v) is str and v in self._idents:
             return v
-        if not isinstance(v, str) or not v or v != v.strip() or _UNSAFE_ID_CHAR.search(v):
+        if not _is_plain_ident(v):
             self.fail(section, i, f"{key!r} must be a plain identifier string, got {v!r}")
             return ""
         self._idents.add(v)
@@ -164,6 +185,44 @@ class _Reader:
         if collective is not None:
             collective = self.num(obj, "myCollectiveView", section, i)
         return ViewTriple(strength, personal, collective)
+
+    def view_columns(self, doc: Mapping[str, Any], key: str, cls: type,
+                     id_keys: tuple[str, ...]) -> list | None:
+        """The rows of view section `key`, read a column at a time: each
+        id key's column, then the strength, personal-view and
+        collective-view columns, mapped through `cls`.
+
+        Returns None, having reported nothing, when the section is shorter
+        than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
+        that would fail its row reader: an id that is not a plain
+        identifier `str`, a strength or personal view that is not a float,
+        or a collective view that is neither a float nor absent. The
+        caller then reads the section row by row, and the row readers
+        word every report, in document order. Each distinct id not yet
+        accepted is checked once, with `ident`'s test."""
+        raw = doc.get(key)
+        if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
+                or not _DICT.issuperset(map(type, raw))):
+            return None
+        get = dict.get
+        ids = []
+        for k in id_keys:
+            column = list(map(get, raw, repeat(k)))
+            if not _STR.issuperset(map(type, column)):
+                return None
+            fresh = set(column).difference(self._idents)
+            if not all(map(_is_plain_ident, fresh)):
+                return None
+            self._idents |= fresh
+            ids.append(column)
+        strength = list(map(get, raw, repeat("strength"), repeat(0.0)))
+        personal = list(map(get, raw, repeat("personalView"), repeat(0.0)))
+        collective = list(map(get, raw, repeat("myCollectiveView")))
+        if not (_FLOAT.issuperset(map(type, strength))
+                and _FLOAT.issuperset(map(type, personal))
+                and _FLOAT_OR_NONE.issuperset(map(type, collective))):
+            return None
+        return list(map(cls, *ids, map(ViewTriple, strength, personal, collective)))
 
     def enum(self, obj: Mapping[str, Any], key: str, enum_cls: type, section: str, i: int):
         v = obj.get(key)
@@ -326,8 +385,8 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
         errs.append("'values' must be a list of value ids")
     else:
         values = list(values_raw)
-        dup = {v for v in values if values.count(v) > 1}
-        if dup:
+        if len(set(values)) < len(values):
+            dup = [v for v, n in Counter(values).items() if n > 1]
             errs.append(f"duplicate value ids: {sorted(dup)}")
 
     agents = []
@@ -355,32 +414,40 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
             )
         )
 
-    habitual = [
-        HabitualConnection(
-            f.ident(row, "agent", "habitualConnections", i),
-            f.ident(row, "activity", "habitualConnections", i),
-            f.ident(row, "contextElement", "habitualConnections", i),
-            f.views(row, "habitualConnections", i),
-        )
-        for i, row in f.rows(document, "habitualConnections")
-    ]
-    priorities = [
-        ValuePriority(
-            f.ident(row, "agent", "valuePriorities", i),
-            f.ident(row, "value", "valuePriorities", i),
-            f.views(row, "valuePriorities", i),
-        )
-        for i, row in f.rows(document, "valuePriorities")
-    ]
-    value_connections = [
-        ValueConnection(
-            f.ident(row, "agent", "valueConnections", i),
-            f.ident(row, "activity", "valueConnections", i),
-            f.ident(row, "value", "valueConnections", i),
-            f.views(row, "valueConnections", i),
-        )
-        for i, row in f.rows(document, "valueConnections")
-    ]
+    habitual = f.view_columns(document, "habitualConnections", HabitualConnection,
+                              ("agent", "activity", "contextElement"))
+    if habitual is None:
+        habitual = [
+            HabitualConnection(
+                f.ident(row, "agent", "habitualConnections", i),
+                f.ident(row, "activity", "habitualConnections", i),
+                f.ident(row, "contextElement", "habitualConnections", i),
+                f.views(row, "habitualConnections", i),
+            )
+            for i, row in f.rows(document, "habitualConnections")
+        ]
+    priorities = f.view_columns(document, "valuePriorities", ValuePriority, ("agent", "value"))
+    if priorities is None:
+        priorities = [
+            ValuePriority(
+                f.ident(row, "agent", "valuePriorities", i),
+                f.ident(row, "value", "valuePriorities", i),
+                f.views(row, "valuePriorities", i),
+            )
+            for i, row in f.rows(document, "valuePriorities")
+        ]
+    value_connections = f.view_columns(document, "valueConnections", ValueConnection,
+                                       ("agent", "activity", "value"))
+    if value_connections is None:
+        value_connections = [
+            ValueConnection(
+                f.ident(row, "agent", "valueConnections", i),
+                f.ident(row, "activity", "valueConnections", i),
+                f.ident(row, "value", "valueConnections", i),
+                f.views(row, "valueConnections", i),
+            )
+            for i, row in f.rows(document, "valueConnections")
+        ]
 
     roots_raw = document.get("roots", [])
     roots: list[str] = []

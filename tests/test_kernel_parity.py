@@ -3,6 +3,7 @@ same results bit for bit, in any operation order, on any scenario."""
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 
@@ -301,6 +302,78 @@ def test_stores_over_different_chains_keep_their_own_answers(backend):
         assert [_chain_answers(st) for st in stores] == want
 
 
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_a_store_built_after_a_freed_one_answers_like_a_cold_store(backend):
+    # Stores built from the same two tuples share one chain table; it must
+    # outlive the store that built it. Tuples made right after the first
+    # ones are released, which CPython's tuple free list places at their
+    # addresses, must get a table of their own.
+    cls = _STORES[backend]
+    chains = tuple(map(tuple, _chains()))
+    want = _chain_answers(_chain_store(ReferenceHabitStore, *chains))
+    first = _chain_store(cls, *chains)
+    assert _chain_answers(first) == want
+    del first
+    gc.collect()
+    assert _chain_answers(_chain_store(cls, *chains)) == want
+    # Other chains on the same offsets (0 root, 1 -> 3, 2 -> 4 -> 3,
+    # 3 root, 4 -> 3).
+    other = [[0, 1, 3, 2, 4, 3, 3, 4, 3], list(chains[1])]
+    want_other = _chain_answers(_chain_store(ReferenceHabitStore, *other))
+    assert want_other != want
+    del chains
+    assert _chain_answers(_chain_store(cls, *map(tuple, other))) == want_other
+
+
+@pytest.mark.parametrize("backend", sorted(_STORES))
+def test_stores_interleaved_over_two_indexes_answer_like_cold_stores(backend):
+    # Index A over the five elements of _chains(), index B over three
+    # (0 root, 1 -> 0, 2 -> 0), then A again, as the same tuple objects
+    # and as equal new ones. Every store answers like a cold one, also
+    # when queried again after all are built.
+    cls = _STORES[backend]
+    a = tuple(map(tuple, _chains()))
+    b = ((0, 1, 0, 2, 0), (0, 1, 3, 5))
+    strengths_b = [(0, 0, 0.75), (1, 1, 0.5), (2, 2, 0.25), (3, 0, 0.125)]
+    queries_b = [[0], [1], [2], [0, 1, 2], [2, 1]]
+
+    def answers(store, chains):
+        queries = _CHAIN_QUERIES if chains[1] == a[1] else queries_b
+        return [_hex(store.pressures([0, 1, 2, 3], ctx, 0.5, agg))
+                for ctx in queries for agg in (AGG_MEAN, AGG_MAX, AGG_SUM)]
+
+    built = [(a, _CHAIN_STRENGTHS), (b, strengths_b), (a, _CHAIN_STRENGTHS),
+             (tuple(map(tuple, map(list, a))), _CHAIN_STRENGTHS), (b, strengths_b)]
+    want = [answers(_chain_store(ReferenceHabitStore, *chains, strengths), chains)
+            for chains, strengths in built]
+    stores = []
+    for chains, strengths in built:
+        stores.append(_chain_store(cls, *chains, strengths))
+        assert answers(stores[-1], chains) == want[len(stores) - 1]
+        with pytest.raises(IndexError):
+            stores[-1].pressures([0], [len(chains[1]) - 1], 0.5, AGG_MEAN)
+    assert [answers(st, chains) for st, (chains, _) in zip(stores, built)] == want
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_bad_chain_offsets_raise_on_every_construction(backend):
+    # A rejected pair of arrays is never kept for the next store: the
+    # same tuples raise again, before and after a good store over the
+    # same chain data.
+    cls = available_backends()[backend]
+    data = (0, 1, 0, 2, 1, 0)
+    bad = [(0, 7), (-1, 1, 3), (0, 3, 1, 6), (4, 1), (0, 1, 3, 6, 6, 7)]
+    for _ in range(2):
+        for start in bad:
+            for args in ((data, start), (list(data), list(start))):
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="nondecreasing offsets"):
+                        cls(*args)
+        good = cls(data, (0, 1, 3, 6))
+        good.set_views(0, 0, 0.5, 0.0, 0.0)
+        assert good.pressures([0], [1], 0.5, AGG_MAX) == [0.25]
+
+
 # (seeded (activity, element, collective view) entries, observe
 # arguments), on stores over the five elements of _chains().
 _OBSERVE_CASES = {
@@ -544,6 +617,37 @@ def test_sums_fail_the_way_math_fsum_does(backend):
             want = _fsum_outcome(lambda: math.fsum(values))
             got = _fsum_outcome(lambda: store.sums()[1 + column])
             assert got == want, (values, column)
+
+
+# Operations after which the strengths, added in the order their entries
+# were first written (by set_views, or by habit_tick in context order),
+# overflow a partial sum, and added in slot order do not: the reference
+# store's order, which returns 1e308 here.
+_OVERFLOW_OPS = {
+    "set_views": [("observe", 0, [], [0], 0.5), ("set", 1, 0, 1e308), ("set", 2, 0, 1e308),
+                  ("set", 0, 0, -1e308)],
+    "habit_tick": [("observe", 0, [], [0, 1], 0.5), ("set", 1, 0, 1e308),
+                   ("tick", 0, [1, 0], 1e308, 0.0, False), ("set", 0, 0, -1e308)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOW_OPS))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_sums_overflow_in_first_write_order(backend, case):
+    # Whether math.fsum overflows depends on the order of its terms, so
+    # the kernels must add them in one order to fail alike.
+    store = available_backends()[backend]([0], [0, 1])
+    for op, *args in _OVERFLOW_OPS[case]:
+        if op == "set":
+            store.set_views(*args, args[-1], 0.0)
+        elif op == "tick":
+            store.habit_tick(*args)
+        else:
+            store.observe(*args)
+    overflow = (OverflowError, "intermediate overflow in fsum")
+    assert _fsum_outcome(lambda: store.sums()[1]) == overflow
+    if case == "set_views":
+        assert _fsum_outcome(lambda: store.sums()[2]) == overflow
 
 
 def _crowd_doc() -> dict:

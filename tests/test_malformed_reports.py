@@ -94,6 +94,58 @@ NUMBER_SITES = {
 }
 
 
+# Each view section's rows are repeated up to DEEP_ROWS, and the deep
+# defects sit in rows from DEEP_ROW on: large sections are read a column
+# at a time, and any problem sends the section back to the row readers,
+# which must word and order the report as they do for a short section.
+DEEP_ROWS = 1200
+DEEP_ROW = 1100
+DEEP_ID_SITES = {
+    "habitualConnections": "contextElement",
+    "valuePriorities": "agent",
+    "valueConnections": "activity",
+}
+DEEP_VIEW_DEFECTS = {
+    "habitualConnections": ("strength", "0.5"),
+    "valuePriorities": ("personalView", True),
+    "valueConnections": ("myCollectiveView", "high"),
+}
+
+
+def _padded(*sections: str) -> Callable[[Doc], None]:
+    def mutate(doc: Doc) -> None:
+        for section in sections:
+            rows = doc[section]
+            doc[section] = [dict(rows[i % len(rows)]) for i in range(DEEP_ROWS)]
+    return mutate
+
+
+def _replace(section: str, row: int, value: Any) -> Callable[[Doc], None]:
+    def mutate(doc: Doc) -> None:
+        doc[section][row] = value
+    return mutate
+
+
+# Problems in every view section, at rows in no order a set would give:
+# three distinct bad ids in one column, a view of each kind, a non-object
+# row and ids that are bad in one column and good in another.
+DEEP_MIXED = _all(
+    _padded(*DEEP_ID_SITES),
+    _set("valueConnections", 1190, "agent", "zed "),
+    _set("valueConnections", 1001, "agent", "alice\n"),
+    _set("valueConnections", 1100, "agent", "b,ob"),
+    _set("valueConnections", 1002, "strength", 2),
+    _set("valueConnections", 1003, "personalView", "high"),
+    _set("valueConnections", 1004, "myCollectiveView", False),
+    _replace("valueConnections", 1050, ["not", "a", "row"]),
+    _set("valuePriorities", 1199, "value", " speed"),
+    _set("valuePriorities", 1000, "agent", "speed "),
+    _set("habitualConnections", 1111, "activity", None),
+    _set("habitualConnections", 1010, "strength", None),
+    _replace("habitualConnections", 1020, 0.5),
+)
+
+
 def _placements(doc: Doc) -> None:
     doc["environment"]["placements"]["Attic"] = ["ghost_res"]
 
@@ -202,6 +254,23 @@ CASES: dict[str, Callable[[Doc], None]] = {
         _set("valueConnections", 3, "value", "speed"),
     ),
     "mapping_proxy_rows": _proxy_rows,
+    **{
+        f"deep_id_{defect}_{section}": _all(_padded(section),
+                                            _set(section, DEEP_ROW, key, value))
+        for section, key in DEEP_ID_SITES.items()
+        for defect, value in ID_DEFECTS.items()
+    },
+    **{
+        f"deep_view_{section}": _all(_padded(section),
+                                     _set(section, DEEP_ROW, *DEEP_VIEW_DEFECTS[section]))
+        for section in DEEP_VIEW_DEFECTS
+    },
+    **{
+        f"deep_non_object_{section}": _all(_padded(section),
+                                           _replace(section, DEEP_ROW, "not a row"))
+        for section in DEEP_ID_SITES
+    },
+    "deep_mixed": DEEP_MIXED,
     # One agent relocated twice at one tick; the location does not matter.
     "duplicate_relocation": lambda doc: doc["environment"]["relocations"].extend([
         {"tick": 3, "agent": "bob", "location": "Office"},
@@ -448,6 +517,467 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "dangling-reference: valueConnections[dave]: unknown activity 'teleport'",
             "dangling-reference: valueConnections[dave]: unknown value 'speed'",
         ],
+    ),
+    "deep_id_bool_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got True",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got True",
+        ],
+        None,
+    ),
+    "deep_id_bool_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got True",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got True",
+        ],
+        None,
+    ),
+    "deep_id_bool_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got True",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got True",
+        ],
+        None,
+    ),
+    "deep_id_carriage_return_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "deep_id_carriage_return_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "deep_id_carriage_return_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\rb'",
+        ],
+        None,
+    ),
+    "deep_id_comma_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo,b'",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo,b'",
+        ],
+        None,
+    ),
+    "deep_id_comma_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo,b'",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo,b'",
+        ],
+        None,
+    ),
+    "deep_id_comma_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo,b'",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo,b'",
+        ],
+        None,
+    ),
+    "deep_id_dict_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        None,
+    ),
+    "deep_id_dict_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        None,
+    ),
+    "deep_id_dict_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got {'id': 'bob'}",
+        ],
+        None,
+    ),
+    "deep_id_double_quote_habitualConnections": (
+        [
+            'habitualConnections[1100]: \'contextElement\' must be a plain identifier string, got \'"bob\'',
+        ],
+        [
+            'habitualConnections[1100]: \'contextElement\' must be a plain identifier string, got \'"bob\'',
+        ],
+        None,
+    ),
+    "deep_id_double_quote_valueConnections": (
+        [
+            'valueConnections[1100]: \'activity\' must be a plain identifier string, got \'"bob\'',
+        ],
+        [
+            'valueConnections[1100]: \'activity\' must be a plain identifier string, got \'"bob\'',
+        ],
+        None,
+    ),
+    "deep_id_double_quote_valuePriorities": (
+        [
+            'valuePriorities[1100]: \'agent\' must be a plain identifier string, got \'"bob\'',
+        ],
+        [
+            'valuePriorities[1100]: \'agent\' must be a plain identifier string, got \'"bob\'',
+        ],
+        None,
+    ),
+    "deep_id_empty_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ''",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ''",
+        ],
+        None,
+    ),
+    "deep_id_empty_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ''",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ''",
+        ],
+        None,
+    ),
+    "deep_id_empty_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ''",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ''",
+        ],
+        None,
+    ),
+    "deep_id_int_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 5",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 5",
+        ],
+        None,
+    ),
+    "deep_id_int_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 5",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 5",
+        ],
+        None,
+    ),
+    "deep_id_int_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 5",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 5",
+        ],
+        None,
+    ),
+    "deep_id_lead_space_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ' bob'",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ' bob'",
+        ],
+        None,
+    ),
+    "deep_id_lead_space_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ' bob'",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ' bob'",
+        ],
+        None,
+    ),
+    "deep_id_lead_space_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ' bob'",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ' bob'",
+        ],
+        None,
+    ),
+    "deep_id_list_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ['bob']",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got ['bob']",
+        ],
+        None,
+    ),
+    "deep_id_list_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ['bob']",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got ['bob']",
+        ],
+        None,
+    ),
+    "deep_id_list_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ['bob']",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got ['bob']",
+        ],
+        None,
+    ),
+    "deep_id_missing_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got None",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_missing_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got None",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_missing_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got None",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_newline_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        None,
+    ),
+    "deep_id_newline_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        None,
+    ),
+    "deep_id_newline_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\nb'",
+        ],
+        None,
+    ),
+    "deep_id_none_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got None",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_none_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got None",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_none_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got None",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got None",
+        ],
+        None,
+    ),
+    "deep_id_surrogate_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "deep_id_surrogate_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "deep_id_surrogate_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bo\\ud800b'",
+        ],
+        None,
+    ),
+    "deep_id_trail_space_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bob '",
+        ],
+        [
+            "habitualConnections[1100]: 'contextElement' must be a plain identifier string, got 'bob '",
+        ],
+        None,
+    ),
+    "deep_id_trail_space_valueConnections": (
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bob '",
+        ],
+        [
+            "valueConnections[1100]: 'activity' must be a plain identifier string, got 'bob '",
+        ],
+        None,
+    ),
+    "deep_id_trail_space_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bob '",
+        ],
+        [
+            "valuePriorities[1100]: 'agent' must be a plain identifier string, got 'bob '",
+        ],
+        None,
+    ),
+    "deep_mixed": (
+        [
+            'habitualConnections[1020] must be an object',
+            "habitualConnections[1010]: 'strength' must be a number, got None",
+            "habitualConnections[1111]: 'activity' must be a plain identifier string, got None",
+            "valuePriorities[1000]: 'agent' must be a plain identifier string, got 'speed '",
+            "valuePriorities[1199]: 'value' must be a plain identifier string, got ' speed'",
+            'valueConnections[1050] must be an object',
+            "valueConnections[1001]: 'agent' must be a plain identifier string, got 'alice\\n'",
+            "valueConnections[1003]: 'personalView' must be a number, got 'high'",
+            "valueConnections[1004]: 'myCollectiveView' must be a number, got False",
+            "valueConnections[1100]: 'agent' must be a plain identifier string, got 'b,ob'",
+            "valueConnections[1190]: 'agent' must be a plain identifier string, got 'zed '",
+        ],
+        [
+            'habitualConnections[1020] must be an object',
+            "habitualConnections[1010]: 'strength' must be a number, got None",
+            "habitualConnections[1111]: 'activity' must be a plain identifier string, got None",
+            "valuePriorities[1000]: 'agent' must be a plain identifier string, got 'speed '",
+            "valuePriorities[1199]: 'value' must be a plain identifier string, got ' speed'",
+            'valueConnections[1050] must be an object',
+            "valueConnections[1001]: 'agent' must be a plain identifier string, got 'alice\\n'",
+            "valueConnections[1003]: 'personalView' must be a number, got 'high'",
+            "valueConnections[1004]: 'myCollectiveView' must be a number, got False",
+            "valueConnections[1100]: 'agent' must be a plain identifier string, got 'b,ob'",
+            "valueConnections[1190]: 'agent' must be a plain identifier string, got 'zed '",
+        ],
+        None,
+    ),
+    "deep_non_object_habitualConnections": (
+        [
+            'habitualConnections[1100] must be an object',
+        ],
+        [
+            'habitualConnections[1100] must be an object',
+        ],
+        None,
+    ),
+    "deep_non_object_valueConnections": (
+        [
+            'valueConnections[1100] must be an object',
+        ],
+        [
+            'valueConnections[1100] must be an object',
+        ],
+        None,
+    ),
+    "deep_non_object_valuePriorities": (
+        [
+            'valuePriorities[1100] must be an object',
+        ],
+        [
+            'valuePriorities[1100] must be an object',
+        ],
+        None,
+    ),
+    "deep_view_habitualConnections": (
+        [
+            "habitualConnections[1100]: 'strength' must be a number, got '0.5'",
+        ],
+        [
+            "habitualConnections[1100]: 'strength' must be a number, got '0.5'",
+        ],
+        None,
+    ),
+    "deep_view_valueConnections": (
+        [
+            "valueConnections[1100]: 'myCollectiveView' must be a number, got 'high'",
+        ],
+        [
+            "valueConnections[1100]: 'myCollectiveView' must be a number, got 'high'",
+        ],
+        None,
+    ),
+    "deep_view_valuePriorities": (
+        [
+            "valuePriorities[1100]: 'personalView' must be a number, got True",
+        ],
+        [
+            "valuePriorities[1100]: 'personalView' must be a number, got True",
+        ],
+        None,
     ),
     "duplicate_relocation": (
         [],
@@ -1512,3 +2042,38 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_malformed_report(name):
     assert observe(CASES[name]) == EXPECTED[name]
+
+
+def _float_views(doc: Doc) -> None:
+    # Every view section padded, and every view written as a float.
+    _padded(*DEEP_ID_SITES)(doc)
+    for section in DEEP_ID_SITES:
+        for row in doc[section]:
+            for key in ("strength", "personalView", "myCollectiveView"):
+                if key in row:
+                    row[key] = float(row[key])
+
+
+@pytest.mark.parametrize("section", sorted(DEEP_ID_SITES))
+def test_an_int_view_builds_the_scenario_its_float_builds(section):
+    floats = bundled_document("commuting")
+    _float_views(floats)
+    ints = bundled_document("commuting")
+    _float_views(ints)
+    ints[section][DEEP_ROW]["strength"] = 1
+    floats[section][DEEP_ROW]["strength"] = 1.0
+    built = build_scenario(ints)
+    assert built == build_scenario(floats)
+    for name in ("habitual_connections", "value_priorities", "value_connections"):
+        for row in getattr(built, name):
+            views = (row.views.strength, row.views.personal_view, row.views.my_collective_view)
+            assert all(type(v) is float for v in views if v is not None)
+
+
+def test_duplicate_value_ids_in_a_long_values_list():
+    doc = bundled_document("commuting")
+    values = [f"v{i:05d}" for i in range(20000)]
+    doc["values"] = values + ["v00007", values[-1], "v00007"]
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc, check_refs=False)
+    assert exc.value.problems == ["duplicate value ids: ['v00007', 'v19999']"]

@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from test_golden_logs import TICKS, _generated_document
+from test_malformed_reports import DEEP_MIXED
 
 import sopra
+from sopra import ScenarioError, build_scenario
 from sopra._kernel import available_backends
 from sopra.scenarios import bundled_document
 
@@ -94,3 +97,20 @@ def test_validate_report_does_not_depend_on_the_hash_seed(tmp_path):
     assert all(report == reports[0] for report in reports)
     kinds = {line.split(":", 1)[0] for line in reports[0].splitlines()}
     assert {"view-range", "disjointness", "cycle", "dangling-reference"} <= kinds
+
+
+def test_build_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # Large view sections with problems in every one of them: the builder
+    # reads such sections a column at a time, through sets of ids, and
+    # its report must still follow the document.
+    doc = bundled_document("commuting")
+    DEEP_MIXED(doc)
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc, check_refs=False)
+    assert len(exc.value.problems) == 11
+    want = f"error: {exc.value}\n"
+    scenario = _write(tmp_path, doc)
+    for backend in BACKENDS:
+        for seed in HASH_SEEDS:
+            proc = _sopra(["validate", scenario], seed, backend)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
