@@ -31,6 +31,7 @@ from math import fsum
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
+from ._gc import gc_paused
 from .cognition import decision_cycle
 from .learning import ObservationEvent, habit_tick, observe, update_personal_view
 from .model import DecisionMode, Scenario
@@ -140,6 +141,17 @@ def _co_location_layout(scenario: Scenario, locations: tuple[int, ...]) -> tuple
     return tuple(map(base.__getitem__, locations)), tuple(groups), observations
 
 
+def _agent_states(scenario: Scenario) -> dict[str, AgentState]:
+    """Every agent's tick-0 state with its score cache, by agent id.
+    Runs with the cyclic collector paused: the states live as long as
+    the world, so no pass during their construction would free any."""
+    with gc_paused():
+        states = {ag: init_agent_state(scenario, ag) for ag in scenario.index.agent_ids}
+        for state in states.values():
+            build_score_cache(state, scenario)
+    return states
+
+
 class World:
     def __init__(self, scenario: Scenario, seed: int = 0, *, validate: bool = True):
         if validate:
@@ -152,11 +164,7 @@ class World:
         self.events: list[Event] = []
         self.samples: list[StrengthSample] = []
         self.observation_count = 0
-        self.states: dict[str, AgentState] = {
-            ag: init_agent_state(scenario, ag) for ag in scenario.index.agent_ids
-        }
-        for state in self.states.values():
-            build_score_cache(state, scenario)
+        self.states = _agent_states(scenario)
         # The agents' locations the co-location layout was built for, and
         # the layout.
         self._layout_key: tuple[int, ...] | None = None

@@ -16,6 +16,7 @@ from collections.abc import Iterator, Mapping
 from itertools import repeat
 from typing import Any
 
+from ._gc import gc_paused
 from .errors import ScenarioError
 from .model import (
     Activity,
@@ -342,7 +343,15 @@ def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> S
     and (when `check_refs`) dangling reference found. With
     `check_refs=False` dangling references are left for
     `validate_scenario` to report as violations.
+
+    Runs with the cyclic collector paused: what it makes lives as long
+    as the scenario, so no pass during the build would free any of it.
     """
+    with gc_paused():
+        return _build_scenario(document, check_refs)
+
+
+def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     if not isinstance(document, Mapping):
         raise ScenarioError("scenario document must be an object")
     f = _Reader()
