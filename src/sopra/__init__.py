@@ -25,15 +25,10 @@ from .engine import (
     snapshot_context,
 )
 from .errors import ScenarioError, UnknownIdError
-from .extensions import afforded, competent, filter_candidates
-from .hierarchy import (
-    atomic_leaves,
-    descendants,
-    propagate_value_connection,
-)
+from .extensions import filter_candidates
+from .hierarchy import atomic_leaves, propagate_value_connection
 from .learning import (
     ObservationEvent,
-    equilibrium_strength,
     habit_tick,
     observe,
     update_personal_view,
@@ -59,7 +54,6 @@ from .scenario import build_scenario, serialize_scenario
 from .state import (
     AgentState,
     ContextSnapshot,
-    ExecutionState,
     SequentialFrame,
     build_score_cache,
     init_agent_state,
@@ -81,7 +75,6 @@ __all__ = [
     "ElementKind",
     "Environment",
     "Event",
-    "ExecutionState",
     "Globals",
     "HabitualConnection",
     "InvalidScenarioError",
@@ -98,17 +91,13 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "World",
-    "afforded",
     "atomic_leaves",
     "build_scenario",
     "build_score_cache",
     "candidate_set",
     "collect_metrics",
-    "competent",
     "decide_step",
     "decision_cycle",
-    "descendants",
-    "equilibrium_strength",
     "events_csv",
     "filter_candidates",
     "habit_tick",

@@ -95,16 +95,6 @@ struct Table {
         return it == rows.end() ? NULL : &it->second;
     }
 
-    // The slot of (a, e), or -1 when there is no such entry.
-    Py_ssize_t find(i64 a, i64 e) const {
-        const Row *r = row(a);
-        if (r == NULL) {
-            return -1;
-        }
-        auto it = r->find(e);
-        return it == r->end() ? -1 : it->second;
-    }
-
     // Rows are node-based map values: a reference to one stays valid
     // while other rows are added.
     Py_ssize_t ensure(Row &r, i64 a, i64 e) {
@@ -197,18 +187,6 @@ PyObject *set_views(Table &t, PyObject *const *args) {
     t.p[i] = personal;
     t.c[i] = collective;
     Py_RETURN_NONE;
-}
-
-PyObject *get_views(Table &t, PyObject *const *args) {
-    i64 a, e;
-    if (!as_int(args[0], a) || !as_int(args[1], e)) {
-        return NULL;
-    }
-    Py_ssize_t i = t.find(a, e);
-    if (i < 0) {
-        return Py_BuildValue("(ddd)", 0.0, 0.0, 0.0);
-    }
-    return Py_BuildValue("(ddd)", t.s[i], t.p[i], t.c[i]);
 }
 
 PyObject *pressures(Table &t, PyObject *const *args) {
@@ -505,8 +483,6 @@ PyObject *call(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
 PyMethodDef store_methods[] = {
     METHOD(set_views, 5, ", activity, element, strength, personal, collective",
            "Create or overwrite an entry's three values."),
-    METHOD(get_views, 2, ", activity, element",
-           "(strength, personal, collective); zeros for an absent entry."),
     METHOD(pressures, 4, ", activities, ctx_elements, attenuation, aggregation",
            "Aggregated effective strength of each activity over the context."),
     METHOD(habit_tick, 5, ", performed, ctx_elements, rate, decay_rate, decay_all",

@@ -140,15 +140,6 @@ class HabitStore:
         self._s[h] = strength
         self._p[h] = personal
 
-    def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
-        i = self._rows.get(activity, {}).get(element)
-        if i is None:
-            return (0.0, 0.0, 0.0)
-        h = self._hrows.get(activity, {}).get(element)
-        if h is None:
-            return (0.0, 0.0, self._c[i])
-        return (self._s[h], self._p[h], self._c[i])
-
     def _chain(self, element: int) -> tuple[int, ...]:
         # Fill the element-chain table for one element. A negative id
         # would index the chain offsets from the end, so check the range

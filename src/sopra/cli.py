@@ -253,8 +253,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", action="append", default=[], metavar="NAME=V1,V2",
                    help="values to sweep for one globals entry (repeatable)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for a process pool to come; no effect yet: runs go "
-                        "one at a time, in run order")
+                   help="accepted and ignored (must be at least 1): runs go one at "
+                        "a time, in run order")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
     return parser

@@ -23,7 +23,7 @@ from typing import Sequence
 from ._kernel import AGG_MAX, AGG_MEAN, AGG_SUM
 from .extensions import filter_candidates
 from .model import ActivityType, DecisionMode, Scenario
-from .state import AgentState, ContextSnapshot, ExecutionState, SequentialFrame
+from .state import AgentState, ContextSnapshot, SequentialFrame
 
 _AGG_CODES = {"mean": AGG_MEAN, "max": AGG_MAX, "sum": AGG_SUM}
 
@@ -73,17 +73,18 @@ def habitual_pressure(state: AgentState, activity: int, ctx: ContextSnapshot,
     return _pressures(state, (activity,), ctx, scenario)[0]
 
 
-def candidate_set(node: int, exec_state: ExecutionState,
+def candidate_set(node: int, pending: Sequence[SequentialFrame],
                   scenario: Scenario) -> tuple[int, ...]:
     """Children eligible at the activity int `node`, as activity ints in
     id order: implementations of an abstract node, or the not-yet-completed
-    parts of a sequential one."""
+    parts of a sequential one, as its frame in the execution stack
+    `pending` records them."""
     idx = scenario.index
     options = idx.options.get(node)
     if options is None:
         raise ValueError(f"atomic activity {idx.activity_ids[node]!r} has no candidates")
     # Only sequential activities have frames.
-    for frame in reversed(exec_state.pending):
+    for frame in reversed(pending):
         if frame.activity == node:
             return tuple(p for p in options if p not in frame.completed)
     return options
@@ -103,13 +104,12 @@ def _pick(values: list[float], best: float, rng: random.Random, uniform: bool) -
 
 
 def decide_step(state: AgentState, node: int, ctx: ContextSnapshot,
-                exec_state: ExecutionState, scenario: Scenario,
-                rng: random.Random) -> DecisionStep:
+                scenario: Scenario, rng: random.Random) -> DecisionStep:
     """Pick one child of the activity int `node`, habitually or
     intentionally. Scores are read from `state.score_raw`/`score_norm`,
     which `build_score_cache` fills."""
     g = scenario.globals
-    cands = candidate_set(node, exec_state, scenario)
+    cands = candidate_set(node, state.pending, scenario)
     if not cands:
         raise ValueError(f"no candidates at {scenario.index.activity_ids[node]!r}")
     fallback = False
@@ -148,8 +148,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
     """
     idx = scenario.index
     atype = idx.activity_type
-    exec_state = state.exec_state
-    pending = exec_state.pending
+    pending = state.pending
 
     if pending:
         node = pending[-1].activity
@@ -175,7 +174,7 @@ def decision_cycle(state: AgentState, ctx: ContextSnapshot, scenario: Scenario,
         if guard <= 0:
             raise RuntimeError(
                 f"decision walk did not terminate at {idx.activity_ids[node]!r}")
-        step = decide_step(state, node, ctx, exec_state, scenario, rng)
+        step = decide_step(state, node, ctx, scenario, rng)
         steps.append(step)
         chosen = step.chosen
         if pending and pending[-1].activity == node:

@@ -14,7 +14,7 @@ from .model import Scenario
 from .state import ContextSnapshot
 
 
-def afforded(activity: int, ctx: ContextSnapshot, scenario: Scenario) -> float:
+def _afforded(activity: int, ctx: ContextSnapshot, scenario: Scenario) -> float:
     """How strongly the present context affords the activity int `activity`.
 
     Activities with no declared affordance connections are unconstrained
@@ -32,7 +32,7 @@ def afforded(activity: int, ctx: ContextSnapshot, scenario: Scenario) -> float:
     return best
 
 
-def competent(agent_id: str, activity: int, scenario: Scenario) -> float:
+def _competent(agent_id: str, activity: int, scenario: Scenario) -> float:
     """min(1, level/required) over the requirements of the activity int
     `activity`; 1.0 when nothing is required."""
     idx = scenario.index
@@ -49,8 +49,9 @@ def competent(agent_id: str, activity: int, scenario: Scenario) -> float:
 
 def filter_candidates(candidates: Sequence[int], agent_id: str, ctx: ContextSnapshot,
                       scenario: Scenario) -> tuple[list[int], bool]:
-    """Drop candidates (activity ints) whose feasibility (afforded x
-    competent) falls below the configured threshold.
+    """Drop candidates (activity ints) whose feasibility (how strongly the
+    context affords one, times the agent's competence for it) falls
+    below the configured threshold.
 
     Returns the kept candidates in input order plus a fallback flag: when
     nothing survives, the original set is returned unfiltered and the
@@ -60,7 +61,7 @@ def filter_candidates(candidates: Sequence[int], agent_id: str, ctx: ContextSnap
     kept = [
         c
         for c in candidates
-        if afforded(c, ctx, scenario) * competent(agent_id, c, scenario) >= threshold
+        if _afforded(c, ctx, scenario) * _competent(agent_id, c, scenario) >= threshold
     ]
     if not kept:
         return (list(candidates), True)

@@ -2,35 +2,26 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import ScenarioError, UnknownIdError
 from .model import ActivityType, Scenario
 
 
-def descendants(activity: str, scenario: Scenario) -> set[str]:
-    """Everything reachable downward from `activity` (excluding it)."""
-    idx = scenario.index
-    idx.activity_index(activity)
-    seen: set[str] = set()
-    queue = deque(idx.children(activity))
-    while queue:
-        node = queue.popleft()
-        if node in seen:
-            continue
-        seen.add(node)
-        queue.extend(idx.children(node))
-    return seen
-
-
 def atomic_leaves(activity: str, scenario: Scenario) -> set[str]:
-    """The atomic activities reachable from `activity` (itself included
-    when atomic)."""
+    """The atomic activities reachable downward from `activity` (itself
+    when atomic). An unknown activity raises UnknownIdError."""
     idx = scenario.index
-    if idx.type_of(activity) is ActivityType.ATOMIC:
+    atype = idx.activity_type
+    aidx = idx.aidx
+    if atype[idx.activity_index(activity)] is ActivityType.ATOMIC:
         return {activity}
-    return {a for a in descendants(activity, scenario) | {activity}
-            if idx.type_of(a) is ActivityType.ATOMIC}
+    seen: set[str] = set()
+    stack = list(idx.children(activity))
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(idx.children(node))
+    return {a for a in seen if atype[aidx[a]] is ActivityType.ATOMIC}
 
 
 def propagate_value_connection(agent_id: str, value: str, activity: str,

@@ -82,16 +82,3 @@ def observe(event: ObservationEvent, scenario: Scenario,
     rate = scenario.globals.social_learning_rate
     for name in event.observers:
         states[name].habits.observe(acted, competing, elements, rate)
-
-
-def equilibrium_strength(habit_rate: float, decay_rate: float,
-                         decay_all: bool = True) -> float:
-    """Fixed point of the per-tick strength update under constant
-    reinforcement: r/(r+d) in decayAll mode, 1 otherwise."""
-    if not 0.0 < habit_rate <= 1.0:
-        raise ValueError(f"habit rate must be in (0, 1], got {habit_rate!r}")
-    if not 0.0 <= decay_rate < 1.0:
-        raise ValueError(f"decay rate must be in [0, 1), got {decay_rate!r}")
-    if not decay_all:
-        return 1.0
-    return habit_rate / (habit_rate + decay_rate)

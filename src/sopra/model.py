@@ -431,9 +431,6 @@ class ScenarioIndex:
         except KeyError:
             raise UnknownIdError(f"unknown value: {value!r}") from None
 
-    def type_of(self, activity: str) -> ActivityType:
-        return self.activity_type[self.activity_index(activity)]
-
     def children(self, activity: str) -> tuple[str, ...]:
         self.activity_index(activity)  # UnknownIdError for an unknown id
         return self._children.get(activity, ())

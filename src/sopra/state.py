@@ -41,23 +41,20 @@ class SequentialFrame:
 
 
 @dataclass
-class ExecutionState:
-    pending: list[SequentialFrame] = field(default_factory=list)
-
-
-@dataclass
 class AgentState:
     """An agent's mutable state. `location` and `last_activity` hold
     element ints of the scenario index; the score lists are indexed by
-    activity int."""
+    activity int. `pending` is the sequential execution stack: the
+    entered sequential activities that still have parts to perform,
+    innermost last."""
 
     agent_id: str
     habits: object  # HabitStore (selected backend)
-    exec_state: ExecutionState
     resources: int
     location: int
     habit_rate: float  # the agent's habitRate, read by every habit tick
     last_activity: int | None = None
+    pending: list[SequentialFrame] = field(default_factory=list)
     # intentional score of each activity, raw and normalised; set by build_score_cache
     score_raw: list[float] | None = None
     score_norm: list[float] | None = None
@@ -82,7 +79,6 @@ def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
     return AgentState(
         agent_id=agent_id,
         habits=store,
-        exec_state=ExecutionState(),
         resources=spec.initial_resources,
         location=idx.element_index(spec.location),
         habit_rate=spec.habit_rate,

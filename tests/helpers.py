@@ -1,5 +1,6 @@
 """Shared document builders, name-to-int conversions, the reference habit
-store and the reference argmax for the test suite."""
+store, the reference argmax and the closed-form equilibrium strength for
+the test suite."""
 
 from __future__ import annotations
 
@@ -157,6 +158,15 @@ def mutation_fixtures() -> dict[str, tuple[dict[str, Any], str]]:
     return fixtures
 
 
+def entry(store, activity: int, element: int) -> tuple[float, float, float]:
+    """(strength, personal view, collective view) of one habit-store entry,
+    read through `items()`; zeros for an absent entry."""
+    for a, e, *views in store.items():
+        if (a, e) == (activity, element):
+            return tuple(views)
+    return (0.0, 0.0, 0.0)
+
+
 class ReferenceHabitStore:
     """The tuple-keyed habit store the row-indexed `pyhabits.HabitStore`
     replaced, kept as its bit-for-bit reference."""
@@ -195,12 +205,6 @@ class ReferenceHabitStore:
         self._s[i] = strength
         self._p[i] = personal
         self._c[i] = collective
-
-    def get_views(self, activity: int, element: int) -> tuple[float, float, float]:
-        i = self._slot.get((activity, element))
-        if i is None:
-            return (0.0, 0.0, 0.0)
-        return (self._s[i], self._p[i], self._c[i])
 
     def _effective(self, activity: int, element: int, attenuation: float) -> float:
         # Nearest ancestor holding a nonzero strength wins, discounted by
@@ -301,3 +305,16 @@ def reference_argmax(values: list[float], rng: random.Random, uniform: bool) -> 
         if len(tied) > 1:
             return tied[rng.randrange(len(tied))]
     return best
+
+
+def equilibrium_strength(habit_rate: float, decay_rate: float,
+                         decay_all: bool = True) -> float:
+    """Fixed point of the per-tick strength update under constant
+    reinforcement: r/(r+d) in decayAll mode, 1 otherwise."""
+    if not 0.0 < habit_rate <= 1.0:
+        raise ValueError(f"habit rate must be in (0, 1], got {habit_rate!r}")
+    if not 0.0 <= decay_rate < 1.0:
+        raise ValueError(f"decay rate must be in [0, 1), got {decay_rate!r}")
+    if not decay_all:
+        return 1.0
+    return habit_rate / (habit_rate + decay_rate)

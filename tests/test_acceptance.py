@@ -19,7 +19,6 @@ from sopra import (
     World,
     atomic_leaves,
     build_scenario,
-    equilibrium_strength,
     events_csv,
     metrics_csv,
     propagate_value_connection,
@@ -30,7 +29,7 @@ from sopra._kernel import get_backend
 from sopra.scenarios import bundled_document, list_bundled
 from sopra.testing import random_scenario_document, scale_value_priorities
 
-from helpers import habit_formation_doc, mutation_fixtures
+from helpers import entry, equilibrium_strength, habit_formation_doc, mutation_fixtures
 
 H = DecisionMode.HABITUAL
 I = DecisionMode.INTENTIONAL
@@ -139,8 +138,8 @@ def test_reinforcement_rate_ordering(acceptance):
     dominated_at = None
     for t in range(1, 201):
         world.step()
-        s_fast = world.states["fast"].habits.get_views(ai, idx.element_index("FastHome"))[0]
-        s_slow = world.states["slow"].habits.get_views(ai, idx.element_index("SlowHome"))[0]
+        s_fast = entry(world.states["fast"].habits, ai, idx.element_index("FastHome"))[0]
+        s_slow = entry(world.states["slow"].habits, ai, idx.element_index("SlowHome"))[0]
         if not s_fast > s_slow:
             dominated_at = t
             break
@@ -153,8 +152,8 @@ def test_reinforcement_rate_ordering(acceptance):
     world2.run(2000)
     eq_fast = equilibrium_strength(0.2, 0.05)
     eq_slow = equilibrium_strength(0.05, 0.05)
-    end_fast = world2.states["fast"].habits.get_views(ai2, idx2.element_index("FastHome"))[0]
-    end_slow = world2.states["slow"].habits.get_views(ai2, idx2.element_index("SlowHome"))[0]
+    end_fast = entry(world2.states["fast"].habits, ai2, idx2.element_index("FastHome"))[0]
+    end_slow = entry(world2.states["slow"].habits, ai2, idx2.element_index("SlowHome"))[0]
     converged = abs(end_fast - eq_fast) < 1e-3 and abs(end_slow - eq_slow) < 1e-3
 
     ok = dominated_at is None and same_behavior and converged
@@ -288,7 +287,7 @@ def test_collective_view_convergence(acceptance):
     for t in range(1, bound + 1):
         world.step()
         for ag in level:
-            cv = world.states[ag].habits.get_views(ai, ei)[2]
+            cv = entry(world.states[ag].habits, ai, ei)[2]
             if cv < level[ag]:
                 monotone = False
             level[ag] = cv

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sopra import (
     DecisionMode,
     DecisionStep,
+    SequentialFrame,
     build_scenario,
     build_score_cache,
     candidate_set,
@@ -19,7 +20,6 @@ from sopra import (
     init_agent_state,
 )
 from sopra.cognition import _pick
-from sopra.state import ExecutionState
 
 
 RNG = lambda: random.Random(0)
@@ -42,15 +42,15 @@ def _pressure(state, activity, ctx, scenario):
     return habitual_pressure(state, scenario.index.aidx[activity], ctx, scenario)
 
 
-def _decide(state, node, ctx, exec_state, scenario, rng):
+def _decide(state, node, ctx, scenario, rng):
     """`decide_step` at the named node."""
-    return decide_step(state, scenario.index.aidx[node], ctx, exec_state, scenario, rng)
+    return decide_step(state, scenario.index.aidx[node], ctx, scenario, rng)
 
 
-def _candidates(node, exec_state, scenario):
+def _candidates(node, pending, scenario):
     """`candidate_set` at the named node, as names."""
     idx = scenario.index
-    return activity_names(idx, candidate_set(idx.activity_index(node), exec_state, scenario))
+    return activity_names(idx, candidate_set(idx.activity_index(node), pending, scenario))
 
 
 def _chosen(step, scenario):
@@ -141,25 +141,20 @@ def test_intentional_score_examples(commuting, bob):
 
 
 def test_candidate_set(commuting):
-    es = ExecutionState()
-    assert _candidates("commuting", es, commuting) == (
+    assert _candidates("commuting", [], commuting) == (
         "bring_kids_to_school", "go_to_work"
     )
-    assert _candidates("go_to_work", es, commuting) == (
+    assert _candidates("go_to_work", [], commuting) == (
         "drive_car_to_work", "ride_bike_to_work", "take_train_to_work", "walk_to_work"
     )
     with pytest.raises(ValueError):
-        _candidates("walk_to_work", es, commuting)
+        _candidates("walk_to_work", [], commuting)
 
 
 def test_candidate_set_excludes_completed_parts(commuting):
-    from sopra.state import SequentialFrame
-
     aidx = commuting.index.aidx
-    es = ExecutionState()
-    es.pending.append(SequentialFrame(aidx["commuting"],
-                                      completed={aidx["bring_kids_to_school"]}))
-    assert _candidates("commuting", es, commuting) == ("go_to_work",)
+    pending = [SequentialFrame(aidx["commuting"], completed={aidx["bring_kids_to_school"]})]
+    assert _candidates("commuting", pending, commuting) == ("go_to_work",)
 
 
 def _ctx(scenario, *extra):
@@ -171,7 +166,7 @@ def test_decide_step_habitual_above_threshold(commuting, bob):
     # drive_car_to_work is (0 + 0.4 + 0.8) / 3 = 0.4 < 0.5 threshold, so
     # raise the car cue to Morning-only context instead.
     ctx = snapshot_of(commuting.index, {"bobs_car", "Morning"})
-    step = _decide(bob, "go_to_work", ctx, ExecutionState(), commuting, RNG())
+    step = _decide(bob, "go_to_work", ctx, commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
     assert _chosen(step, commuting) == "drive_car_to_work"
     assert step.pressure == pytest.approx(0.6)
@@ -179,7 +174,7 @@ def test_decide_step_habitual_above_threshold(commuting, bob):
 
 
 def test_decide_step_intentional_below_threshold(commuting, bob):
-    step = _decide(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
+    step = _decide(bob, "go_to_work", _ctx(commuting), commuting, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
     assert _chosen(step, commuting) == "ride_bike_to_work"  # score 1.0 beats 0.2/0.14/0.9
     assert step.score == pytest.approx(1.0 / 1.2)
@@ -188,7 +183,7 @@ def test_decide_step_intentional_below_threshold(commuting, bob):
 
 def test_decide_step_habitual_when_attention_exhausted(commuting, bob):
     bob.resources = 0
-    step = _decide(bob, "go_to_work", _ctx(commuting), ExecutionState(), commuting, RNG())
+    step = _decide(bob, "go_to_work", _ctx(commuting), commuting, RNG())
     assert step.mode is DecisionMode.HABITUAL
     # Pressures over {Home, Morning}: drive_car (0 + 0.4) / 2, rest 0.
     assert _chosen(step, commuting) == "drive_car_to_work"
@@ -201,7 +196,7 @@ def test_decide_step_lexicographic_ties():
     doc["valueConnections"][1]["personalView"] = 0.9
     s = build_scenario(doc)
     state = _agent(s, "ag1")
-    step = _decide(state, "act_root", _ctx(s), ExecutionState(), s, RNG())
+    step = _decide(state, "act_root", _ctx(s), s, RNG())
     assert step.mode is DecisionMode.INTENTIONAL
     assert _chosen(step, s) == "opt_a"
 
@@ -215,8 +210,7 @@ def test_decide_step_uniform_ties_use_rng():
     picks = set()
     for seed in range(12):
         state = _agent(s, "ag1")
-        step = _decide(state, "act_root", _ctx(s), ExecutionState(), s,
-                           random.Random(seed))
+        step = _decide(state, "act_root", _ctx(s), s, random.Random(seed))
         picks.add(_chosen(step, s))
     assert picks == {"opt_a", "opt_b"}
 
@@ -228,7 +222,7 @@ def test_uniform_tie_break_leaves_rng_untouched_without_ties():
     state = _agent(s, "ag1")
     rng = random.Random(5)
     before = rng.getstate()
-    step = _decide(state, "act_root", _ctx(s), ExecutionState(), s, rng)
+    step = _decide(state, "act_root", _ctx(s), s, rng)
     assert _chosen(step, s) == "opt_a"
     assert rng.getstate() == before
 
@@ -258,7 +252,7 @@ def test_decision_cycle_walks_to_atomic(commuting, bob):
     idx = commuting.index
     assert activity_names(idx, [s.node for s in steps]) == ("commuting", "bring_kids_to_school")
     assert _chosen(steps[-1], commuting) == "ride_bike_to_school"
-    frame = bob.exec_state.pending[-1]
+    frame = bob.pending[-1]
     assert frame.activity == idx.aidx["commuting"]
     assert frame.completed == {idx.aidx["bring_kids_to_school"]}
 
@@ -272,7 +266,7 @@ def test_decision_cycle_resumes_pending_sequential(commuting, bob):
     assert steps[0].chosen == aidx["go_to_work"]
     assert steps[-1].chosen == aidx["ride_bike_to_work"]
     # All parts done: the stack unwinds and the next cycle starts fresh.
-    assert bob.exec_state.pending == []
+    assert bob.pending == []
     bob.resources = 2
     steps = decision_cycle(bob, _ctx(commuting), commuting, RNG())
     assert steps[0].node == aidx["commuting"]
@@ -341,4 +335,4 @@ def test_nested_sequential_completion():
     state = _agent(s, "ag1")
     performed = [_chosen(decision_cycle(state, _ctx(s), s, RNG())[-1], s) for _ in range(3)]
     assert performed == ["a1", "a2", "tail"]
-    assert state.exec_state.pending == []
+    assert state.pending == []

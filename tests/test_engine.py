@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from helpers import make_doc, mutation_fixtures, snapshot_of
+from helpers import entry, make_doc, mutation_fixtures, snapshot_of
 
 from sopra import (
     DecisionMode,
@@ -361,6 +361,6 @@ def test_cascade_breaks_and_reforms_habits(cascade):
     idx = cascade.index
     veg = idx.activity_index("eat_veg")
     home = idx.element_index("Home")
-    assert w.states["ben"].habits.get_views(veg, home)[2] == pytest.approx(
+    assert entry(w.states["ben"].habits, veg, home)[2] == pytest.approx(
         0.21 / 0.51, rel=1e-9
     )

@@ -7,10 +7,9 @@ from sopra import (
     DecisionMode,
     ScenarioError,
     World,
-    afforded,
     build_scenario,
-    competent,
     events_csv,
+    extensions,
     filter_candidates,
     run,
     snapshot_context,
@@ -22,13 +21,13 @@ def _ctx(scenario, *elems):
 
 
 def _afforded(activity, ctx, scenario):
-    """`afforded` for the named activity."""
-    return afforded(scenario.index.activity_index(activity), ctx, scenario)
+    """The filter's affordance factor for the named activity."""
+    return extensions._afforded(scenario.index.activity_index(activity), ctx, scenario)
 
 
 def _competent(agent_id, activity, scenario):
-    """`competent` for the named activity."""
-    return competent(agent_id, scenario.index.activity_index(activity), scenario)
+    """The filter's competence factor for the named activity."""
+    return extensions._competent(agent_id, scenario.index.activity_index(activity), scenario)
 
 
 def _filter(candidates, agent_id, ctx, scenario):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from helpers import make_doc
+from helpers import entry, make_doc
 
 from sopra import (
     ActivityType,
@@ -13,7 +13,6 @@ from sopra import (
     UnknownIdError,
     atomic_leaves,
     build_scenario,
-    descendants,
     init_agent_state,
     propagate_value_connection,
 )
@@ -35,6 +34,12 @@ def brute_descendants(doc, activity):
     return out
 
 
+def brute_atomic_leaves(doc, activity):
+    """The atomic nodes among `activity` and its brute-force descendants."""
+    atomic = {a["id"] for a in doc["activities"] if a["type"] == "Atomic"}
+    return (brute_descendants(doc, activity) | {activity}) & atomic
+
+
 def test_children_by_relation(commuting, commuting_doc):
     # A composite node has children of one relation: commuting's are parts.
     children = commuting.index.children
@@ -52,11 +57,12 @@ def test_children_by_relation(commuting, commuting_doc):
 
 def _assert_options_follow_children(scenario):
     idx = scenario.index
-    composite = [a for a in idx.activity_ids if idx.type_of(a) is not ActivityType.ATOMIC]
+    type_of = dict(zip(idx.activity_ids, idx.activity_type))
+    composite = [a for a in idx.activity_ids if type_of[a] is not ActivityType.ATOMIC]
     assert sorted(idx.options) == [idx.aidx[a] for a in composite]  # atomic nodes are absent
     relation_of = {(c.child, c.parent): c.relation for c in scenario.activity_connections}
     for a in composite:
-        relation = (RelationType.IS_A if idx.type_of(a) is ActivityType.ABSTRACT
+        relation = (RelationType.IS_A if type_of[a] is ActivityType.ABSTRACT
                     else RelationType.PART_OF)
         kids = idx.children(a)
         assert idx.options[idx.aidx[a]] == tuple(idx.aidx[c] for c in kids)
@@ -74,18 +80,18 @@ def test_options_on_random_scenarios():
         _assert_options_follow_children(build_scenario(doc))
 
 
-def test_descendants_match_bruteforce(commuting, commuting_doc):
+def test_atomic_leaves_match_bruteforce(commuting, commuting_doc):
     for a in [x["id"] for x in commuting_doc["activities"]]:
-        assert descendants(a, commuting) == brute_descendants(commuting_doc, a)
+        assert atomic_leaves(a, commuting) == brute_atomic_leaves(commuting_doc, a)
 
 
-def test_descendants_on_random_trees():
+def test_atomic_leaves_on_random_trees():
     rng = random.Random(7)
     for _ in range(20):
         doc = random_scenario_document(rng)
         s = build_scenario(doc)
         for a in [x["id"] for x in doc["activities"]]:
-            assert descendants(a, s) == brute_descendants(doc, a)
+            assert atomic_leaves(a, s) == brute_atomic_leaves(doc, a)
 
 
 def test_atomic_leaves(commuting):
@@ -100,8 +106,6 @@ def test_atomic_leaves(commuting):
 
 
 def test_unknown_activity_rejected(commuting):
-    with pytest.raises(ScenarioError):
-        descendants("no_such", commuting)
     with pytest.raises(ScenarioError):
         atomic_leaves("no_such", commuting)
 
@@ -199,8 +203,8 @@ def test_project_collective_defaults_to_personal(commuting):
     row = next(hc for hc in idx.habitual_by_agent["bob"]
                if (hc.activity, hc.context_element) == ("drive_car_to_work", "bobs_car"))
     assert row.views.my_collective_view is None
-    s, p, c = bob.habits.get_views(
-        idx.activity_index("drive_car_to_work"), idx.element_index("bobs_car")
+    s, p, c = entry(
+        bob.habits, idx.activity_index("drive_car_to_work"), idx.element_index("bobs_car")
     )
     assert (s, p, c) == (0.8, 0.8, 0.8)
     for a, e, s, p, c in bob.habits.items():
@@ -220,6 +224,6 @@ def test_project_collective_is_idempotent_and_keeps_formed_views():
     idx = s.index
     home = idx.element_index("Home")
     state = init_agent_state(s, "ag1")
-    assert state.habits.get_views(idx.activity_index("opt_a"), home) == (0.6, 0.5, 0.25)
-    assert state.habits.get_views(idx.activity_index("opt_b"), home) == (0.4, 0.3, 0.3)
+    assert entry(state.habits, idx.activity_index("opt_a"), home) == (0.6, 0.5, 0.25)
+    assert entry(state.habits, idx.activity_index("opt_b"), home) == (0.4, 0.3, 0.3)
     assert init_agent_state(s, "ag1").habits.items() == state.habits.items()

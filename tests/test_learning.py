@@ -1,12 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from helpers import activity_ints, make_doc, snapshot_of
+from helpers import activity_ints, entry, equilibrium_strength, make_doc, snapshot_of
 
 from sopra import (
     ObservationEvent,
     build_scenario,
-    equilibrium_strength,
     habit_tick,
     init_agent_state,
     observe,
@@ -17,7 +16,7 @@ from sopra._kernel import get_backend
 
 def _views(state, scenario, activity, element):
     idx = scenario.index
-    return state.habits.get_views(idx.activity_index(activity), idx.element_index(element))
+    return entry(state.habits, idx.activity_index(activity), idx.element_index(element))
 
 
 def _keys(state):
@@ -238,7 +237,7 @@ def test_store_observe_weakens_acted_listed_as_competing():
     # Strengthened first, then weakened as a competitor: 0 -> 0.5 -> 0.25.
     store = get_backend("python")([0, 1], [0, 1, 2])
     store.observe(0, [0], [1], 0.5)
-    assert store.get_views(0, 1)[2] == 0.25
+    assert entry(store, 0, 1)[2] == 0.25
 
 
 def test_views_stay_in_unit_interval_under_mixed_ops():

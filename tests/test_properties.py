@@ -3,16 +3,15 @@ from __future__ import annotations
 import random
 from unittest import mock
 
-from helpers import ReferenceHabitStore
+from helpers import ReferenceHabitStore, equilibrium_strength
 from hypothesis import given, settings, strategies as st
 
 import sopra.engine
 from sopra import (
     ActivityType,
     World,
+    atomic_leaves,
     build_scenario,
-    descendants,
-    equilibrium_strength,
     run,
     serialize_scenario,
     snapshot_context,
@@ -157,9 +156,11 @@ def test_hierarchy_edges_nest(seed):
     doc = random_scenario_document(random.Random(seed))
     s = build_scenario(doc)
     for row in doc["activityConnections"]:
-        below = descendants(row["parent"], s)
-        assert row["child"] in below
-        assert descendants(row["child"], s) <= below
+        # Every node of a valid tree reaches an atomic leaf, and the
+        # child's leaves are among the parent's (an atomic child its own).
+        leaves = atomic_leaves(row["child"], s)
+        assert leaves
+        assert leaves <= atomic_leaves(row["parent"], s)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
