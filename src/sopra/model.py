@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 from operator import attrgetter
 
 from .errors import ScenarioError, UnknownIdError
@@ -366,20 +367,18 @@ class ScenarioIndex:
         self.agent_elements: tuple[int, ...] = tuple(map(eidx, self.agent_ids))
         self.agent_specs: dict[str, AgentSpec] = {a.id: a for a in s.agents}
 
-        by_agent: dict[str, list[HabitualConnection]] = {}
-        for hc in s.habitual_connections:
-            by_agent.setdefault(hc.agent, []).append(hc)
+        # These sections are keyed agent first ((agent, activity, context_element),
+        # (agent, value), (agent, activity, value)): one agent's rows are contiguous.
+        agent = attrgetter("agent")
         self.habitual_by_agent: dict[str, tuple[HabitualConnection, ...]] = {
-            ag: tuple(rows) for ag, rows in by_agent.items()
+            ag: tuple(rows) for ag, rows in groupby(s.habitual_connections, agent)
         }
-        prio: dict[str, list[ValuePriority]] = {}
-        for vp in s.value_priorities:
-            prio.setdefault(vp.agent, []).append(vp)
-        self.priorities_by_agent = {ag: tuple(rows) for ag, rows in prio.items()}
-        conn: dict[str, list[ValueConnection]] = {}
-        for vc in s.value_connections:
-            conn.setdefault(vc.agent, []).append(vc)
-        self.connections_by_agent = {ag: tuple(rows) for ag, rows in conn.items()}
+        self.priorities_by_agent: dict[str, tuple[ValuePriority, ...]] = {
+            ag: tuple(rows) for ag, rows in groupby(s.value_priorities, agent)
+        }
+        self.connections_by_agent: dict[str, tuple[ValueConnection, ...]] = {
+            ag: tuple(rows) for ag, rows in groupby(s.value_connections, agent)
+        }
 
         # activity int -> element int -> affordance strength
         aff: dict[int, dict[int, float]] = {}

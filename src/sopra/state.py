@@ -92,7 +92,12 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
     activity with no connection scores 0. `score_norm` divides it by the
     sum of the priorities' personal views (0 when that sum is not
     positive). Value views never change during a run, so the decision
-    walk reads the scores from here."""
+    walk reads the scores from here.
+
+    One pass over the connections, in their canonical (agent, activity,
+    value) order, adds each activity's terms in ascending value order. A
+    duplicate connection row, which `validate_scenario` rejects, adds
+    once per row."""
     idx = scenario.index
     agent = state.agent_id
     # value -> priority personal view, in ascending value id
@@ -101,17 +106,11 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
     total = 0.0
     for p in priorities.values():
         total = total + p
-    # activity int -> value -> connection personal view
-    views: dict[int, dict[str, float]] = {}
-    for vc in idx.connections_by_agent.get(agent, ()):
-        views.setdefault(idx.aidx[vc.activity], {})[vc.value] = vc.views.personal_view
+    aidx = idx.aidx
     raw = [0.0] * len(idx.activity_ids)
-    for a, row in views.items():
-        acc = 0.0
-        for v, p in priorities.items():
-            view = row.get(v)
-            if view is not None:
-                acc = acc + p * view
-        raw[a] = acc
+    for vc in idx.connections_by_agent.get(agent, ()):
+        p = priorities.get(vc.value)
+        if p is not None:
+            raw[aidx[vc.activity]] += p * vc.views.personal_view
     state.score_raw = raw
     state.score_norm = [acc / total if total > 0.0 else 0.0 for acc in raw]

@@ -1,6 +1,6 @@
 """Shared document builders, name-to-int conversions, the reference habit
-store, the reference argmax and the closed-form equilibrium strength for
-the test suite."""
+store, the reference intentional scores, the reference argmax and the
+closed-form equilibrium strength for the test suite."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import random
 from typing import Any, Iterable, Sequence
 
 from sopra._kernel import AGG_MAX, AGG_MEAN
-from sopra.model import ScenarioIndex
+from sopra.model import Scenario, ScenarioIndex
 from sopra.scenarios import bundled_document
 from sopra.state import ContextSnapshot
 
@@ -290,6 +290,31 @@ class ReferenceHabitStore:
             (a, e, self._s[i], self._p[i], self._c[i])
             for i, (a, e) in enumerate(self._keys)
         ]
+
+
+def reference_scores(scenario: Scenario, agent_id: str) -> tuple[list[float], list[float]]:
+    """The agent's (score_raw, score_norm) by the nested-dict formula that
+    `build_score_cache`'s one-pass loop replaced, kept as its bit-for-bit
+    reference: an activity -> value -> connection view table, each
+    activity's entry summed over the priorities in ascending value id."""
+    idx = scenario.index
+    priorities = {vp.value: vp.views.personal_view
+                  for vp in idx.priorities_by_agent.get(agent_id, ())}
+    total = 0.0
+    for p in priorities.values():
+        total = total + p
+    views: dict[int, dict[str, float]] = {}
+    for vc in idx.connections_by_agent.get(agent_id, ()):
+        views.setdefault(idx.aidx[vc.activity], {})[vc.value] = vc.views.personal_view
+    raw = [0.0] * len(idx.activity_ids)
+    for a, row in views.items():
+        acc = 0.0
+        for v, p in priorities.items():
+            view = row.get(v)
+            if view is not None:
+                acc = acc + p * view
+        raw[a] = acc
+    return raw, [acc / total if total > 0.0 else 0.0 for acc in raw]
 
 
 def reference_argmax(values: list[float], rng: random.Random, uniform: bool) -> int:

@@ -4,13 +4,15 @@ import math
 import random
 
 import pytest
-from helpers import activity_names, make_doc, reference_argmax, snapshot_of
+from helpers import activity_names, make_doc, reference_argmax, reference_scores, snapshot_of
 from hypothesis import given, settings, strategies as st
 
 from sopra import (
     DecisionMode,
     DecisionStep,
     SequentialFrame,
+    ViolationKind,
+    World,
     build_scenario,
     build_score_cache,
     candidate_set,
@@ -18,8 +20,10 @@ from sopra import (
     decision_cycle,
     habitual_pressure,
     init_agent_state,
+    validate_scenario,
 )
 from sopra.cognition import _pick
+from sopra.testing import random_scenario_document
 
 
 RNG = lambda: random.Random(0)
@@ -138,6 +142,75 @@ def test_intentional_score_examples(commuting, bob):
         assert bob.score_norm[a] == pytest.approx(raw / total)
     alice = _agent(commuting, "alice")
     assert alice.score_raw[aidx["drive_car_to_work"]] == pytest.approx(0.9 * 0.95)
+
+
+def _assert_scores_match_reference(scenario):
+    """Every agent's score lists equal `reference_scores`, compared by
+    `float.hex`."""
+    for agent in scenario.index.agent_ids:
+        raw, norm = reference_scores(scenario, agent)
+        state = _agent(scenario, agent)
+        assert list(map(float.hex, state.score_raw)) == list(map(float.hex, raw)), agent
+        assert list(map(float.hex, state.score_norm)) == list(map(float.hex, norm)), agent
+
+
+def _off_grid(doc, rng):
+    """`doc` with every value view redrawn at full float precision and
+    about a fifth of the priority rows dropped, so that a change in the
+    order or the set of a score's terms changes its bits."""
+    for row in (*doc["valuePriorities"], *doc["valueConnections"]):
+        row["strength"] = row["personalView"] = rng.random()
+    doc["valuePriorities"] = [r for r in doc["valuePriorities"] if rng.random() < 0.8]
+    return doc
+
+
+def test_scores_match_the_reference_bit_for_bit():
+    for seed in range(200):
+        rng = random.Random(seed)
+        doc = random_scenario_document(rng, n_agents=3, n_values=rng.randint(1, 5))
+        _assert_scores_match_reference(build_scenario(_off_grid(doc, rng)))
+
+
+def test_score_edge_cases_match_the_reference():
+    # "speed" has no priority row and is opt_b's only value; ag2 has no
+    # priorities; ag3's priorities sum to 0.
+    doc = make_doc()
+    doc["values"] += ["comfort", "speed"]
+    doc["agents"] += [{"id": ag, "habitRate": 0.1, "attentionBudget": 1, "location": "Home"}
+                      for ag in ("ag2", "ag3")]
+    doc["valuePriorities"] = [
+        {"agent": ag, "value": v, "strength": p, "personalView": p}
+        for ag, v, p in (("ag1", "thrift", 0.1), ("ag1", "comfort", 0.3),
+                         ("ag3", "thrift", 0.0), ("ag3", "comfort", 0.0))
+    ]
+    doc["valueConnections"] = [
+        {"agent": ag, "activity": a, "value": v, "strength": w, "personalView": w}
+        for ag in ("ag3", "ag2", "ag1")
+        for a, v, w in (("opt_b", "speed", 0.5), ("opt_a", "thrift", 0.9),
+                        ("opt_a", "speed", 0.7), ("opt_a", "comfort", 0.7))
+    ]
+    scenario = build_scenario(doc)
+    assert validate_scenario(scenario) == []
+    _assert_scores_match_reference(scenario)
+
+    a, b = scenario.index.aidx["opt_a"], scenario.index.aidx["opt_b"]
+    ag1 = _agent(scenario, "ag1")
+    # comfort before thrift; speed has no priority and adds nothing
+    assert ag1.score_raw[a] == 0.0 + 0.3 * 0.7 + 0.1 * 0.9
+    assert ag1.score_raw[b] == 0.0
+    for agent in ("ag2", "ag3"):
+        state = _agent(scenario, agent)
+        assert state.score_raw == state.score_norm == [0.0] * len(scenario.index.activity_ids)
+
+
+def test_duplicate_value_connection_rows_each_add_to_the_score():
+    doc = make_doc()
+    doc["valueConnections"].append({"agent": "ag1", "activity": "opt_a", "value": "thrift",
+                                    "strength": 0.5, "personalView": 0.5})
+    scenario = build_scenario(doc)
+    assert [v.kind for v in validate_scenario(scenario)] == [ViolationKind.MULTIPLICITY]
+    state = World(scenario, validate=False).states["ag1"]
+    assert state.score_raw[scenario.index.aidx["opt_a"]] == 0.0 + 0.25 * 0.9 + 0.25 * 0.5
 
 
 def test_candidate_set(commuting):

@@ -235,10 +235,37 @@ def _sorted_by(rows, key):
     return tuple(sorted(rows, key=key))
 
 
+_SECTION = {sec.attr: sec for sec in ROW_SECTIONS}
+# Each per-agent table of the index, and the section it groups.
+_AGENT_TABLES = {"habitual_by_agent": _SECTION["habitual_connections"],
+                 "priorities_by_agent": _SECTION["value_priorities"],
+                 "connections_by_agent": _SECTION["value_connections"]}
+
+
+def _assert_agent_tables(s):
+    """Each per-agent table of the index equals a plain setdefault
+    grouping of its section, each group in the section's key order and
+    the agents ascending; an agent without rows has no key."""
+    for table, sec in _AGENT_TABLES.items():
+        grouped = {}
+        for row in getattr(s, sec.attr):
+            grouped.setdefault(row.agent, []).append(row)
+        expected = {ag: _sorted_by(grouped[ag], sec.order) for ag in sorted(grouped)}
+        got = getattr(s.index, table)
+        assert got == expected and list(got) == list(expected), table
+
+
 def _assert_canonical(doc, rng):
     s = build_scenario(doc)
-    for _ in range(4):
-        assert build_scenario(_shuffled(doc, rng)) == s
+    _assert_agent_tables(s)
+    # The agents' rows out of order: reversed, then interleaved by the shuffles.
+    reversed_doc = copy.deepcopy(doc)
+    for sec in _AGENT_TABLES.values():
+        reversed_doc[sec.name].reverse()
+    for variant in (reversed_doc, *(_shuffled(doc, rng) for _ in range(4))):
+        built = build_scenario(variant)
+        assert built == s
+        _assert_agent_tables(built)
 
     # Every collection is in its canonical order...
     for sec in ROW_SECTIONS:
@@ -254,12 +281,6 @@ def _assert_canonical(doc, rng):
         assert ids == tuple(sorted(ids))
     for kids in idx._children.values():
         assert kids == tuple(sorted(kids))
-    section = {sec.attr: sec for sec in ROW_SECTIONS}
-    for table, attr in ((idx.habitual_by_agent, "habitual_connections"),
-                        (idx.priorities_by_agent, "value_priorities"),
-                        (idx.connections_by_agent, "value_connections")):
-        for rows in table.values():
-            assert rows == _sorted_by(rows, section[attr].order), attr
     # (agent position, location int) pairs, and ints follow id order.
     for moves in idx.relocations_by_tick.values():
         assert moves == tuple(sorted(moves))
@@ -275,7 +296,9 @@ def _assert_canonical(doc, rng):
             assert dataclasses.replace(s, environment=env) == s
         else:
             reversed_rows = {sec.attr: getattr(s, sec.attr)[::-1]}
-            assert dataclasses.replace(s, **reversed_rows) == s, sec.name
+            replaced = dataclasses.replace(s, **reversed_rows)
+            assert replaced == s, sec.name
+            _assert_agent_tables(replaced)
     assert dataclasses.replace(s, values=s.values[::-1]) == s
 
 
