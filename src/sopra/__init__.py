@@ -48,7 +48,6 @@ from .model import (
     Scenario,
     ValueConnection,
     ValuePriority,
-    ViewTriple,
 )
 from .scenario import build_scenario, serialize_scenario
 from .state import (
@@ -87,7 +86,6 @@ __all__ = [
     "UnknownIdError",
     "ValueConnection",
     "ValuePriority",
-    "ViewTriple",
     "Violation",
     "ViolationKind",
     "World",

@@ -41,7 +41,7 @@ def propagate_value_connection(agent_id: str, value: str, activity: str,
         raise UnknownIdError(f"unknown agent: {agent_id!r}")
     idx.value_index(value)
     root = idx.activity_index(activity)
-    strength = {idx.aidx[vc.activity]: vc.views.strength
+    strength = {idx.aidx[vc.activity]: vc.strength
                 for vc in idx.connections_by_agent.get(agent_id, ()) if vc.value == value}
     memo: dict[int, float] = {}
 

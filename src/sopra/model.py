@@ -17,16 +17,20 @@ Terminology used throughout the package:
   hierarchy parent ``car`` are both elements of kind Resource. Kinds
   partition the token namespace; activities and agents are automatically
   elements of kind Activity and Agent.
-* A *view triple* holds three numbers in [0, 1]: the implicit
-  ``strength`` of a connection, the agent's explicit ``personal_view`` of
-  it, and ``my_collective_view``, the agent's estimate of how the group
-  sees it (None when the scenario gives none; a habitual connection's
-  then starts at the personal view).
+* The *views* of a habitual connection, value priority or value
+  connection are three numbers in [0, 1], held as fields of the row
+  itself: the implicit ``strength`` of the connection, the agent's
+  explicit ``personal_view`` of it, and ``my_collective_view``, the
+  agent's estimate of how the group sees it (None when the scenario gives
+  none; a habitual connection's then starts at the personal view). A row
+  is one object, so a scenario with many view rows is quick to build and
+  gives the cyclic collector little to scan. Change a view with
+  ``dataclasses.replace(row, strength=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -81,25 +85,22 @@ class ActivityConnection:
 
 
 @dataclass(slots=True)
-class ViewTriple:
+class HabitualConnection:
+    agent: str
+    activity: str
+    context_element: str
     strength: float = 0.0
     personal_view: float = 0.0
     my_collective_view: float | None = None  # None = not yet formed
 
 
 @dataclass(slots=True)
-class HabitualConnection:
-    agent: str
-    activity: str
-    context_element: str
-    views: ViewTriple = field(default_factory=ViewTriple)
-
-
-@dataclass(slots=True)
 class ValuePriority:
     agent: str
     value: str
-    views: ViewTriple = field(default_factory=ViewTriple)
+    strength: float = 0.0
+    personal_view: float = 0.0
+    my_collective_view: float | None = None  # None = not yet formed
 
 
 @dataclass(slots=True)
@@ -107,7 +108,9 @@ class ValueConnection:
     agent: str
     activity: str
     value: str
-    views: ViewTriple = field(default_factory=ViewTriple)
+    strength: float = 0.0
+    personal_view: float = 0.0
+    my_collective_view: float | None = None  # None = not yet formed
 
 
 @dataclass(slots=True)
@@ -164,8 +167,8 @@ class RowSection:
     `unique` names the fields no two rows of a section with a `duplicate`
     label may share; left empty, it is the whole key. A report names a
     row by those fields, as ``name[a:b]``. `bounded` is the field whose
-    numbers must lie in [0, 1]; ``"views"`` means every number of the
-    row's view triple.
+    number must lie in [0, 1]; ``"views"`` means the row's `strength` and
+    `personal_view`, and its `my_collective_view` unless that is None.
     """
 
     attr: str  # Scenario attribute; "environment.relocations" is the environment's

@@ -36,7 +36,6 @@ from .model import (
     Scenario,
     ValueConnection,
     ValuePriority,
-    ViewTriple,
 )
 
 _TOP_KEYS = {
@@ -174,24 +173,28 @@ class _Reader:
             return 0
         return v
 
-    def views(self, obj: Mapping[str, Any], section: str, i: int) -> ViewTriple:
+    def views(self, obj: Mapping[str, Any], section: str,
+              i: int) -> tuple[float, float, float | None]:
+        """The row's strength, personal view and collective view, the
+        last None when absent."""
         strength = obj.get("strength", 0.0)
         personal = obj.get("personalView", 0.0)
         collective = obj.get("myCollectiveView")
         if (type(strength) is float and type(personal) is float
                 and (collective is None or type(collective) is float)):
-            return ViewTriple(strength, personal, collective)
+            return strength, personal, collective
         strength = self.num(obj, "strength", section, i, default=0.0)
         personal = self.num(obj, "personalView", section, i, default=0.0)
         if collective is not None:
             collective = self.num(obj, "myCollectiveView", section, i)
-        return ViewTriple(strength, personal, collective)
+        return strength, personal, collective
 
     def view_columns(self, doc: Mapping[str, Any], key: str, cls: type,
                      id_keys: tuple[str, ...]) -> list | None:
-        """The rows of view section `key`, read a column at a time: each
-        id key's column, then the strength, personal-view and
-        collective-view columns, mapped through `cls`.
+        """The rows of view section `key`, read a column at a time: `cls`
+        is mapped over each id key's column, then the strength,
+        personal-view and collective-view columns, which fill the row's
+        own view fields.
 
         Returns None, having reported nothing, when the section is shorter
         than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
@@ -223,7 +226,7 @@ class _Reader:
                 and _FLOAT.issuperset(map(type, personal))
                 and _FLOAT_OR_NONE.issuperset(map(type, collective))):
             return None
-        return list(map(cls, *ids, map(ViewTriple, strength, personal, collective)))
+        return list(map(cls, *ids, strength, personal, collective))
 
     def enum(self, obj: Mapping[str, Any], key: str, enum_cls: type, section: str, i: int):
         v = obj.get(key)
@@ -431,7 +434,7 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
                 f.ident(row, "agent", "habitualConnections", i),
                 f.ident(row, "activity", "habitualConnections", i),
                 f.ident(row, "contextElement", "habitualConnections", i),
-                f.views(row, "habitualConnections", i),
+                *f.views(row, "habitualConnections", i),
             )
             for i, row in f.rows(document, "habitualConnections")
         ]
@@ -441,7 +444,7 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
             ValuePriority(
                 f.ident(row, "agent", "valuePriorities", i),
                 f.ident(row, "value", "valuePriorities", i),
-                f.views(row, "valuePriorities", i),
+                *f.views(row, "valuePriorities", i),
             )
             for i, row in f.rows(document, "valuePriorities")
         ]
@@ -453,7 +456,7 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
                 f.ident(row, "agent", "valueConnections", i),
                 f.ident(row, "activity", "valueConnections", i),
                 f.ident(row, "value", "valueConnections", i),
-                f.views(row, "valueConnections", i),
+                *f.views(row, "valueConnections", i),
             )
             for i, row in f.rows(document, "valueConnections")
         ]
@@ -535,11 +538,11 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     return scenario
 
 
-def _views_out(v: ViewTriple) -> dict[str, Any]:
+def _views_out(row: HabitualConnection | ValuePriority | ValueConnection) -> dict[str, Any]:
     return {
-        "strength": v.strength,
-        "personalView": v.personal_view,
-        "myCollectiveView": v.my_collective_view,
+        "strength": row.strength,
+        "personalView": row.personal_view,
+        "myCollectiveView": row.my_collective_view,
     }
 
 
@@ -570,15 +573,15 @@ def serialize_scenario(s: Scenario) -> dict[str, Any]:
         ],
         "habitualConnections": [
             {"agent": h.agent, "activity": h.activity, "contextElement": h.context_element}
-            | _views_out(h.views)
+            | _views_out(h)
             for h in s.habitual_connections
         ],
         "valuePriorities": [
-            {"agent": p.agent, "value": p.value} | _views_out(p.views)
+            {"agent": p.agent, "value": p.value} | _views_out(p)
             for p in s.value_priorities
         ],
         "valueConnections": [
-            {"agent": c.agent, "activity": c.activity, "value": c.value} | _views_out(c.views)
+            {"agent": c.agent, "activity": c.activity, "value": c.value} | _views_out(c)
             for c in s.value_connections
         ],
         "roots": list(s.roots),

@@ -67,14 +67,13 @@ def init_agent_state(scenario: Scenario, agent_id: str) -> AgentState:
     spec = idx.agent_specs[agent_id]
     store = get_backend()(idx.chain_data, idx.chain_start)
     for hc in idx.habitual_by_agent.get(agent_id, ()):
-        views = hc.views
-        cv = views.my_collective_view
+        cv = hc.my_collective_view
         store.set_views(
             idx.activity_index(hc.activity),
             idx.element_index(hc.context_element),
-            views.strength,
-            views.personal_view,
-            views.personal_view if cv is None else cv,
+            hc.strength,
+            hc.personal_view,
+            hc.personal_view if cv is None else cv,
         )
     return AgentState(
         agent_id=agent_id,
@@ -101,7 +100,7 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
     idx = scenario.index
     agent = state.agent_id
     # value -> priority personal view, in ascending value id
-    priorities = {vp.value: vp.views.personal_view
+    priorities = {vp.value: vp.personal_view
                   for vp in idx.priorities_by_agent.get(agent, ())}
     total = 0.0
     for p in priorities.values():
@@ -111,6 +110,6 @@ def build_score_cache(state: AgentState, scenario: Scenario) -> None:
     for vc in idx.connections_by_agent.get(agent, ()):
         p = priorities.get(vc.value)
         if p is not None:
-            raw[aidx[vc.activity]] += p * vc.views.personal_view
+            raw[aidx[vc.activity]] += p * vc.personal_view
     state.score_raw = raw
     state.score_norm = [acc / total if total > 0.0 else 0.0 for acc in raw]

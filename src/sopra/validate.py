@@ -300,46 +300,56 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
     return out
 
 
-def _check_view_ranges(rows, sec: RowSection, out: list[Violation]) -> None:
-    """Flag every number of each row's views outside [0, 1] (NaN included);
-    the row's location is formatted only for a row that has one."""
-    for row in rows:
-        v = row.views
-        c = v.my_collective_view
-        try:
-            if (0.0 <= v.strength <= 1.0 and 0.0 <= v.personal_view <= 1.0
-                    and (c is None or 0.0 <= c <= 1.0)):
+# A view row's bounded fields: each one's name in reports, and its attribute.
+_VIEW_FIELDS = (("strength", "strength"), ("personalView", "personal_view"),
+                ("myCollectiveView", "my_collective_view"))
+
+
+def _check_ranges(rows, sec: RowSection, out: list[Violation]) -> None:
+    """Flag every bounded field that is not a number in [0, 1] (NaN
+    included); a view row's `my_collective_view` may also be None. A row
+    of in-range floats passes the first test, and only a row that fails
+    has its location formatted."""
+    if sec.bounded == "views":
+        fields = _VIEW_FIELDS
+        for row in rows:
+            s, p, c = row.strength, row.personal_view, row.my_collective_view
+            if (type(s) is float and type(p) is float and 0.0 <= s <= 1.0 and 0.0 <= p <= 1.0
+                    and (c is None or type(c) is float and 0.0 <= c <= 1.0)):
                 continue
-        except TypeError:  # a None field, skipped below
-            pass
-        at = f"{sec.name}[{sec.label(row)}]"
-        for label, x in (("strength", v.strength), ("personalView", v.personal_view),
-                         ("myCollectiveView", c)):
-            if x is not None and not 0.0 <= x <= 1.0:
-                out.append(
-                    Violation(ViolationKind.VIEW_RANGE, f"{at}: {label} {x!r} outside [0, 1]")
-                )
+            _report_ranges(row, sec, fields, out)
+    else:
+        fields = ((sec.bounded, sec.bounded),)
+        for row in rows:
+            x = getattr(row, sec.bounded)
+            if type(x) is float and 0.0 <= x <= 1.0:
+                continue
+            _report_ranges(row, sec, fields, out)
+
+
+def _report_ranges(row, sec: RowSection, fields, out: list[Violation]) -> None:
+    """Append a violation for each of `fields` of `row` that fails."""
+    at = f"{sec.name}[{sec.label(row)}]"
+    for label, attr in fields:
+        x = getattr(row, attr)
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if x is not None or attr != "my_collective_view":
+                out.append(Violation(ViolationKind.VIEW_RANGE,
+                                     f"{at}: {label} must be a number, got {x!r}"))
+        elif not 0.0 <= x <= 1.0:
+            out.append(Violation(ViolationKind.VIEW_RANGE, f"{at}: {label} {x!r} outside [0, 1]"))
 
 
 def _check_rows(s: Scenario) -> list[Violation]:
-    """The checks `ROW_SECTIONS` declares, section by section: numbers
-    outside [0, 1], then, after every range finding, duplicate keys."""
+    """The checks `ROW_SECTIONS` declares, section by section: bounded
+    fields that are not numbers in [0, 1], then, after every range
+    finding, duplicate keys."""
     ranges: list[Violation] = []
     duplicates: list[Violation] = []
     for sec in ROW_SECTIONS:
         rows = attrgetter(sec.attr)(s)
-        if sec.bounded == "views":
-            _check_view_ranges(rows, sec, ranges)
-        elif sec.bounded is not None:
-            for row in rows:
-                x = getattr(row, sec.bounded)
-                if not 0.0 <= x <= 1.0:
-                    ranges.append(
-                        Violation(
-                            ViolationKind.VIEW_RANGE,
-                            f"{sec.name}[{sec.label(row)}]: {sec.bounded} {x!r} outside [0, 1]",
-                        )
-                    )
+        if sec.bounded is not None:
+            _check_ranges(rows, sec, ranges)
         if sec.duplicate is None:
             continue
         keys = list(map(sec.identity, rows))

@@ -298,14 +298,14 @@ def reference_scores(scenario: Scenario, agent_id: str) -> tuple[list[float], li
     reference: an activity -> value -> connection view table, each
     activity's entry summed over the priorities in ascending value id."""
     idx = scenario.index
-    priorities = {vp.value: vp.views.personal_view
+    priorities = {vp.value: vp.personal_view
                   for vp in idx.priorities_by_agent.get(agent_id, ())}
     total = 0.0
     for p in priorities.values():
         total = total + p
     views: dict[int, dict[str, float]] = {}
     for vc in idx.connections_by_agent.get(agent_id, ()):
-        views.setdefault(idx.aidx[vc.activity], {})[vc.value] = vc.views.personal_view
+        views.setdefault(idx.aidx[vc.activity], {})[vc.value] = vc.personal_view
     raw = [0.0] * len(idx.activity_ids)
     for a, row in views.items():
         acc = 0.0

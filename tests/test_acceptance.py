@@ -200,7 +200,7 @@ def test_value_propagation_oracle(acceptance):
         idx = s.index
         for ag in idx.agent_ids:
             stored = {
-                (vc.activity, vc.value): vc.views.strength
+                (vc.activity, vc.value): vc.strength
                 for vc in idx.connections_by_agent.get(ag, ())
             }
             for node in idx.activity_ids:

@@ -202,7 +202,7 @@ def test_project_collective_defaults_to_personal(commuting):
     idx = commuting.index
     row = next(hc for hc in idx.habitual_by_agent["bob"]
                if (hc.activity, hc.context_element) == ("drive_car_to_work", "bobs_car"))
-    assert row.views.my_collective_view is None
+    assert row.my_collective_view is None
     s, p, c = entry(
         bob.habits, idx.activity_index("drive_car_to_work"), idx.element_index("bobs_car")
     )

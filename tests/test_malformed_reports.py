@@ -2066,7 +2066,7 @@ def test_an_int_view_builds_the_scenario_its_float_builds(section):
     assert built == build_scenario(floats)
     for name in ("habitual_connections", "value_priorities", "value_connections"):
         for row in getattr(built, name):
-            views = (row.views.strength, row.views.personal_view, row.views.my_collective_view)
+            views = (row.strength, row.personal_view, row.my_collective_view)
             assert all(type(v) is float for v in views if v is not None)
 
 

@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "UnknownIdError",
     "ValueConnection",
     "ValuePriority",
-    "ViewTriple",
     "Violation",
     "ViolationKind",
     "World",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import random
 import re
 from operator import attrgetter
@@ -16,7 +17,6 @@ from sopra import (
     ScenarioError,
     ValueConnection,
     ValuePriority,
-    ViewTriple,
     World,
     atomic_leaves,
     build_scenario,
@@ -25,6 +25,7 @@ from sopra import (
     validate_scenario,
 )
 from sopra.model import ROW_SECTIONS
+from sopra.scenario import _COLUMN_MIN_ROWS
 from sopra.scenarios import bundled_document, list_bundled
 from sopra.testing import random_scenario_document
 
@@ -128,9 +129,9 @@ def test_view_triple_defaults_and_out_of_range_builds():
     ]
     s = build_scenario(doc)
     (hc,) = s.habitual_connections
-    assert hc.views.strength == 2.5
-    assert hc.views.personal_view == 0.0
-    assert hc.views.my_collective_view is None
+    assert hc.strength == 2.5
+    assert hc.personal_view == 0.0
+    assert hc.my_collective_view is None
 
 
 def test_identifier_hygiene():
@@ -360,15 +361,42 @@ def test_empty_id_in_an_id_list_is_dangling(site):
 
 
 def test_rows_built_without_views_do_not_share_one():
-    # Rows are mutable records, so a shared default would alias.
+    # The views are the row's own fields: a row built without them holds
+    # the defaults, and one row's replace leaves a twin unchanged.
     pairs = [
         (HabitualConnection("ag", "act", "el"), HabitualConnection("ag", "act", "el")),
         (ValuePriority("ag", "v"), ValuePriority("ag", "v")),
         (ValueConnection("ag", "act", "v"), ValueConnection("ag", "act", "v")),
     ]
     for a, b in pairs:
-        assert a.views == b.views == ViewTriple()
-        assert a.views is not b.views
+        assert (a.strength, a.personal_view, a.my_collective_view) == (0.0, 0.0, None)
+        assert a == b
+        changed = dataclasses.replace(a, strength=0.5, my_collective_view=0.25)
+        assert (changed.strength, changed.my_collective_view) == (0.5, 0.25)
+        assert a == b and a.strength == 0.0
+
+
+_VIEW_SECTIONS = [sec for sec in ROW_SECTIONS if sec.bounded == "views"]
+
+
+@pytest.mark.parametrize("source", ["generated", "commuting"])
+def test_a_view_row_is_one_object(source):
+    # A view row holds its numbers itself: the cyclic collector sees one
+    # object per row, whose referents are its type, its id strings, and
+    # floats or None. The generated sections are long enough to be read
+    # a column at a time; commuting's are read row by row.
+    if source == "generated":
+        doc = random_scenario_document(random.Random(3), n_agents=64, habit_seeds=3)
+        assert all(len(doc[sec.name]) >= _COLUMN_MIN_ROWS for sec in _VIEW_SECTIONS)
+    else:
+        doc = bundled_document("commuting")
+        assert all(len(doc[sec.name]) < _COLUMN_MIN_ROWS for sec in _VIEW_SECTIONS)
+    s = build_scenario(doc)
+    for sec in _VIEW_SECTIONS:
+        for row in getattr(s, sec.attr):
+            refs = gc.get_referents(row)
+            refs.remove(type(row))
+            assert {type(r) for r in refs} <= {str, float, type(None)}, (sec.name, refs)
 
 
 @pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
@@ -392,14 +420,14 @@ def test_replace_gives_a_new_index_and_leaves_the_original():
     s = build_scenario(bundled_document("commuting"))
     old_index = s.index
     row = s.value_connections[0]
-    old_views = row.views
-    changed = dataclasses.replace(row, views=dataclasses.replace(row.views, strength=0.125))
+    old_strength = row.strength
+    changed = dataclasses.replace(row, strength=0.125)
     s2 = dataclasses.replace(s, value_connections=(changed,) + s.value_connections[1:])
 
     assert s2.index is not old_index
     assert changed in s2.index.connections_by_agent[row.agent]
     assert propagate_value_connection(row.agent, row.value, row.activity, s2) == 0.125
-    assert s.value_connections[0] is row and row.views is old_views
+    assert s.value_connections[0] is row and row.strength == old_strength != 0.125
     assert s.index is old_index
     assert row in old_index.connections_by_agent[row.agent]
     assert changed not in old_index.connections_by_agent[row.agent]

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import random
+import re
 
 import pytest
 from helpers import make_doc, mutation_fixtures
 
-from sopra import ViolationKind, build_scenario, validate_scenario
+from sopra import (
+    InvalidScenarioError,
+    ScenarioError,
+    Violation,
+    ViolationKind,
+    World,
+    build_scenario,
+    validate_scenario,
+)
+from sopra.model import ROW_SECTIONS
 from sopra.scenarios import load_bundled
+from sopra.testing import random_scenario_document
 
 
 @pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
@@ -131,3 +144,107 @@ def test_two_relocations_of_one_agent_at_one_tick_are_reported_in_either_order()
         assert [(v.kind, v.message) for v in validate_scenario(s)] == [
             (ViolationKind.MULTIPLICITY, "duplicate relocation '0:ag1'")
         ]
+
+
+_BOUNDED = [sec for sec in ROW_SECTIONS if sec.bounded is not None]
+_VIEW_ATTRS = ("strength", "personal_view", "my_collective_view")
+
+
+def _camel(attr):
+    return re.sub(r"_(\w)", lambda m: m.group(1).upper(), attr)
+
+
+@pytest.mark.parametrize("sec", _BOUNDED, ids=[sec.name for sec in _BOUNDED])
+def test_a_bounded_field_that_is_not_a_number_is_a_view_range(sec):
+    # The builder makes every bounded field a float, but a row edited in
+    # code can hold anything. Each non-number is listed, with the field's
+    # document name; the world refuses the scenario.
+    s = load_bundled("commuting" if sec.bounded == "views" else "extensions_demo")
+    rows = getattr(s, sec.attr)
+    row = rows[0]
+
+    def edit(**fields):
+        edited = dataclasses.replace(row, **fields)
+        return dataclasses.replace(s, **{sec.attr: (edited, *rows[1:])})
+
+    for attr in _VIEW_ATTRS if sec.bounded == "views" else (sec.bounded,):
+        for bad in (None, "0.5", True):
+            if bad is None and attr == "my_collective_view":
+                continue
+            assert validate_scenario(edit(**{attr: bad})) == [Violation(
+                ViolationKind.VIEW_RANGE,
+                f"{sec.name}[{sec.label(row)}]: {_camel(attr)} must be a number, got {bad!r}",
+            )], (attr, bad)
+            with pytest.raises(InvalidScenarioError):
+                World(edit(**{attr: bad}), 0)
+        # An int in range is a number in [0, 1]; one out of range keeps
+        # the numeric wording.
+        assert validate_scenario(edit(**{attr: 1})) == []
+        assert [v.message for v in validate_scenario(edit(**{attr: 2}))] == [
+            f"{sec.name}[{sec.label(row)}]: {_camel(attr)} 2 outside [0, 1]"]
+    if sec.bounded == "views":
+        assert validate_scenario(edit(my_collective_view=None)) == []
+
+
+def _doc_rows(doc, sec):
+    part, _, name = sec.name.rpartition(".")
+    return (doc[part] if part else doc)[name]
+
+
+def _with_every_row_section(doc):
+    """`doc` plus one row in each section the generator leaves empty."""
+    atomic = next(a["id"] for a in doc["activities"] if a["type"] == "Atomic")
+    agent = doc["agents"][0]["id"]
+    doc["affordances"] = [{"contextElement": "loc0", "activity": atomic, "strength": 0.5}]
+    doc["competences"] = {
+        "levels": [{"agent": agent, "competence": "skill", "level": 0.5}],
+        "requirements": [{"activity": atomic, "competence": "skill", "required": 0.25}],
+    }
+    doc["environment"]["relocations"] = [{"tick": 3, "agent": agent, "location": "loc1"}]
+    return doc
+
+
+def _changed(key, value):
+    """A valid value for document field `key` that differs from `value`."""
+    if key == "location":
+        return "loc0" if value != "loc0" else "loc1"
+    if key == "kind":
+        return "Resource" if value != "Resource" else "Location"
+    if key == "type":
+        return "Atomic" if value != "Atomic" else "Abstract"
+    if key == "parent":
+        return "tp0" if value != "tp0" else "tp1"
+    if key in ("attentionBudget", "attentionalResources"):
+        return 1 if value != 1 else 0
+    return 0.25 if value != 0.25 else 0.75
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_second_row_for_an_occupied_slot_is_reported(seed):
+    # A row that repeats another's key, or the fields a section holds
+    # unique, is a second row for the same slot however its other fields
+    # differ, view fields included.
+    base = _with_every_row_section(random_scenario_document(random.Random(seed), n_agents=3))
+    assert validate_scenario(build_scenario(base)) == []
+    for sec in ROW_SECTIONS:
+        if sec.duplicate is None and sec.key != ("id",):
+            continue  # the activity-connection key is the whole row
+        row = _doc_rows(base, sec)[0]
+        others = set(row) - {_camel(f) for f in sec.unique or sec.key}
+        if sec.bounded == "views":
+            others |= {"strength", "personalView", "myCollectiveView"}
+        assert others, sec.name
+        for key in sorted(others):
+            doc = copy.deepcopy(base)
+            twin = dict(row, **{key: _changed(key, row.get(key))})
+            _doc_rows(doc, sec).append(twin)
+            if sec.duplicate is None:
+                with pytest.raises(ScenarioError) as exc:
+                    build_scenario(doc)
+                assert f"duplicate id: {row['id']!r}" in exc.value.problems, (sec.name, key)
+                continue
+            built = build_scenario(doc)
+            assert built != build_scenario(base)
+            report = validate_scenario(built)
+            assert [v.kind for v in report] == [ViolationKind.MULTIPLICITY], (sec.name, key)
+            assert report[0].message.startswith(f"duplicate {sec.duplicate} "), (sec.name, key)
