@@ -1,4 +1,15 @@
-"""Pausing the cyclic garbage collector for bulk builds."""
+"""Pausing the cyclic garbage collector while sopra works.
+
+The policy: building a scenario, validating it, building a world's
+agent states, running the world, and each CLI command run with the
+collector paused. Its premise: nothing sopra allocates is cyclic
+garbage. What it builds lives as long as the scenario or the world,
+and what it drops is freed by reference counting, so a pass the pause
+defers frees nothing later than reference counting does. Generational
+collection assumes most new objects die young; a scenario, its habit
+stores and its event log do not, so each pass only re-scans live
+objects. `tests/test_collector_pause.py` checks the premise.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +19,9 @@ import gc
 class gc_paused:
     """Context manager: run the body with the cyclic collector disabled.
 
-    For code that allocates many tracked objects that all outlive it,
-    such as a scenario or a world's agent states: generational
-    collection assumes most new objects die young, so each pass the
-    allocations would trigger re-scans objects known to be live. Nothing
-    collectable is lost, only deferred: the first tracked allocation
-    after the body may start the pass the body skipped.
+    Nothing collectable is lost, only deferred: the first tracked
+    allocation after the body may start a pass the body skipped, and
+    cyclic garbage the caller made before the body is freed then.
 
     The previous state is restored on exit, exception or not. A
     collector found disabled is left disabled, so pauses nest. The

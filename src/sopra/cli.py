@@ -7,6 +7,7 @@ documents and bad overrides), 2 scenario validation failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -14,6 +15,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from ._gc import gc_paused
 from .engine import World, events_csv, metrics_csv, write_text_atomic
 from .errors import ScenarioError, UnknownIdError
 from .hierarchy import atomic_leaves, propagate_value_connection
@@ -54,10 +56,14 @@ def _load_document(path: str) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:  # its message names the path
         raise _Exit(_fail(str(exc))) from None
+    # Bad JSON or bad UTF-8 (both ValueError), or nesting deeper than the
+    # parser's recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise _Exit(_fail(f"{path}: {exc}")) from None
     if not isinstance(doc, dict):
-        raise _Exit(_fail("scenario document must be an object"))
+        raise _Exit(_fail(f"{path}: scenario document must be an object"))
     return doc
 
 
@@ -219,6 +225,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# Built once per process: parsing leaves the parser as it was, and each
+# build leaves a few hundred objects of cyclic garbage.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sopra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,16 +270,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except _UsageError:
-        return 1
-    except _Exit as exc:
-        return exc.code
-    except OSError as exc:  # writing outputs; reading is reported by _load_document
-        return _fail(str(exc))
+    # A command's documents, scenarios, worlds and logs all live until it
+    # ends, so it runs with the cyclic collector paused (see sopra._gc).
+    with gc_paused():
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.fn(args)
+        except _UsageError:
+            return 1
+        except _Exit as exc:
+            return exc.code
+        except OSError as exc:  # writing outputs; reading is reported by _load_document
+            return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -237,10 +237,17 @@ class World:
         return new_events
 
     def run(self, ticks: int) -> tuple[list[Event], list[MetricsRow]]:
-        for _ in range(ticks):
-            self.step()
-        return self.events, collect_metrics(self.events, self.samples,
-                                            self.scenario.index.atomic_ids)
+        """Advance `ticks` ticks; return every event logged so far and the
+        per-tick metrics over them.
+
+        Runs with the cyclic collector paused: the logs and habit stores
+        the ticks grow live as long as the world, and nothing a tick
+        drops is cyclic garbage, so no pass would free anything."""
+        with gc_paused():
+            for _ in range(ticks):
+                self.step()
+            return self.events, collect_metrics(self.events, self.samples,
+                                                self.scenario.index.atomic_ids)
 
 
 def run(scenario: Scenario, ticks: int, seed: int = 0) -> tuple[list[Event], list[MetricsRow]]:

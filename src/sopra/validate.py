@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
+from ._gc import gc_paused
 from .errors import ScenarioError
 from .model import ROW_SECTIONS, ActivityType, ElementKind, RelationType, RowSection, Scenario
 
@@ -369,11 +370,16 @@ def _check_rows(s: Scenario) -> list[Violation]:
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
-    """Full structural check; empty report means the scenario is runnable."""
-    kinds, parent = _elements(s)
-    dangling, mismatched, _ = _check_references(s, kinds)
-    report = dangling + mismatched
-    report.extend(_check_parent_forests(parent))
-    report.extend(_check_activity_graph(s))
-    report.extend(_check_rows(s))
-    return report
+    """Full structural check; empty report means the scenario is runnable.
+
+    Runs with the cyclic collector paused, as `build_scenario` does:
+    what it allocates is returned or freed by reference counting, so a
+    pass here would only re-scan the scenario."""
+    with gc_paused():
+        kinds, parent = _elements(s)
+        dangling, mismatched, _ = _check_references(s, kinds)
+        report = dangling + mismatched
+        report.extend(_check_parent_forests(parent))
+        report.extend(_check_activity_graph(s))
+        report.extend(_check_rows(s))
+        return report

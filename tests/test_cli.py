@@ -63,6 +63,33 @@ def test_validate_non_object_document(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+def _command(name: str, path: str, out: Path) -> list[str]:
+    if name == "validate":
+        return ["validate", path]
+    argv = [name, "--scenario", path, "--ticks", "1", "--out", str(out)]
+    return argv + ["--param", "habitThreshold=0.3,0.6"] if name == "sweep" else argv
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("content, problem", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2"),
+    (b"[1, 2]", "scenario document must be an object"),
+], ids=["not-utf-8", "too-deep", "bad-json", "not-an-object"])
+def test_a_bad_document_is_reported_with_its_path(command, content, problem, tmp_path,
+                                                  capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(_command(command, str(path), out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {problem}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_writes_outputs(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--scenario", scenario_file, "--ticks", "8",

@@ -1,10 +1,12 @@
-"""`build_scenario` and a world's state construction run with the cyclic
-collector paused: they leave its state as they found it, no pass starts
-while they run, and what they build is never cyclic garbage."""
+"""`build_scenario`, `validate_scenario`, a world's state construction,
+`World.run` and each CLI command run with the cyclic collector paused:
+they leave its state as they found it, no pass starts while they run,
+and what they make is never cyclic garbage."""
 
 from __future__ import annotations
 
 import gc
+import json
 import random
 import sys
 from contextlib import nullcontext
@@ -12,10 +14,13 @@ from contextlib import nullcontext
 import pytest
 from helpers import make_doc
 
+import sopra.cli
 import sopra.engine
 import sopra.scenario
-from sopra import World, build_scenario
+import sopra.validate
+from sopra import World, build_scenario, validate_scenario
 from sopra._gc import gc_paused
+from sopra.cli import main
 from sopra.errors import ScenarioError
 from sopra.scenarios import bundled_document
 from sopra.testing import random_scenario_document
@@ -54,18 +59,59 @@ def _failing_score_cache(state, scenario):
     raise RuntimeError("score cache")
 
 
+def _failing_personal_view(state, scenario):
+    raise RuntimeError("personal view")
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-def test_builders_leave_the_collector_as_they_found_it(enabled, collector, monkeypatch):
+def test_builders_leave_the_collector_as_they_found_it(enabled, collector, monkeypatch,
+                                                       tmp_path):
     _set_collector(enabled)
     scenario = build_scenario(bundled_document("commuting"))
     assert gc.isenabled() is enabled
     with pytest.raises(ScenarioError):
         build_scenario(_bad_document())
     assert gc.isenabled() is enabled
-    World(scenario, 0)
+    assert validate_scenario(scenario) == []
+    assert gc.isenabled() is enabled
+    assert validate_scenario(_invalid_scenario()) != []
+    assert gc.isenabled() is enabled
+    world = World(scenario, 0)
+    assert gc.isenabled() is enabled
+    world.run(2)
     assert gc.isenabled() is enabled
     with pytest.raises(InvalidScenarioError):
         World(_invalid_scenario(), 0)
+    assert gc.isenabled() is enabled
+
+    # sopra commands, by exit code.
+    path = _write(tmp_path / "commuting.json", bundled_document("commuting"))
+    out = tmp_path / "out"
+    run = ["run", "--scenario", path, "--ticks", "2", "--out", str(out)]
+    assert main(run) == 0
+    assert gc.isenabled() is enabled
+    assert main(run + ["--force", "--override", "habitThreshold"]) == 1
+    assert gc.isenabled() is enabled
+    assert main(["validate", str(tmp_path / "absent.json")]) == 1
+    assert gc.isenabled() is enabled
+    invalid = bundled_document("commuting")
+    invalid["roots"] = ["nowhere"]
+    assert main(["validate", _write(tmp_path / "invalid.json", invalid)]) == 2
+    assert gc.isenabled() is enabled
+    (out / "events.csv").unlink()
+    (out / "events.csv").mkdir()
+    assert main(run + ["--force"]) == 1  # an OSError while writing
+    assert gc.isenabled() is enabled
+
+    # An exception raised inside a paused run, mid-tick.
+    monkeypatch.setattr(sopra.engine, "update_personal_view", _failing_personal_view)
+    with pytest.raises(RuntimeError):
+        world.run(1)
     assert gc.isenabled() is enabled
     # An exception raised inside the paused state construction.
     monkeypatch.setattr(sopra.engine, "build_score_cache", _failing_score_cache)
@@ -130,6 +176,20 @@ def test_no_collection_starts_inside_the_paused_builders(collector, monkeypatch)
     assert _passes_started_in(bodies, lambda: World(scenario, 0)) > 0
 
 
+def test_no_collection_starts_inside_a_cli_run(collector, monkeypatch, tmp_path):
+    gc.enable()
+    doc = random_scenario_document(random.Random(3), max_activities=16, n_agents=400,
+                                   n_locations=100, n_values=3, n_timepoints=4)
+    argv = ["run", "--scenario", _write(tmp_path / "world.json", doc), "--ticks", "4",
+            "--out", str(tmp_path / "out"), "--force"]
+    bodies = {sopra.cli.main.__code__}
+    assert _passes_started_in(bodies, lambda: main(argv)) == 0
+    # Unpaused, the same command starts passes inside main.
+    for module in (sopra.cli, sopra.engine, sopra.scenario, sopra.validate):
+        monkeypatch.setattr(module, "gc_paused", nullcontext)
+    assert _passes_started_in(bodies, lambda: main(argv)) > 0
+
+
 def test_a_run_leaves_no_cyclic_garbage(collector):
     # The premise of the pause: nothing a build or a run makes is freed
     # only by the cyclic collector, so deferring its passes frees nothing
@@ -141,4 +201,20 @@ def test_a_run_leaves_no_cyclic_garbage(collector):
         world = World(build_scenario(doc), 0)
         world.run(30)
         del world
+    assert gc.collect() == 0
+
+
+def test_a_cli_command_leaves_no_cyclic_garbage(collector, tmp_path):
+    path = _write(tmp_path / "commuting.json", bundled_document("commuting"))
+    commands = [
+        ["run", "--scenario", path, "--ticks", "30", "--out", str(tmp_path / "run")],
+        ["sweep", "--scenario", path, "--ticks", "10", "--param", "habitThreshold=0.3,0.6",
+         "--out", str(tmp_path / "sweep")],
+    ]
+    for argv in commands:  # warm-up: fills the process's one-off caches
+        assert main(argv) == 0
+    gc.disable()
+    gc.collect()
+    for argv in commands:
+        assert main(argv + ["--force"]) == 0
     assert gc.collect() == 0

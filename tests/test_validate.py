@@ -64,6 +64,26 @@ def test_duplicate_habitual_triple():
     assert {v.kind for v in report} == {ViolationKind.MULTIPLICITY}
 
 
+def _reports(doc) -> list[str]:
+    return [f"{v.kind.value}: {v.message}"
+            for v in validate_scenario(build_scenario(doc, check_refs=False))]
+
+
+def test_duplicate_activity_connection():
+    doc = make_doc()
+    doc["activityConnections"].append(dict(doc["activityConnections"][0]))
+    assert _reports(doc) == [
+        "multiplicity: duplicate activity connection 'opt_a' -IsA-> 'act_root'"]
+
+
+def test_sequential_activity_takes_part_of_children():
+    doc = make_doc()
+    doc["activities"].append({"id": "seq", "type": "Sequential"})
+    doc["activityConnections"].append({"child": "opt_a", "parent": "seq", "relation": "IsA"})
+    assert _reports(doc) == [
+        "typing: sequential activity 'seq' takes PartOf children, got IsA from 'opt_a'"]
+
+
 def test_context_parent_must_share_kind():
     doc = make_doc()
     doc["contextElements"].append({"id": "keys", "kind": "Resource", "parent": "Home"})
