@@ -77,6 +77,7 @@ ID_SITES = {
     "element_parent": ("contextElements", 6, "parent"),
 }
 NUMBER_DEFECTS = {
+    "missing": _MISSING,
     "bool": True,
     "string": "0.5",
     "none": None,
@@ -193,6 +194,58 @@ DANGLING = {
 }
 
 
+def _env(key: str, value: Any) -> Callable[[Doc], None]:
+    def mutate(doc: Doc) -> None:
+        doc["environment"][key] = value
+    return mutate
+
+
+# Error branches of the loader: each section or container of the wrong
+# shape, and rows with several defects, whose reports keep field order.
+LOADER_CASES: dict[str, Callable[[Doc], None]] = {
+    "values_not_a_list": lambda doc: doc.update(values="speed"),
+    "integer_string_budget": _set("agents", 0, "attentionBudget", "two"),
+    "global_not_a_number": lambda doc: doc["globals"].update(habitThreshold="high"),
+    "environment_not_an_object": lambda doc: doc.update(environment=["Home"]),
+    "environment_unknown_keys": _all(_env("zones", []), _env("weather", "rain")),
+    "timepoints_not_a_list": _env("timepoints", "Morning"),
+    "placements_not_a_mapping": _env("placements", ["Home"]),
+    "placement_not_a_list": lambda doc: doc["environment"]["placements"].update(
+        Home="bobs_car", Office=["desk", 3]),
+    "relocations_not_a_list": _env("relocations", {"tick": 1, "agent": "bob"}),
+    # A relocation entry that is not an object is reported in its place
+    # among the rows' own problems.
+    "relocation_not_an_object": _env("relocations", [
+        {"tick": -1, "agent": "bob", "location": "Office"},
+        "not a row",
+        {"tick": "soon", "agent": "alice", "location": "Office"},
+        7,
+    ]),
+    "competences_not_an_object": lambda doc: doc.update(competences=["driving"]),
+    "competences_unknown_keys": lambda doc: doc.update(
+        competences={"levels": [], "skills": [], "grades": []}),
+    "competence_sections_malformed": lambda doc: doc.update(
+        competences={"levels": "driving", "requirements": [3]}),
+    # A missing strength takes its default when another view of the row
+    # is not a float.
+    "missing_strength_beside_bad_personal": _all(
+        _set("valuePriorities", 1, "strength", _MISSING),
+        _set("valuePriorities", 1, "personalView", "high"),
+    ),
+    "agent_row_defects": _all(
+        _set("agents", 0, "habitRate", 1.5),
+        _set("agents", 0, "attentionBudget", -1),
+        _set("agents", 0, "attentionalResources", 5),
+        _set("agents", 0, "location", ""),
+        _set("agents", 0, "parent", " team"),
+    ),
+    "agent_parent_and_location_dangling": _all(
+        _set("agents", 0, "location", "Mars"),
+        _set("agents", 0, "parent", "ghost_team"),
+    ),
+}
+
+
 def _proxy_rows(doc: Doc) -> None:
     for section, i in (("valueConnections", 3), ("agents", 1), ("activities", 0),
                        ("habitualConnections", 2), ("valuePriorities", 0)):
@@ -271,6 +324,7 @@ CASES: dict[str, Callable[[Doc], None]] = {
         for section in DEEP_ID_SITES
     },
     "deep_mixed": DEEP_MIXED,
+    **{f"loader_{name}": m for name, m in LOADER_CASES.items()},
     # One agent relocated twice at one tick; the location does not matter.
     "duplicate_relocation": lambda doc: doc["environment"]["relocations"].extend([
         {"tick": 3, "agent": "bob", "location": "Office"},
@@ -2032,6 +2086,215 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             'view-range: affordances[Home:walk_to_work]: strength 1.5 outside [0, 1]',
         ],
     ),
+    "loader_agent_parent_and_location_dangling": (
+        [
+            "agents[bob].parent: unknown element 'ghost_team'",
+            "agents[bob].location: unknown element 'Mars'",
+        ],
+        [],
+        [
+            "dangling-reference: agents[bob].parent: unknown element 'ghost_team'",
+            "dangling-reference: agents[bob].location: unknown element 'Mars'",
+        ],
+    ),
+    "loader_agent_row_defects": (
+        [
+            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
+            "agents[0]: 'attentionBudget' must be non-negative",
+            "agents[0]: 'attentionalResources' must lie in [0, attentionBudget]",
+            "agents[0]: 'location' must be a plain identifier string, got ''",
+            "agents[0]: 'parent' must be a plain identifier string, got ' team'",
+        ],
+        [
+            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
+            "agents[0]: 'attentionBudget' must be non-negative",
+            "agents[0]: 'attentionalResources' must lie in [0, attentionBudget]",
+            "agents[0]: 'location' must be a plain identifier string, got ''",
+            "agents[0]: 'parent' must be a plain identifier string, got ' team'",
+        ],
+        None,
+    ),
+    "loader_competence_sections_malformed": (
+        [
+            "'levels' must be a list",
+            'requirements[0] must be an object',
+        ],
+        [
+            "'levels' must be a list",
+            'requirements[0] must be an object',
+        ],
+        None,
+    ),
+    "loader_competences_not_an_object": (
+        [
+            "'competences' must be an object with 'levels' and 'requirements'",
+        ],
+        [
+            "'competences' must be an object with 'levels' and 'requirements'",
+        ],
+        None,
+    ),
+    "loader_competences_unknown_keys": (
+        [
+            "competences: unknown keys ['grades', 'skills']",
+        ],
+        [
+            "competences: unknown keys ['grades', 'skills']",
+        ],
+        None,
+    ),
+    "loader_environment_not_an_object": (
+        [
+            "'environment' must be an object",
+        ],
+        [
+            "'environment' must be an object",
+        ],
+        None,
+    ),
+    "loader_environment_unknown_keys": (
+        [
+            "environment: unknown keys ['weather', 'zones']",
+        ],
+        [
+            "environment: unknown keys ['weather', 'zones']",
+        ],
+        None,
+    ),
+    "loader_global_not_a_number": (
+        [
+            "globals: 'habitThreshold' must be a number",
+        ],
+        [
+            "globals: 'habitThreshold' must be a number",
+        ],
+        None,
+    ),
+    "loader_integer_string_budget": (
+        [
+            "agents[0]: 'attentionBudget' must be an integer, got 'two'",
+        ],
+        [
+            "agents[0]: 'attentionBudget' must be an integer, got 'two'",
+        ],
+        None,
+    ),
+    "loader_missing_strength_beside_bad_personal": (
+        [
+            "valuePriorities[1]: 'personalView' must be a number, got 'high'",
+        ],
+        [
+            "valuePriorities[1]: 'personalView' must be a number, got 'high'",
+        ],
+        None,
+    ),
+    "loader_placement_not_a_list": (
+        [
+            "environment.placements['Home'] must be a list of ids",
+            "environment.placements['Office'] must be a list of ids",
+        ],
+        [
+            "environment.placements['Home'] must be a list of ids",
+            "environment.placements['Office'] must be a list of ids",
+        ],
+        None,
+    ),
+    "loader_placements_not_a_mapping": (
+        [
+            'environment.placements must map location ids to resource lists',
+        ],
+        [
+            'environment.placements must map location ids to resource lists',
+        ],
+        None,
+    ),
+    "loader_relocation_not_an_object": (
+        [
+            "environment.relocations[0]: 'tick' must be non-negative",
+            'environment.relocations[1] must be an object',
+            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
+            'environment.relocations[3] must be an object',
+        ],
+        [
+            "environment.relocations[0]: 'tick' must be non-negative",
+            'environment.relocations[1] must be an object',
+            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
+            'environment.relocations[3] must be an object',
+        ],
+        None,
+    ),
+    "loader_relocations_not_a_list": (
+        [
+            'environment.relocations must be a list',
+        ],
+        [
+            'environment.relocations must be a list',
+        ],
+        None,
+    ),
+    "loader_timepoints_not_a_list": (
+        [
+            'environment.timepoints must be a list of ids',
+        ],
+        [
+            'environment.timepoints must be a list of ids',
+        ],
+        None,
+    ),
+    "loader_values_not_a_list": (
+        [
+            "'values' must be a list of value ids",
+            "valuePriorities[alice]: unknown value 'efficiency'",
+            "valuePriorities[alice]: unknown value 'environmentalism'",
+            "valuePriorities[bob]: unknown value 'efficiency'",
+            "valuePriorities[bob]: unknown value 'environmentalism'",
+            "valueConnections[alice]: unknown value 'efficiency'",
+            "valueConnections[alice]: unknown value 'environmentalism'",
+            "valueConnections[bob]: unknown value 'boring'",
+            "valueConnections[bob]: unknown value 'efficiency'",
+            "valueConnections[bob]: unknown value 'environmentalism'",
+        ],
+        [
+            "'values' must be a list of value ids",
+        ],
+        None,
+    ),
+    "number_missing_habit_personal": (
+        [],
+        [],
+        [],
+    ),
+    "number_missing_habit_rate": (
+        [
+            "agents[0]: missing 'habitRate'",
+            "agents[0]: 'habitRate' must be in (0, 1], got 0.0",
+        ],
+        [
+            "agents[0]: missing 'habitRate'",
+            "agents[0]: 'habitRate' must be in (0, 1], got 0.0",
+        ],
+        None,
+    ),
+    "number_missing_vc_collective": (
+        [],
+        [],
+        [],
+    ),
+    "number_missing_vc_personal": (
+        [],
+        [],
+        [],
+    ),
+    "number_missing_vc_strength": (
+        [],
+        [],
+        [],
+    ),
+    "number_missing_vp_strength": (
+        [],
+        [],
+        [],
+    ),
 }
 
 
@@ -2068,6 +2331,13 @@ def test_an_int_view_builds_the_scenario_its_float_builds(section):
         for row in getattr(built, name):
             views = (row.strength, row.personal_view, row.my_collective_view)
             assert all(type(v) is float for v in views if v is not None)
+
+
+@pytest.mark.parametrize("check_refs", [True, False])
+def test_a_document_that_is_not_an_object(check_refs):
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario([bundled_document("commuting")], check_refs=check_refs)
+    assert exc.value.problems == ["scenario document must be an object"]
 
 
 def test_duplicate_value_ids_in_a_long_values_list():
