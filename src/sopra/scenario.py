@@ -84,6 +84,13 @@ def _is_plain_ident(v: Any) -> bool:
             and _UNSAFE_ID_CHAR.search(v) is None)
 
 
+def _sorted_keys(keys) -> list:
+    """`keys` for a report: the strings sorted, then any other key (a
+    mapping built in code may hold one), ordered by its repr."""
+    return (sorted(k for k in keys if isinstance(k, str))
+            + sorted((k for k in keys if not isinstance(k, str)), key=repr))
+
+
 # A view section of this many rows or more is read a column at a time
 # (`_Reader.view_columns`). The column pass pays a fixed twenty or so
 # C-level calls and saves about a tenth of the row readers' cost per row:
@@ -245,7 +252,7 @@ def _parse_globals(doc: Mapping[str, Any], errs: list[str]) -> Globals:
         return Globals()
     unknown = set(raw) - set(_GLOBALS_KEYS)
     if unknown:
-        errs.append(f"globals: unknown keys {sorted(unknown)}")
+        errs.append(f"globals: unknown keys {_sorted_keys(unknown)}")
     kwargs: dict[str, Any] = {}
     for json_key, attr in _GLOBALS_KEYS.items():
         if json_key not in raw:
@@ -299,7 +306,7 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
         return Environment()
     unknown = set(raw) - {"timepoints", "placements", "relocations"}
     if unknown:
-        errs.append(f"environment: unknown keys {sorted(unknown)}")
+        errs.append(f"environment: unknown keys {_sorted_keys(unknown)}")
 
     tps = raw.get("timepoints", [])
     timepoints: list[str] = []
@@ -313,7 +320,10 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
     if not isinstance(pl, Mapping):
         errs.append("environment.placements must map location ids to resource lists")
     else:
-        for loc in sorted(pl):  # reports malformed lists in id order
+        for loc in _sorted_keys(pl):  # reports malformed lists in id order
+            if not isinstance(loc, str):
+                errs.append(f"environment.placements: location id {loc!r} must be a string")
+                continue
             res = pl[loc]
             if not isinstance(res, list) or not all(isinstance(r, str) for r in res):
                 errs.append(f"environment.placements[{loc!r}] must be a list of ids")
@@ -361,13 +371,15 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     errs = f.errs
     unknown = set(document) - _TOP_KEYS
     if unknown:
-        errs.append(f"unknown top-level keys: {sorted(unknown)}")
+        errs.append(f"unknown top-level keys: {_sorted_keys(unknown)}")
 
     elements = []
     for i, row in f.rows(document, "contextElements"):
         eid = f.ident(row, "id", "contextElements", i)
+        n = len(errs)
         kind = f.enum(row, "kind", ElementKind, "contextElements", i)
-        if kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
+        # A field whose read failed holds a placeholder: no rule reads it.
+        if len(errs) == n and kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
             f.fail("contextElements", i, f"declare {kind.value} tokens under their own section")
         elements.append(ContextElement(eid, kind, f.opt_ident(row, "parent", "contextElements", i)))
 
@@ -404,16 +416,20 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     agents = []
     for i, row in f.rows(document, "agents"):
         aid = f.ident(row, "id", "agents", i)
+        n = len(errs)
         rate = f.num(row, "habitRate", "agents", i)
-        if not 0.0 < rate <= 1.0:
+        if len(errs) == n and not 0.0 < rate <= 1.0:
             f.fail("agents", i, f"'habitRate' must be in (0, 1], got {rate!r}")
+        n = len(errs)
         budget = f.integer(row, "attentionBudget", "agents", i)
-        if budget < 0:
+        budget_read = len(errs) == n
+        if budget_read and budget < 0:
             f.fail("agents", i, "'attentionBudget' must be non-negative")
         resources: int | None = None
         if row.get("attentionalResources") is not None:
+            n = len(errs)
             resources = f.integer(row, "attentionalResources", "agents", i)
-            if not 0 <= resources <= budget:
+            if len(errs) == n and budget_read and not 0 <= resources <= budget:
                 f.fail("agents", i, "'attentionalResources' must lie in [0, attentionBudget]")
         agents.append(
             AgentSpec(
@@ -485,7 +501,7 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     else:
         unknown = set(comp_raw) - {"levels", "requirements"}
         if unknown:
-            errs.append(f"competences: unknown keys {sorted(unknown)}")
+            errs.append(f"competences: unknown keys {_sorted_keys(unknown)}")
         levels = [
             CompetenceLevel(
                 f.ident(row, "agent", "competences.levels", i),
