@@ -30,7 +30,8 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
@@ -160,9 +161,48 @@ class Relocation:
 
 
 @dataclass(frozen=True)
+class _Field:
+    """One field of a row section's rows.
+
+    `json` is its key in documents; `attr`, the row attribute that holds
+    it, is that key in snake case. `kind` says how the builder reads it:
+    ``"ident"`` (a plain identifier string), ``"number"``, ``"integer"``,
+    or the `Enum` class whose values it takes. An `optional` field reads
+    an absent or null value as None; a number with a `default` reads an
+    absent one as that. `refs` is the pool a reference must name:
+    ``"element"`` (any element), an `ElementKind` (an element of that
+    kind), ``"own kind"`` (an element of the row's own `kind`),
+    ``"activity"``, ``"agent"`` or ``"value"``; None when the field names
+    nothing.
+    """
+
+    json: str
+    kind: str | type
+    refs: str | ElementKind | None = None
+    optional: bool = False
+    default: float | None = None
+    attr: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attr", re.sub("([A-Z])", r"_\1", self.json).lower())
+
+
+# A view row's strength, personal view and collective view.
+_VIEWS = (
+    _Field("strength", "number", default=0.0),
+    _Field("personalView", "number", default=0.0),
+    _Field("myCollectiveView", "number", optional=True),
+)
+
+
+@dataclass(frozen=True)
 class RowSection:
     """One row section of a scenario document.
 
+    `row` is the class of its rows and `fields` their fields, in the
+    order the builder reads and reports them and `serialize_scenario`
+    writes them. `cite` formats, with the row and a field's `json`, what
+    follows the section name where a reference report locates that field.
     `key` names the fields that order the section's rows canonically.
     `unique` names the fields no two rows of a section with a `duplicate`
     label may share; left empty, it is the whole key. A report names a
@@ -173,6 +213,9 @@ class RowSection:
 
     attr: str  # Scenario attribute; "environment.relocations" is the environment's
     name: str  # section name in documents and reports
+    row: type
+    fields: tuple[_Field, ...]
+    cite: str
     key: tuple[str, ...]
     duplicate: str | None = None  # multiplicity label; None: checked elsewhere or not at all
     bounded: str | None = None
@@ -190,30 +233,74 @@ class RowSection:
         return ":".join(str(getattr(row, f)) for f in self.unique or self.key)
 
 
+_ID = _Field("id", "ident")
+
 # Element, activity and agent ids share one namespace, whose uniqueness
 # the builder checks; `validate_scenario` reports a repeated activity
 # connection with the activity graph's checks.
 ROW_SECTIONS: tuple[RowSection, ...] = (
-    RowSection("context_elements", "contextElements", ("id",)),
-    RowSection("activities", "activities", ("id",)),
-    RowSection("activity_connections", "activityConnections", ("child", "parent", "relation")),
-    RowSection("agents", "agents", ("id",)),
-    RowSection("habitual_connections", "habitualConnections",
-               ("agent", "activity", "context_element"), "habitual connection", "views"),
-    RowSection("value_priorities", "valuePriorities", ("agent", "value"),
-               "value priority", "views"),
-    RowSection("value_connections", "valueConnections", ("agent", "activity", "value"),
-               "value connection", "views"),
-    RowSection("affordances", "affordances", ("context_element", "activity"),
-               "affordance", "strength"),
-    RowSection("competence_levels", "competences.levels", ("agent", "competence"),
-               "competence level", "level"),
-    RowSection("competence_requirements", "competences.requirements",
-               ("activity", "competence"), "competence requirement", "required"),
+    RowSection("context_elements", "contextElements", ContextElement, (
+        _ID,
+        _Field("kind", ElementKind),
+        _Field("parent", "ident", "own kind", optional=True),
+    ), "[{0.id}].{1}", ("id",)),
+    RowSection("activities", "activities", Activity, (
+        _ID,
+        _Field("type", ActivityType),
+        _Field("parent", "ident", ElementKind.ACTIVITY, optional=True),
+    ), "[{0.id}].{1}", ("id",)),
+    RowSection("activity_connections", "activityConnections", ActivityConnection, (
+        _Field("child", "ident", "activity"),
+        _Field("parent", "ident", "activity"),
+        _Field("relation", RelationType),
+    ), "[{0.child}->{0.parent}]", ("child", "parent", "relation")),
+    RowSection("agents", "agents", AgentSpec, (
+        _ID,
+        _Field("habitRate", "number"),
+        _Field("attentionBudget", "integer"),
+        _Field("attentionalResources", "integer", optional=True),
+        _Field("location", "ident", ElementKind.LOCATION),
+        _Field("parent", "ident", ElementKind.AGENT, optional=True),
+    ), "[{0.id}].{1}", ("id",)),
+    RowSection("habitual_connections", "habitualConnections", HabitualConnection, (
+        _Field("agent", "ident", "agent"),
+        _Field("activity", "ident", "activity"),
+        _Field("contextElement", "ident", "element"),
+        *_VIEWS,
+    ), "[{0.agent}]", ("agent", "activity", "context_element"), "habitual connection", "views"),
+    RowSection("value_priorities", "valuePriorities", ValuePriority, (
+        _Field("agent", "ident", "agent"),
+        _Field("value", "ident", "value"),
+        *_VIEWS,
+    ), "[{0.agent}]", ("agent", "value"), "value priority", "views"),
+    RowSection("value_connections", "valueConnections", ValueConnection, (
+        _Field("agent", "ident", "agent"),
+        _Field("activity", "ident", "activity"),
+        _Field("value", "ident", "value"),
+        *_VIEWS,
+    ), "[{0.agent}]", ("agent", "activity", "value"), "value connection", "views"),
+    RowSection("affordances", "affordances", AffordanceConnection, (
+        _Field("contextElement", "ident", "element"),
+        _Field("activity", "ident", "activity"),
+        _Field("strength", "number"),
+    ), "[{0.activity}]", ("context_element", "activity"), "affordance", "strength"),
+    RowSection("competence_levels", "competences.levels", CompetenceLevel, (
+        _Field("agent", "ident", "agent"),
+        _Field("competence", "ident"),
+        _Field("level", "number"),
+    ), "[{0.competence}]", ("agent", "competence"), "competence level", "level"),
+    RowSection("competence_requirements", "competences.requirements", CompetenceRequirement, (
+        _Field("activity", "ident", "activity"),
+        _Field("competence", "ident"),
+        _Field("required", "number"),
+    ), "[{0.competence}]", ("activity", "competence"), "competence requirement", "required"),
     # One agent moves at most once per tick; `location` only completes
     # the order, so any two documents with the same rows build equal.
-    RowSection("environment.relocations", "environment.relocations",
-               ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
+    RowSection("environment.relocations", "environment.relocations", Relocation, (
+        _Field("tick", "integer"),
+        _Field("agent", "ident", "agent"),
+        _Field("location", "ident", ElementKind.LOCATION),
+    ), "[tick={0.tick}]", ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
 )
 
 

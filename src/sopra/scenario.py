@@ -12,47 +12,21 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import fields as dataclass_fields
+from enum import Enum
+from functools import partial
 from itertools import repeat
+from operator import attrgetter
 from typing import Any
 
 from ._gc import gc_paused
 from .errors import ScenarioError
-from .model import (
-    Activity,
-    ActivityConnection,
-    ActivityType,
-    AffordanceConnection,
-    AgentSpec,
-    CompetenceLevel,
-    CompetenceRequirement,
-    ContextElement,
-    ElementKind,
-    Environment,
-    Globals,
-    HabitualConnection,
-    RelationType,
-    Relocation,
-    Scenario,
-    ValueConnection,
-    ValuePriority,
-)
+from .model import ROW_SECTIONS, ElementKind, Environment, Globals, RowSection, Scenario
 
-_TOP_KEYS = {
-    "contextElements",
-    "activities",
-    "activityConnections",
-    "values",
-    "agents",
-    "habitualConnections",
-    "valuePriorities",
-    "valueConnections",
-    "roots",
-    "environment",
-    "globals",
-    "affordances",
-    "competences",
-}
+# The row sections' top-level keys ("competences" and "environment" hold
+# theirs), and the id lists and globals.
+_TOP_KEYS = {sec.name.partition(".")[0] for sec in ROW_SECTIONS} | {"values", "roots", "globals"}
 
 _GLOBALS_KEYS = {
     "habitThreshold": "habit_threshold",
@@ -91,18 +65,61 @@ def _sorted_keys(keys) -> list:
             + sorted((k for k in keys if not isinstance(k, str)), key=repr))
 
 
-# A view section of this many rows or more is read a column at a time
-# (`_Reader.view_columns`). The column pass pays a fixed twenty or so
-# C-level calls and saves about a tenth of the row readers' cost per row:
-# on CPython 3.11 the two broke even at about 50 rows.
+# A section of this many rows or more is read a column at a time
+# (`_Reader.columns`). The column pass pays a fixed twenty or so C-level
+# calls and saves about a tenth of the row reader's cost per row: on
+# CPython 3.11 the two broke even at about 50 rows.
 _COLUMN_MIN_ROWS = 64
 
 # Type sets the column pass tests whole columns against:
-# `issuperset(map(type, column))` runs the loop in C.
+# `issuperset(map(type, column))` runs the loop in C. An enum field's
+# column holds the values' strings.
 _DICT = frozenset({dict})
-_STR = frozenset({str})
-_FLOAT = frozenset({float})
-_FLOAT_OR_NONE = frozenset({float, type(None)})
+_COLUMN_TYPES = {"ident": frozenset({str}), "number": frozenset({float}),
+                 "integer": frozenset({int})}
+_NONE = frozenset({type(None)})
+
+
+# Rules on one field that are not about its type, by section name and
+# field. Each runs right after its field is read, and only when that read
+# reported nothing: a failed read leaves a placeholder, which no rule
+# judges. It gets the value and the document's row, and returns the
+# problem or None.
+def _element_kind(kind: ElementKind, row: Mapping[str, Any]) -> str | None:
+    if kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
+        return f"declare {kind.value} tokens under their own section"
+    return None
+
+
+def _habit_rate(rate: float, row: Mapping[str, Any]) -> str | None:
+    return None if 0.0 < rate <= 1.0 else f"'habitRate' must be in (0, 1], got {rate!r}"
+
+
+def _attention_budget(budget: int, row: Mapping[str, Any]) -> str | None:
+    return "'attentionBudget' must be non-negative" if budget < 0 else None
+
+
+def _attentional_resources(resources: int, row: Mapping[str, Any]) -> str | None:
+    budget = row.get("attentionBudget")
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        return None  # `_Reader.integer` reported the budget
+    if not 0 <= resources <= budget:
+        return "'attentionalResources' must lie in [0, attentionBudget]"
+    return None
+
+
+def _tick(tick: int, row: Mapping[str, Any]) -> str | None:
+    return "'tick' must be non-negative" if tick < 0 else None
+
+
+_RULES: dict[str, dict[str, Callable[[Any, Mapping[str, Any]], str | None]]] = {
+    "contextElements": {"kind": _element_kind},
+    "agents": {"habitRate": _habit_rate, "attentionBudget": _attention_budget,
+               "attentionalResources": _attentional_resources},
+    "environment.relocations": {"tick": _tick},
+}
+
+_SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
 
 
 class _Reader:
@@ -153,11 +170,6 @@ class _Reader:
         self._idents.add(v)
         return v
 
-    def opt_ident(self, obj: Mapping[str, Any], key: str, section: str, i: int) -> str | None:
-        if obj.get(key) is None:
-            return None
-        return self.ident(obj, key, section, i)
-
     def num(self, obj: Mapping[str, Any], key: str, section: str, i: int,
             default: float | None = None) -> float:
         v = obj.get(key)
@@ -180,62 +192,7 @@ class _Reader:
             return 0
         return v
 
-    def views(self, obj: Mapping[str, Any], section: str,
-              i: int) -> tuple[float, float, float | None]:
-        """The row's strength, personal view and collective view, the
-        last None when absent."""
-        strength = obj.get("strength", 0.0)
-        personal = obj.get("personalView", 0.0)
-        collective = obj.get("myCollectiveView")
-        if (type(strength) is float and type(personal) is float
-                and (collective is None or type(collective) is float)):
-            return strength, personal, collective
-        strength = self.num(obj, "strength", section, i, default=0.0)
-        personal = self.num(obj, "personalView", section, i, default=0.0)
-        if collective is not None:
-            collective = self.num(obj, "myCollectiveView", section, i)
-        return strength, personal, collective
-
-    def view_columns(self, doc: Mapping[str, Any], key: str, cls: type,
-                     id_keys: tuple[str, ...]) -> list | None:
-        """The rows of view section `key`, read a column at a time: `cls`
-        is mapped over each id key's column, then the strength,
-        personal-view and collective-view columns, which fill the row's
-        own view fields.
-
-        Returns None, having reported nothing, when the section is shorter
-        than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
-        that would fail its row reader: an id that is not a plain
-        identifier `str`, a strength or personal view that is not a float,
-        or a collective view that is neither a float nor absent. The
-        caller then reads the section row by row, and the row readers
-        word every report, in document order. Each distinct id not yet
-        accepted is checked once, with `ident`'s test."""
-        raw = doc.get(key)
-        if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
-                or not _DICT.issuperset(map(type, raw))):
-            return None
-        get = dict.get
-        ids = []
-        for k in id_keys:
-            column = list(map(get, raw, repeat(k)))
-            if not _STR.issuperset(map(type, column)):
-                return None
-            fresh = set(column).difference(self._idents)
-            if not all(map(_is_plain_ident, fresh)):
-                return None
-            self._idents |= fresh
-            ids.append(column)
-        strength = list(map(get, raw, repeat("strength"), repeat(0.0)))
-        personal = list(map(get, raw, repeat("personalView"), repeat(0.0)))
-        collective = list(map(get, raw, repeat("myCollectiveView")))
-        if not (_FLOAT.issuperset(map(type, strength))
-                and _FLOAT.issuperset(map(type, personal))
-                and _FLOAT_OR_NONE.issuperset(map(type, collective))):
-            return None
-        return list(map(cls, *ids, strength, personal, collective))
-
-    def enum(self, obj: Mapping[str, Any], key: str, enum_cls: type, section: str, i: int):
+    def enum(self, obj: Mapping[str, Any], key: str, section: str, i: int, enum_cls: type):
         v = obj.get(key)
         try:
             return enum_cls(v)
@@ -243,6 +200,91 @@ class _Reader:
             allowed = ", ".join(m.value for m in enum_cls)
             self.fail(section, i, f"{key!r} must be one of {allowed}, got {v!r}")
             return next(iter(enum_cls))
+
+    def read(self, doc: Mapping[str, Any], name: str) -> list:
+        """The rows of section `name`, which `doc` holds under the name's
+        last part: a column at a time when `columns` can, else row by row."""
+        sec = _SECTIONS[name]
+        key = name.rpartition(".")[2]
+        rows = self.columns(doc, key, sec)
+        if rows is None:
+            rows = self.section(sec, self.rows(doc, key))
+        return rows
+
+    def section(self, sec: RowSection, pairs: Iterable[tuple[int, Mapping[str, Any]]]) -> list:
+        """The rows of `sec` from (position, object) `pairs`, each read
+        field by field in the declared order, with the section's rules."""
+        name = sec.name
+        errs = self.errs
+        rules = _RULES.get(name, {})
+        readers = []
+        for fl in sec.fields:
+            if fl.kind == "ident":
+                read = self.ident
+            elif fl.kind == "number":
+                read = partial(self.num, default=fl.default)
+            elif fl.kind == "integer":
+                read = self.integer
+            else:
+                read = partial(self.enum, enum_cls=fl.kind)
+            readers.append((fl.attr, fl.json, fl.optional, read, rules.get(fl.json)))
+        out = []
+        for i, obj in pairs:
+            vals: dict[str, Any] = {}
+            for attr, key, optional, read, rule in readers:
+                if optional and obj.get(key) is None:
+                    vals[attr] = None
+                    continue
+                n = len(errs)
+                v = vals[attr] = read(obj, key, name, i)
+                if rule is not None and len(errs) == n:
+                    problem = rule(v, obj)
+                    if problem is not None:
+                        self.fail(name, i, problem)
+            out.append(sec.row(**vals))
+        return out
+
+    def columns(self, doc: Mapping[str, Any], key: str, sec: RowSection) -> list | None:
+        """The rows of `sec`, held in `doc[key]`, read a column at a time:
+        the row class is mapped over the columns, one per field.
+
+        Returns None, having reported nothing, when the section is shorter
+        than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
+        that would fail its row reader or a rule: an id that is not a plain
+        identifier `str`, a number that is not a float, an integer that is
+        not an `int`, an enum value that is not one of its strings, or a
+        value absent where the field is neither optional nor defaulted. The
+        caller then reads the section row by row, and the row reader words
+        every report, in document order. Each distinct id not yet accepted
+        is checked once, with `ident`'s test."""
+        raw = doc.get(key)
+        if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
+                or not _DICT.issuperset(map(type, raw))):
+            return None
+        get = dict.get
+        rules = _RULES.get(sec.name, {})
+        columns = {}
+        for fl in sec.fields:
+            column = list(map(get, raw, repeat(fl.json), repeat(fl.default)))
+            types = _COLUMN_TYPES.get(fl.kind, _COLUMN_TYPES["ident"])
+            if not (types | _NONE if fl.optional else types).issuperset(map(type, column)):
+                return None
+            if fl.kind == "ident":
+                fresh = set(column).difference(self._idents)
+                fresh.discard(None)
+                if not all(map(_is_plain_ident, fresh)):
+                    return None
+                self._idents |= fresh
+            elif isinstance(fl.kind, type):
+                if not {m.value for m in fl.kind}.issuperset(column):
+                    return None
+                column = list(map(fl.kind, column))
+            rule = rules.get(fl.json)
+            if rule is not None and any(rule(v, obj) for v, obj in zip(column, raw)
+                                        if v is not None):
+                return None
+            columns[fl.attr] = column
+        return list(map(sec.row, *(columns[f.name] for f in dataclass_fields(sec.row))))
 
 
 def _parse_globals(doc: Mapping[str, Any], errs: list[str]) -> Globals:
@@ -330,23 +372,22 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
                 continue
             placements.append((loc, tuple(res)))
 
-    relocations = []
     rl = raw.get("relocations", [])
     if not isinstance(rl, list):
         errs.append("environment.relocations must be a list")
         rl = []
-    section = "environment.relocations"
-    for i, row in enumerate(rl):
-        if not isinstance(row, Mapping):
-            errs.append(f"{section}[{i}] must be an object")
-            continue
-        tick = f.integer(row, "tick", section, i)
-        if tick < 0:
-            f.fail(section, i, "'tick' must be non-negative")
-        relocations.append(
-            Relocation(tick, f.ident(row, "agent", section, i), f.ident(row, "location", section, i))
-        )
+    relocations = f.section(_SECTIONS["environment.relocations"], _relocation_rows(rl, errs))
     return Environment(tuple(timepoints), tuple(placements), tuple(relocations))
+
+
+def _relocation_rows(rl: list, errs: list[str]) -> Iterator[tuple[int, Mapping[str, Any]]]:
+    """(position, row) for the object rows of `rl`; an entry that is not
+    an object is reported in its place among the rows' own problems."""
+    for i, row in enumerate(rl):
+        if isinstance(row, Mapping):
+            yield i, row
+        else:
+            errs.append(f"environment.relocations[{i}] must be an object")
 
 
 def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> Scenario:
@@ -373,35 +414,11 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     if unknown:
         errs.append(f"unknown top-level keys: {_sorted_keys(unknown)}")
 
-    elements = []
-    for i, row in f.rows(document, "contextElements"):
-        eid = f.ident(row, "id", "contextElements", i)
-        n = len(errs)
-        kind = f.enum(row, "kind", ElementKind, "contextElements", i)
-        # A field whose read failed holds a placeholder: no rule reads it.
-        if len(errs) == n and kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
-            f.fail("contextElements", i, f"declare {kind.value} tokens under their own section")
-        elements.append(ContextElement(eid, kind, f.opt_ident(row, "parent", "contextElements", i)))
-
-    activities = [
-        Activity(
-            f.ident(row, "id", "activities", i),
-            f.enum(row, "type", ActivityType, "activities", i),
-            f.opt_ident(row, "parent", "activities", i),
-        )
-        for i, row in f.rows(document, "activities")
-    ]
+    elements = f.read(document, "contextElements")
+    activities = f.read(document, "activities")
     if not activities:
         errs.append("no activities declared")
-
-    connections = [
-        ActivityConnection(
-            f.ident(row, "child", "activityConnections", i),
-            f.ident(row, "parent", "activityConnections", i),
-            f.enum(row, "relation", RelationType, "activityConnections", i),
-        )
-        for i, row in f.rows(document, "activityConnections")
-    ]
+    connections = f.read(document, "activityConnections")
 
     values_raw = document.get("values", [])
     values: list[str] = []
@@ -413,69 +430,10 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
             dup = [v for v, n in Counter(values).items() if n > 1]
             errs.append(f"duplicate value ids: {sorted(dup)}")
 
-    agents = []
-    for i, row in f.rows(document, "agents"):
-        aid = f.ident(row, "id", "agents", i)
-        n = len(errs)
-        rate = f.num(row, "habitRate", "agents", i)
-        if len(errs) == n and not 0.0 < rate <= 1.0:
-            f.fail("agents", i, f"'habitRate' must be in (0, 1], got {rate!r}")
-        n = len(errs)
-        budget = f.integer(row, "attentionBudget", "agents", i)
-        budget_read = len(errs) == n
-        if budget_read and budget < 0:
-            f.fail("agents", i, "'attentionBudget' must be non-negative")
-        resources: int | None = None
-        if row.get("attentionalResources") is not None:
-            n = len(errs)
-            resources = f.integer(row, "attentionalResources", "agents", i)
-            if len(errs) == n and budget_read and not 0 <= resources <= budget:
-                f.fail("agents", i, "'attentionalResources' must lie in [0, attentionBudget]")
-        agents.append(
-            AgentSpec(
-                aid,
-                rate,
-                budget,
-                f.ident(row, "location", "agents", i),
-                resources,
-                f.opt_ident(row, "parent", "agents", i),
-            )
-        )
-
-    habitual = f.view_columns(document, "habitualConnections", HabitualConnection,
-                              ("agent", "activity", "contextElement"))
-    if habitual is None:
-        habitual = [
-            HabitualConnection(
-                f.ident(row, "agent", "habitualConnections", i),
-                f.ident(row, "activity", "habitualConnections", i),
-                f.ident(row, "contextElement", "habitualConnections", i),
-                *f.views(row, "habitualConnections", i),
-            )
-            for i, row in f.rows(document, "habitualConnections")
-        ]
-    priorities = f.view_columns(document, "valuePriorities", ValuePriority, ("agent", "value"))
-    if priorities is None:
-        priorities = [
-            ValuePriority(
-                f.ident(row, "agent", "valuePriorities", i),
-                f.ident(row, "value", "valuePriorities", i),
-                *f.views(row, "valuePriorities", i),
-            )
-            for i, row in f.rows(document, "valuePriorities")
-        ]
-    value_connections = f.view_columns(document, "valueConnections", ValueConnection,
-                                       ("agent", "activity", "value"))
-    if value_connections is None:
-        value_connections = [
-            ValueConnection(
-                f.ident(row, "agent", "valueConnections", i),
-                f.ident(row, "activity", "valueConnections", i),
-                f.ident(row, "value", "valueConnections", i),
-                *f.views(row, "valueConnections", i),
-            )
-            for i, row in f.rows(document, "valueConnections")
-        ]
+    agents = f.read(document, "agents")
+    habitual = f.read(document, "habitualConnections")
+    priorities = f.read(document, "valuePriorities")
+    value_connections = f.read(document, "valueConnections")
 
     roots_raw = document.get("roots", [])
     roots: list[str] = []
@@ -484,40 +442,19 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     else:
         roots = list(roots_raw)
 
-    affordances = [
-        AffordanceConnection(
-            f.ident(row, "contextElement", "affordances", i),
-            f.ident(row, "activity", "affordances", i),
-            f.num(row, "strength", "affordances", i),
-        )
-        for i, row in f.rows(document, "affordances")
-    ]
+    affordances = f.read(document, "affordances")
 
     comp_raw = document.get("competences", {})
-    levels: list[CompetenceLevel] = []
-    requirements: list[CompetenceRequirement] = []
+    levels: list = []
+    requirements: list = []
     if not isinstance(comp_raw, Mapping):
         errs.append("'competences' must be an object with 'levels' and 'requirements'")
     else:
         unknown = set(comp_raw) - {"levels", "requirements"}
         if unknown:
             errs.append(f"competences: unknown keys {_sorted_keys(unknown)}")
-        levels = [
-            CompetenceLevel(
-                f.ident(row, "agent", "competences.levels", i),
-                f.ident(row, "competence", "competences.levels", i),
-                f.num(row, "level", "competences.levels", i),
-            )
-            for i, row in f.rows(comp_raw, "levels")
-        ]
-        requirements = [
-            CompetenceRequirement(
-                f.ident(row, "activity", "competences.requirements", i),
-                f.ident(row, "competence", "competences.requirements", i),
-                f.num(row, "required", "competences.requirements", i),
-            )
-            for i, row in f.rows(comp_raw, "requirements")
-        ]
+        levels = f.read(comp_raw, "competences.levels")
+        requirements = f.read(comp_raw, "competences.requirements")
 
     environment = _parse_environment(document, f)
     globals_ = _parse_globals(document, errs)
@@ -554,75 +491,30 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     return scenario
 
 
-def _views_out(row: HabitualConnection | ValuePriority | ValueConnection) -> dict[str, Any]:
-    return {
-        "strength": row.strength,
-        "personalView": row.personal_view,
-        "myCollectiveView": row.my_collective_view,
-    }
+def _rows_out(s: Scenario, sec: RowSection) -> list[dict[str, Any]]:
+    out = []
+    for row in attrgetter(sec.attr)(s):
+        doc_row = {}
+        for fl in sec.fields:
+            v = getattr(row, fl.attr)
+            doc_row[fl.json] = v.value if isinstance(v, Enum) else v
+        out.append(doc_row)
+    return out
 
 
 def serialize_scenario(s: Scenario) -> dict[str, Any]:
     """Inverse of `build_scenario`: emits the canonical document form."""
-    return {
-        "contextElements": [
-            {"id": e.id, "kind": e.kind.value, "parent": e.parent} for e in s.context_elements
-        ],
-        "activities": [
-            {"id": a.id, "type": a.type.value, "parent": a.parent} for a in s.activities
-        ],
-        "activityConnections": [
-            {"child": c.child, "parent": c.parent, "relation": c.relation.value}
-            for c in s.activity_connections
-        ],
-        "values": list(s.values),
-        "agents": [
-            {
-                "id": a.id,
-                "habitRate": a.habit_rate,
-                "attentionBudget": a.attention_budget,
-                "attentionalResources": a.attentional_resources,
-                "location": a.location,
-                "parent": a.parent,
-            }
-            for a in s.agents
-        ],
-        "habitualConnections": [
-            {"agent": h.agent, "activity": h.activity, "contextElement": h.context_element}
-            | _views_out(h)
-            for h in s.habitual_connections
-        ],
-        "valuePriorities": [
-            {"agent": p.agent, "value": p.value} | _views_out(p)
-            for p in s.value_priorities
-        ],
-        "valueConnections": [
-            {"agent": c.agent, "activity": c.activity, "value": c.value} | _views_out(c)
-            for c in s.value_connections
-        ],
-        "roots": list(s.roots),
-        "environment": {
-            "timepoints": list(s.environment.timepoints),
-            "placements": {loc: list(res) for loc, res in s.environment.placements},
-            "relocations": [
-                {"tick": r.tick, "agent": r.agent, "location": r.location}
-                for r in s.environment.relocations
-            ],
-        },
-        "globals": {key: getattr(s.globals, attr) for key, attr in _GLOBALS_KEYS.items()},
-        "affordances": [
-            {"contextElement": a.context_element, "activity": a.activity, "strength": a.strength}
-            for a in s.affordances
-        ],
-        "competences": {
-            "levels": [
-                {"agent": c.agent, "competence": c.competence, "level": c.level}
-                for c in s.competence_levels
-            ],
-            "requirements": [
-                {"activity": r.activity, "competence": r.competence, "required": r.required}
-                for r in s.competence_requirements
-            ],
-        },
+    doc = {sec.name: _rows_out(s, sec) for sec in ROW_SECTIONS}
+    doc["values"] = list(s.values)
+    doc["roots"] = list(s.roots)
+    doc["environment"] = {
+        "timepoints": list(s.environment.timepoints),
+        "placements": {loc: list(res) for loc, res in s.environment.placements},
+        "relocations": doc.pop("environment.relocations"),
     }
-
+    doc["globals"] = {key: getattr(s.globals, attr) for key, attr in _GLOBALS_KEYS.items()}
+    doc["competences"] = {
+        "levels": doc.pop("competences.levels"),
+        "requirements": doc.pop("competences.requirements"),
+    }
+    return doc

@@ -68,6 +68,18 @@ def check_references(s: Scenario) -> list[Violation]:
     return [v for v in dangling if v not in rejected]
 
 
+# Reference reports come section by section in this order, with the id
+# lists (roots, timepoints, placements) between valueConnections and
+# relocations; the builder reads the sections in `ROW_SECTIONS` order.
+_REFERENCE_ORDER = (
+    "contextElements", "activities", "agents", "activityConnections", "habitualConnections",
+    "valuePriorities", "valueConnections", "roots", "environment.timepoints",
+    "environment.placements", "environment.relocations", "affordances", "competences.levels",
+    "competences.requirements",
+)
+_SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
+
+
 def _check_references(
     s: Scenario, kinds: dict[str, ElementKind]
 ) -> tuple[list[Violation], list[Violation], list[Violation]]:
@@ -75,13 +87,17 @@ def _check_references(
 
     Returns the dangling references; the kind mismatches, for sites that
     must name an element of one kind; and the dangling references to the
-    empty id at sites the builder reads as identifiers. Each row tests
-    membership and kind first; its location and message are formatted
-    only for a row that fails.
+    empty id at sites the builder reads as identifiers. Each section's
+    references are first tested a column at a time against their pools;
+    only a section where one fails is walked row by row, in field order,
+    and its locations and messages are formatted only for a failing field.
     """
-    activities = {a.id for a in s.activities}
-    agents = {a.id for a in s.agents}
-    values = set(s.values)
+    pools: dict[str, set[str]] = {
+        "element": set(kinds),
+        "activity": {a.id for a in s.activities},
+        "agent": {a.id for a in s.agents},
+        "value": set(s.values),
+    }
     dangling: list[Violation] = []
     mismatched: list[Violation] = []
     rejected: list[Violation] = []
@@ -107,80 +123,68 @@ def _check_references(
             if ident and not token:
                 rejected.append(dangling[-1])
 
-    for e in s.context_elements:
-        p = e.parent
-        if p is None:
-            continue
-        if p not in kinds:
-            need(p, kinds, "element", f"contextElements[{e.id}].parent")
-        elif kinds[p] is not e.kind:
-            mismatched.append(
-                Violation(
-                    ViolationKind.DISJOINTNESS,
-                    f"contextElements[{e.id}]: parent {p!r} is a "
-                    f"{kinds[p].value}, expected {e.kind.value}",
-                )
-            )
-    for a in s.activities:
-        if a.parent is not None and kinds.get(a.parent) is not ElementKind.ACTIVITY:
-            need(a.parent, kinds, "element", f"activities[{a.id}].parent", ElementKind.ACTIVITY)
-    for ag in s.agents:
-        if ag.parent is not None and kinds.get(ag.parent) is not ElementKind.AGENT:
-            need(ag.parent, kinds, "element", f"agents[{ag.id}].parent", ElementKind.AGENT)
-        if kinds.get(ag.location) is not ElementKind.LOCATION:
-            need(ag.location, kinds, "element", f"agents[{ag.id}].location", ElementKind.LOCATION)
-    for c in s.activity_connections:
-        if c.child not in activities or c.parent not in activities:
-            where = f"activityConnections[{c.child}->{c.parent}]"
-            need(c.child, activities, "activity", where)
-            need(c.parent, activities, "activity", where)
-    for h in s.habitual_connections:
-        if h.agent not in agents or h.activity not in activities or h.context_element not in kinds:
-            where = f"habitualConnections[{h.agent}]"
-            need(h.agent, agents, "agent", where)
-            need(h.activity, activities, "activity", where)
-            need(h.context_element, kinds, "element", where)
-    for p in s.value_priorities:
-        if p.agent not in agents or p.value not in values:
-            where = f"valuePriorities[{p.agent}]"
-            need(p.agent, agents, "agent", where)
-            need(p.value, values, "value", where)
-    for c in s.value_connections:
-        if c.agent not in agents or c.activity not in activities or c.value not in values:
-            where = f"valueConnections[{c.agent}]"
-            need(c.agent, agents, "agent", where)
-            need(c.activity, activities, "activity", where)
-            need(c.value, values, "value", where)
-    # Roots, timepoints and placements are plain id lists: the builder
-    # checks only that each entry is a string.
-    for r in s.roots:
-        need(r, activities, "activity", "roots", ident=False)
+    def resolves(rows, fl) -> bool:
+        """Whether every reference `fl` makes in `rows` names its pool."""
+        if fl.refs == "own kind":
+            return all(kinds.get(getattr(row, fl.attr)) is row.kind for row in rows
+                       if getattr(row, fl.attr) is not None)
+        tokens = map(attrgetter(fl.attr), rows)
+        if fl.optional:
+            tokens = [t for t in tokens if t is not None]
+        if isinstance(fl.refs, ElementKind):
+            return set(map(kinds.get, tokens)) <= {fl.refs}
+        return pools[fl.refs].issuperset(tokens)
+
+    def walk(sec: RowSection) -> None:
+        rows = attrgetter(sec.attr)(s)
+        refs = [fl for fl in sec.fields if fl.refs is not None]
+        if sec.name == "agents":
+            refs.reverse()  # an agent's parent is reported before its location
+        if all(resolves(rows, fl) for fl in refs):
+            return
+        for row in rows:
+            for fl in refs:
+                token = getattr(row, fl.attr)
+                if token is None:
+                    continue
+                pool = fl.refs
+                if pool == "own kind":
+                    if token not in kinds:
+                        need(token, kinds, "element", sec.name + sec.cite.format(row, fl.json))
+                    elif kinds[token] is not row.kind:
+                        mismatched.append(
+                            Violation(
+                                ViolationKind.DISJOINTNESS,
+                                f"{sec.name}[{row.id}]: {fl.json} {token!r} is a "
+                                f"{kinds[token].value}, expected {row.kind.value}",
+                            )
+                        )
+                elif isinstance(pool, ElementKind):
+                    if kinds.get(token) is not pool:
+                        need(token, kinds, "element", sec.name + sec.cite.format(row, fl.json),
+                             pool)
+                elif token not in pools[pool]:
+                    need(token, pools[pool], pool, sec.name + sec.cite.format(row, fl.json))
+
     env = s.environment
-    for t in env.timepoints:
-        need(t, kinds, "element", "environment.timepoints", ElementKind.TIMEPOINT, ident=False)
-    for loc, resources in env.placements:
-        need(loc, kinds, "element", "environment.placements", ElementKind.LOCATION, ident=False)
-        for res in resources:
-            if kinds.get(res) is not ElementKind.RESOURCE:
-                need(res, kinds, "element", f"environment.placements[{loc}]", ElementKind.RESOURCE,
-                     ident=False)
-    for r in env.relocations:
-        if r.agent not in agents or kinds.get(r.location) is not ElementKind.LOCATION:
-            where = f"environment.relocations[tick={r.tick}]"
-            need(r.agent, agents, "agent", where)
-            need(r.location, kinds, "element", where, ElementKind.LOCATION)
-    for a in s.affordances:
-        if a.context_element not in kinds or a.activity not in activities:
-            where = f"affordances[{a.activity}]"
-            need(a.context_element, kinds, "element", where)
-            need(a.activity, activities, "activity", where)
-    for lv in s.competence_levels:
-        if lv.agent not in agents:
-            need(lv.agent, agents, "agent", f"competences.levels[{lv.competence}]")
-    for rq in s.competence_requirements:
-        if rq.activity not in activities:
-            need(rq.activity, activities, "activity",
-                 f"competences.requirements[{rq.competence}]")
+    for name in _REFERENCE_ORDER:
+        if name in _SECTIONS:
+            walk(_SECTIONS[name])
+        # The id lists are plain id lists: the builder checks only that
+        # each entry is a string.
+        elif name == "roots":
+            for r in s.roots:
+                need(r, pools["activity"], "activity", "roots", ident=False)
+        elif name == "environment.timepoints":
+            for t in env.timepoints:
+                need(t, kinds, "element", name, ElementKind.TIMEPOINT, ident=False)
+        else:
+            for loc, resources in env.placements:
+                need(loc, kinds, "element", name, ElementKind.LOCATION, ident=False)
+                for res in resources:
+                    if kinds.get(res) is not ElementKind.RESOURCE:
+                        need(res, kinds, "element", f"{name}[{loc}]", ElementKind.RESOURCE,
+                             ident=False)
     return dangling, mismatched, rejected
 
 
