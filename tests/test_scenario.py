@@ -312,24 +312,42 @@ def test_declaration_order_is_canonicalized():
     _assert_canonical(_every_section_doc(), rng)
 
 
+# How the schema doc names each reference pool of `_Field.refs`.
+_POOL_PHRASES = {"element": "any element", "own kind": "an element of its own kind",
+                 "activity": "an activity", "agent": "an agent", "value": "a value"}
+
+
+def _pool_phrase(refs):
+    if refs in _POOL_PHRASES:
+        return _POOL_PHRASES[refs]
+    return f"{'an' if refs.value[0] in 'AEIOU' else 'a'} {refs.value} element"
+
+
 def test_schema_doc_lists_each_row_section_as_the_code_does():
     text = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
     table = [[cell.strip() for cell in line.split("|")[1:-1]]
              for line in text.splitlines() if line.startswith("| `")]
     table = [row for row in table if len(row) == 5]
 
-    def camel(field):
-        return re.sub(r"_(\w)", lambda m: m.group(1).upper(), field)
+    def keys(sec, attrs):
+        json = {fl.attr: fl.json for fl in sec.fields}
+        return ", ".join(f"`{json[a]}`" for a in attrs)
 
-    assert [row[:2] for row in table] == [
-        [f"`{sec.name}`", ", ".join(f"`{camel(f)}`" for f in sec.key)] for sec in ROW_SECTIONS
-    ]
-    for row, sec in zip(table, ROW_SECTIONS):
+    expected = []
+    for sec in ROW_SECTIONS:
         if sec.duplicate is not None:
-            on = " on " + ", ".join(f"`{camel(f)}`" for f in sec.unique) if sec.unique else ""
-            assert row[2] == f"`duplicate {sec.duplicate}`{on}"
-        assert row[3] == ("" if sec.bounded is None
-                          else "views" if sec.bounded == "views" else f"`{sec.bounded}`")
+            on = f" on {keys(sec, sec.unique)}" if sec.unique else ""
+            duplicate = f"`duplicate {sec.duplicate}`{on}"
+        elif sec.key == ("id",):
+            duplicate = "`duplicate id` (load error)"
+        else:  # reported with the activity graph's checks
+            duplicate = "`duplicate activity connection`"
+        bounded = ("" if sec.bounded is None
+                   else "views" if sec.bounded == "views" else keys(sec, (sec.bounded,)))
+        refs = "; ".join(f"`{fl.json}`: {_pool_phrase(fl.refs)}"
+                         for fl in sec.fields if fl.refs is not None)
+        expected.append([f"`{sec.name}`", keys(sec, sec.key), duplicate, bounded, refs])
+    assert table == expected
 
 
 _EMPTY_ID_SITES = {
