@@ -445,16 +445,14 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
     affordances = f.read(document, "affordances")
 
     comp_raw = document.get("competences", {})
-    levels: list = []
-    requirements: list = []
     if not isinstance(comp_raw, Mapping):
         errs.append("'competences' must be an object with 'levels' and 'requirements'")
-    else:
-        unknown = set(comp_raw) - {"levels", "requirements"}
-        if unknown:
-            errs.append(f"competences: unknown keys {_sorted_keys(unknown)}")
-        levels = f.read(comp_raw, "competences.levels")
-        requirements = f.read(comp_raw, "competences.requirements")
+        comp_raw = {}
+    unknown = set(comp_raw) - {"levels", "requirements"}
+    if unknown:
+        errs.append(f"competences: unknown keys {_sorted_keys(unknown)}")
+    levels = f.read(comp_raw, "competences.levels")
+    requirements = f.read(comp_raw, "competences.requirements")
 
     environment = _parse_environment(document, f)
     globals_ = _parse_globals(document, errs)
