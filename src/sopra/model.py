@@ -233,74 +233,58 @@ class RowSection:
         return ":".join(str(getattr(row, f)) for f in self.unique or self.key)
 
 
+# Fields that several sections share.
 _ID = _Field("id", "ident")
+_AGENT = _Field("agent", "ident", "agent")
+_ACTIVITY = _Field("activity", "ident", "activity")
+_VALUE = _Field("value", "ident", "value")
+_ELEMENT = _Field("contextElement", "ident", "element")
+_COMPETENCE = _Field("competence", "ident")
+_LOCATION = _Field("location", "ident", ElementKind.LOCATION)
 
 # Element, activity and agent ids share one namespace, whose uniqueness
 # the builder checks; `validate_scenario` reports a repeated activity
 # connection with the activity graph's checks.
 ROW_SECTIONS: tuple[RowSection, ...] = (
     RowSection("context_elements", "contextElements", ContextElement, (
-        _ID,
-        _Field("kind", ElementKind),
-        _Field("parent", "ident", "own kind", optional=True),
+        _ID, _Field("kind", ElementKind), _Field("parent", "ident", "own kind", optional=True),
     ), "[{0.id}].{1}", ("id",)),
     RowSection("activities", "activities", Activity, (
-        _ID,
-        _Field("type", ActivityType),
+        _ID, _Field("type", ActivityType),
         _Field("parent", "ident", ElementKind.ACTIVITY, optional=True),
     ), "[{0.id}].{1}", ("id",)),
     RowSection("activity_connections", "activityConnections", ActivityConnection, (
-        _Field("child", "ident", "activity"),
-        _Field("parent", "ident", "activity"),
+        _Field("child", "ident", "activity"), _Field("parent", "ident", "activity"),
         _Field("relation", RelationType),
     ), "[{0.child}->{0.parent}]", ("child", "parent", "relation")),
     RowSection("agents", "agents", AgentSpec, (
-        _ID,
-        _Field("habitRate", "number"),
-        _Field("attentionBudget", "integer"),
-        _Field("attentionalResources", "integer", optional=True),
-        _Field("location", "ident", ElementKind.LOCATION),
+        _ID, _Field("habitRate", "number"), _Field("attentionBudget", "integer"),
+        _Field("attentionalResources", "integer", optional=True), _LOCATION,
         _Field("parent", "ident", ElementKind.AGENT, optional=True),
     ), "[{0.id}].{1}", ("id",)),
-    RowSection("habitual_connections", "habitualConnections", HabitualConnection, (
-        _Field("agent", "ident", "agent"),
-        _Field("activity", "ident", "activity"),
-        _Field("contextElement", "ident", "element"),
-        *_VIEWS,
-    ), "[{0.agent}]", ("agent", "activity", "context_element"), "habitual connection", "views"),
-    RowSection("value_priorities", "valuePriorities", ValuePriority, (
-        _Field("agent", "ident", "agent"),
-        _Field("value", "ident", "value"),
-        *_VIEWS,
-    ), "[{0.agent}]", ("agent", "value"), "value priority", "views"),
-    RowSection("value_connections", "valueConnections", ValueConnection, (
-        _Field("agent", "ident", "agent"),
-        _Field("activity", "ident", "activity"),
-        _Field("value", "ident", "value"),
-        *_VIEWS,
-    ), "[{0.agent}]", ("agent", "activity", "value"), "value connection", "views"),
-    RowSection("affordances", "affordances", AffordanceConnection, (
-        _Field("contextElement", "ident", "element"),
-        _Field("activity", "ident", "activity"),
-        _Field("strength", "number"),
-    ), "[{0.activity}]", ("context_element", "activity"), "affordance", "strength"),
-    RowSection("competence_levels", "competences.levels", CompetenceLevel, (
-        _Field("agent", "ident", "agent"),
-        _Field("competence", "ident"),
-        _Field("level", "number"),
-    ), "[{0.competence}]", ("agent", "competence"), "competence level", "level"),
-    RowSection("competence_requirements", "competences.requirements", CompetenceRequirement, (
-        _Field("activity", "ident", "activity"),
-        _Field("competence", "ident"),
-        _Field("required", "number"),
-    ), "[{0.competence}]", ("activity", "competence"), "competence requirement", "required"),
+    RowSection("habitual_connections", "habitualConnections", HabitualConnection,
+               (_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.agent}]",
+               ("agent", "activity", "context_element"), "habitual connection", "views"),
+    RowSection("value_priorities", "valuePriorities", ValuePriority,
+               (_AGENT, _VALUE, *_VIEWS), "[{0.agent}]",
+               ("agent", "value"), "value priority", "views"),
+    RowSection("value_connections", "valueConnections", ValueConnection,
+               (_AGENT, _ACTIVITY, _VALUE, *_VIEWS), "[{0.agent}]",
+               ("agent", "activity", "value"), "value connection", "views"),
+    RowSection("affordances", "affordances", AffordanceConnection,
+               (_ELEMENT, _ACTIVITY, _Field("strength", "number")), "[{0.activity}]",
+               ("context_element", "activity"), "affordance", "strength"),
+    RowSection("competence_levels", "competences.levels", CompetenceLevel,
+               (_AGENT, _COMPETENCE, _Field("level", "number")), "[{0.competence}]",
+               ("agent", "competence"), "competence level", "level"),
+    RowSection("competence_requirements", "competences.requirements", CompetenceRequirement,
+               (_ACTIVITY, _COMPETENCE, _Field("required", "number")), "[{0.competence}]",
+               ("activity", "competence"), "competence requirement", "required"),
     # One agent moves at most once per tick; `location` only completes
     # the order, so any two documents with the same rows build equal.
-    RowSection("environment.relocations", "environment.relocations", Relocation, (
-        _Field("tick", "integer"),
-        _Field("agent", "ident", "agent"),
-        _Field("location", "ident", ElementKind.LOCATION),
-    ), "[tick={0.tick}]", ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
+    RowSection("environment.relocations", "environment.relocations", Relocation,
+               (_Field("tick", "integer"), _AGENT, _LOCATION), "[tick={0.tick}]",
+               ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
 )
 
 

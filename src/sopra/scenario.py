@@ -28,19 +28,9 @@ from .model import ROW_SECTIONS, ElementKind, Environment, Globals, RowSection, 
 # theirs), and the id lists and globals.
 _TOP_KEYS = {sec.name.partition(".")[0] for sec in ROW_SECTIONS} | {"values", "roots", "globals"}
 
-_GLOBALS_KEYS = {
-    "habitThreshold": "habit_threshold",
-    "decayRate": "decay_rate",
-    "socialLearningRate": "social_learning_rate",
-    "awarenessRate": "awareness_rate",
-    "attenuation": "attenuation",
-    "deliberationCost": "deliberation_cost",
-    "pressureAggregation": "pressure_aggregation",
-    "decayAll": "decay_all",
-    "tieBreak": "tie_break",
-    "extensionsEnabled": "extensions_enabled",
-    "feasibilityThreshold": "feasibility_threshold",
-}
+# Each global's document key, which is its `Globals` field in camel case.
+_GLOBALS_KEYS = {re.sub("_([a-z])", lambda m: m[1].upper(), f.name): f.name
+                 for f in dataclass_fields(Globals)}
 
 
 # Characters no identifier may hold: a comma, a line break or a carriage
@@ -56,6 +46,14 @@ def _is_number(x: Any) -> bool:
 def _is_plain_ident(v: Any) -> bool:
     return (isinstance(v, str) and bool(v) and v == v.strip()
             and _UNSAFE_ID_CHAR.search(v) is None)
+
+
+def _id_list(raw: Any, errs: list[str], problem: str) -> list[str]:
+    """`raw` as a list of strings; anything else is reported as `problem`."""
+    if isinstance(raw, list) and all(isinstance(v, str) for v in raw):
+        return list(raw)
+    errs.append(problem)
+    return []
 
 
 def _sorted_keys(keys) -> list:
@@ -213,35 +211,32 @@ class _Reader:
 
     def section(self, sec: RowSection, pairs: Iterable[tuple[int, Mapping[str, Any]]]) -> list:
         """The rows of `sec` from (position, object) `pairs`, each read
-        field by field in the declared order, with the section's rules."""
+        field by field in the declared order, with the section's rules.
+        A value of the field's plain type (an identifier already accepted,
+        a float, an int) is taken as is; any other goes to its reader."""
         name = sec.name
         errs = self.errs
-        rules = _RULES.get(name, {})
-        readers = []
-        for fl in sec.fields:
-            if fl.kind == "ident":
-                read = self.ident
-            elif fl.kind == "number":
-                read = partial(self.num, default=fl.default)
-            elif fl.kind == "integer":
-                read = self.integer
-            else:
-                read = partial(self.enum, enum_cls=fl.kind)
-            readers.append((fl.attr, fl.json, fl.optional, read, rules.get(fl.json)))
+        idents = self._idents
+        slots, steps = _PLANS[name]
         out = []
         for i, obj in pairs:
-            vals: dict[str, Any] = {}
-            for attr, key, optional, read, rule in readers:
-                if optional and obj.get(key) is None:
-                    vals[attr] = None
-                    continue
-                n = len(errs)
-                v = vals[attr] = read(obj, key, name, i)
-                if rule is not None and len(errs) == n:
+            args: list[Any] = [None] * len(slots)
+            for slot, key, default, plain, optional, read, rule in steps:
+                v = obj.get(key, default)
+                if type(v) is not plain or plain is str and v not in idents:
+                    if v is None and optional:
+                        continue
+                    n = len(errs)
+                    v = read(self, obj, key, name, i)
+                    if len(errs) > n:
+                        args[slot] = v
+                        continue
+                args[slot] = v
+                if rule is not None:
                     problem = rule(v, obj)
                     if problem is not None:
                         self.fail(name, i, problem)
-            out.append(sec.row(**vals))
+            out.append(sec.row(*args))
         return out
 
     def columns(self, doc: Mapping[str, Any], key: str, sec: RowSection) -> list | None:
@@ -250,13 +245,10 @@ class _Reader:
 
         Returns None, having reported nothing, when the section is shorter
         than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
-        that would fail its row reader or a rule: an id that is not a plain
-        identifier `str`, a number that is not a float, an integer that is
-        not an `int`, an enum value that is not one of its strings, or a
-        value absent where the field is neither optional nor defaulted. The
-        caller then reads the section row by row, and the row reader words
-        every report, in document order. Each distinct id not yet accepted
-        is checked once, with `ident`'s test."""
+        that the row reader or a rule would report (a column of the wrong
+        type, an id that is not a plain identifier, an unknown enum value).
+        The caller then reads the section row by row, and the row reader
+        words every report, in document order."""
         raw = doc.get(key)
         if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
                 or not _DICT.issuperset(map(type, raw))):
@@ -284,7 +276,32 @@ class _Reader:
                                         if v is not None):
                 return None
             columns[fl.attr] = column
-        return list(map(sec.row, *(columns[f.name] for f in dataclass_fields(sec.row))))
+        return list(map(sec.row, *map(columns.__getitem__, _PLANS[sec.name][0])))
+
+
+def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
+    """How `_Reader` reads `sec`: the row class's fields in its argument
+    order, and per declared field its argument position, document key,
+    default, plain type, optional flag, reader and rule."""
+    slots = tuple(f.name for f in dataclass_fields(sec.row))
+    rules = _RULES.get(sec.name, {})
+    steps = []
+    for fl in sec.fields:
+        if fl.kind == "ident":
+            read = _Reader.ident
+        elif fl.kind == "number":
+            read = _Reader.num if fl.default is None else partial(_Reader.num, default=fl.default)
+        elif fl.kind == "integer":
+            read = _Reader.integer
+        else:
+            read = partial(_Reader.enum, enum_cls=fl.kind)
+        plain = {"ident": str, "number": float, "integer": int}.get(fl.kind)
+        steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read,
+                      rules.get(fl.json)))
+    return slots, tuple(steps)
+
+
+_PLANS = {sec.name: _plan(sec) for sec in ROW_SECTIONS}
 
 
 def _parse_globals(doc: Mapping[str, Any], errs: list[str]) -> Globals:
@@ -350,12 +367,8 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
     if unknown:
         errs.append(f"environment: unknown keys {_sorted_keys(unknown)}")
 
-    tps = raw.get("timepoints", [])
-    timepoints: list[str] = []
-    if not isinstance(tps, list) or not all(isinstance(t, str) for t in tps):
-        errs.append("environment.timepoints must be a list of ids")
-    else:
-        timepoints = list(tps)
+    timepoints = _id_list(raw.get("timepoints", []), errs,
+                          "environment.timepoints must be a list of ids")
 
     placements: list[tuple[str, tuple[str, ...]]] = []
     pl = raw.get("placements", {})
@@ -420,27 +433,17 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
         errs.append("no activities declared")
     connections = f.read(document, "activityConnections")
 
-    values_raw = document.get("values", [])
-    values: list[str] = []
-    if not isinstance(values_raw, list) or not all(isinstance(v, str) for v in values_raw):
-        errs.append("'values' must be a list of value ids")
-    else:
-        values = list(values_raw)
-        if len(set(values)) < len(values):
-            dup = [v for v, n in Counter(values).items() if n > 1]
-            errs.append(f"duplicate value ids: {sorted(dup)}")
+    values = _id_list(document.get("values", []), errs, "'values' must be a list of value ids")
+    if len(set(values)) < len(values):
+        dup = [v for v, n in Counter(values).items() if n > 1]
+        errs.append(f"duplicate value ids: {sorted(dup)}")
 
     agents = f.read(document, "agents")
     habitual = f.read(document, "habitualConnections")
     priorities = f.read(document, "valuePriorities")
     value_connections = f.read(document, "valueConnections")
 
-    roots_raw = document.get("roots", [])
-    roots: list[str] = []
-    if not isinstance(roots_raw, list) or not all(isinstance(r, str) for r in roots_raw):
-        errs.append("'roots' must be a list of activity ids")
-    else:
-        roots = list(roots_raw)
+    roots = _id_list(document.get("roots", []), errs, "'roots' must be a list of activity ids")
 
     affordances = f.read(document, "affordances")
 

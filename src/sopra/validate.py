@@ -16,7 +16,8 @@ from operator import attrgetter
 
 from ._gc import gc_paused
 from .errors import ScenarioError
-from .model import ROW_SECTIONS, ActivityType, ElementKind, RelationType, RowSection, Scenario
+from .model import _VIEWS, ROW_SECTIONS, ActivityType, ElementKind, RelationType, RowSection
+from .model import Scenario
 
 
 class ViolationKind(str, Enum):
@@ -78,6 +79,12 @@ _REFERENCE_ORDER = (
     "competences.requirements",
 )
 _SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
+# Each section's reference fields with their getters, in report order: a
+# row's fields in declared order, except an agent's parent before its
+# location.
+_REFS = {sec.name: tuple((fl, attrgetter(fl.attr)) for fl in sec.fields if fl.refs is not None)
+         for sec in ROW_SECTIONS}
+_REFS["agents"] = _REFS["agents"][::-1]
 
 
 def _check_references(
@@ -123,12 +130,11 @@ def _check_references(
             if ident and not token:
                 rejected.append(dangling[-1])
 
-    def resolves(rows, fl) -> bool:
+    def resolves(rows, fl, get) -> bool:
         """Whether every reference `fl` makes in `rows` names its pool."""
         if fl.refs == "own kind":
-            return all(kinds.get(getattr(row, fl.attr)) is row.kind for row in rows
-                       if getattr(row, fl.attr) is not None)
-        tokens = map(attrgetter(fl.attr), rows)
+            return all(kinds.get(get(row)) is row.kind for row in rows if get(row) is not None)
+        tokens = map(get, rows)
         if fl.optional:
             tokens = [t for t in tokens if t is not None]
         if isinstance(fl.refs, ElementKind):
@@ -137,14 +143,15 @@ def _check_references(
 
     def walk(sec: RowSection) -> None:
         rows = attrgetter(sec.attr)(s)
-        refs = [fl for fl in sec.fields if fl.refs is not None]
-        if sec.name == "agents":
-            refs.reverse()  # an agent's parent is reported before its location
-        if all(resolves(rows, fl) for fl in refs):
+        refs = _REFS[sec.name]
+        for fl, get in refs:
+            if not resolves(rows, fl, get):
+                break
+        else:
             return
         for row in rows:
-            for fl in refs:
-                token = getattr(row, fl.attr)
+            for fl, get in refs:
+                token = get(row)
                 if token is None:
                     continue
                 pool = fl.refs
@@ -306,8 +313,7 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
 
 
 # A view row's bounded fields: each one's name in reports, and its attribute.
-_VIEW_FIELDS = (("strength", "strength"), ("personalView", "personal_view"),
-                ("myCollectiveView", "my_collective_view"))
+_VIEW_FIELDS = tuple((fl.json, fl.attr) for fl in _VIEWS)
 
 
 def _check_ranges(rows, sec: RowSection, out: list[Violation]) -> None:

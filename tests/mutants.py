@@ -38,23 +38,21 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "        elif ptype is ActivityType.SEQUENTIAL and c.relation is not RelationType.PART_OF:\n",
      "        elif False:\n",
      ("tests/test_validate.py",)),
-    ("a value priority's value names no pool", "sopra/model.py",
-     '        _Field("value", "ident", "value"),\n        *_VIEWS,\n    ), "[{0.agent}]", ("agent", "value"),',
-     '        _Field("value", "ident"),\n        *_VIEWS,\n    ), "[{0.agent}]", ("agent", "value"),',
+    ("values name no pool", "sopra/model.py",
+     '_VALUE = _Field("value", "ident", "value")',
+     '_VALUE = _Field("value", "ident")',
      ("tests/test_malformed_reports.py",)),
     ("a habitual connection's agent and activity fields swapped", "sopra/model.py",
-     '        _Field("agent", "ident", "agent"),\n        _Field("activity", "ident", "activity"),\n'
-     '        _Field("contextElement", "ident", "element"),\n        *_VIEWS,\n    ), "[{0.agent}]"',
-     '        _Field("activity", "ident", "activity"),\n        _Field("agent", "ident", "agent"),\n'
-     '        _Field("contextElement", "ident", "element"),\n        *_VIEWS,\n    ), "[{0.agent}]"',
+     "(_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS)",
+     "(_ACTIVITY, _AGENT, _ELEMENT, *_VIEWS)",
      ("tests/test_malformed_reports.py",)),
     ("habitual connections cited by their activity", "sopra/model.py",
-     '    ), "[{0.agent}]", ("agent", "activity", "context_element"),',
-     '    ), "[{0.activity}]", ("agent", "activity", "context_element"),',
+     '(_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.agent}]"',
+     '(_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.activity}]"',
      ("tests/test_malformed_reports.py",)),
     ("an agent's location reported before its parent", "sopra/validate.py",
-     "            refs.reverse()",
-     "            pass",
+     '_REFS["agents"] = _REFS["agents"][::-1]\n',
+     "\n",
      ("tests/test_malformed_reports.py",)),
 ]
 

@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import gc
 import random
-import re
 from operator import attrgetter
 from pathlib import Path
 
