@@ -190,14 +190,16 @@ class _Reader:
             return 0
         return v
 
-    def enum(self, obj: Mapping[str, Any], key: str, section: str, i: int, enum_cls: type):
+    def enum(self, obj: Mapping[str, Any], key: str, section: str, i: int,
+             members: Mapping[str, Enum]) -> Enum:
+        """The member of `obj[key]`'s value; `members` maps an enum's
+        values to its members, in declaration order."""
         v = obj.get(key)
-        try:
-            return enum_cls(v)
-        except ValueError:
-            allowed = ", ".join(m.value for m in enum_cls)
-            self.fail(section, i, f"{key!r} must be one of {allowed}, got {v!r}")
-            return next(iter(enum_cls))
+        member = members.get(v) if isinstance(v, str) else None
+        if member is None:
+            self.fail(section, i, f"{key!r} must be one of {', '.join(members)}, got {v!r}")
+            return next(iter(members.values()))
+        return member
 
     def read(self, doc: Mapping[str, Any], name: str) -> list:
         """The rows of section `name`, which `doc` holds under the name's
@@ -268,15 +270,20 @@ class _Reader:
                     return None
                 self._idents |= fresh
             elif isinstance(fl.kind, type):
-                if not {m.value for m in fl.kind}.issuperset(column):
+                column = list(map(_MEMBERS[fl.kind].get, column))
+                if None in column:
                     return None
-                column = list(map(fl.kind, column))
             rule = rules.get(fl.json)
             if rule is not None and any(rule(v, obj) for v, obj in zip(column, raw)
                                         if v is not None):
                 return None
             columns[fl.attr] = column
         return list(map(sec.row, *map(columns.__getitem__, _PLANS[sec.name][0])))
+
+
+# Each enum field's values and their members, in declaration order.
+_MEMBERS = {fl.kind: {m.value: m for m in fl.kind}
+            for sec in ROW_SECTIONS for fl in sec.fields if isinstance(fl.kind, type)}
 
 
 def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
@@ -294,7 +301,7 @@ def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
         elif fl.kind == "integer":
             read = _Reader.integer
         else:
-            read = partial(_Reader.enum, enum_cls=fl.kind)
+            read = partial(_Reader.enum, members=_MEMBERS[fl.kind])
         plain = {"ident": str, "number": float, "integer": int}.get(fl.kind)
         steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read,
                       rules.get(fl.json)))

@@ -85,6 +85,7 @@ _SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
 _REFS = {sec.name: tuple((fl, attrgetter(fl.attr)) for fl in sec.fields if fl.refs is not None)
          for sec in ROW_SECTIONS}
 _REFS["agents"] = _REFS["agents"][::-1]
+_ROWS = {sec.name: attrgetter(sec.attr) for sec in ROW_SECTIONS}
 
 
 def _check_references(
@@ -142,17 +143,14 @@ def _check_references(
         return pools[fl.refs].issuperset(tokens)
 
     def walk(sec: RowSection) -> None:
-        rows = attrgetter(sec.attr)(s)
+        rows = _ROWS[sec.name](s)
         refs = _REFS[sec.name]
-        for fl, get in refs:
-            if not resolves(rows, fl, get):
-                break
-        else:
+        if not rows or all(resolves(rows, fl, get) for fl, get in refs):
             return
         for row in rows:
             for fl, get in refs:
                 token = get(row)
-                if token is None:
+                if token is None and fl.optional:
                     continue
                 pool = fl.refs
                 if pool == "own kind":

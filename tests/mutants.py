@@ -54,6 +54,10 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      '_REFS["agents"] = _REFS["agents"][::-1]\n',
      "\n",
      ("tests/test_malformed_reports.py",)),
+    ("a None reference skipped at a required site", "sopra/validate.py",
+     "                if token is None and fl.optional:\n",
+     "                if token is None:\n",
+     ("tests/test_validate.py",)),
 ]
 
 

@@ -55,6 +55,15 @@ def test_empty_id_in_a_scenario_built_in_code_is_dangling():
             in [f"{v.kind.value}: {v.message}" for v in report])
 
 
+def test_none_at_a_required_reference_in_a_scenario_built_in_code_is_dangling():
+    # Only an optional reference may be None; a required one names no element.
+    s = build_scenario(make_doc())
+    agent = dataclasses.replace(s.agents[0], location=None)
+    s = dataclasses.replace(s, agents=(agent,) + s.agents[1:])
+    assert [f"{v.kind.value}: {v.message}" for v in validate_scenario(s)] == [
+        f"dangling-reference: agents[{agent.id}].location: unknown element None"]
+
+
 def test_duplicate_habitual_triple():
     doc = make_doc()
     row = {"agent": "ag1", "activity": "opt_a", "contextElement": "Home",
