@@ -69,13 +69,11 @@ def _sorted_keys(keys) -> list:
 # CPython 3.11 the two broke even at about 50 rows.
 _COLUMN_MIN_ROWS = 64
 
-# Type sets the column pass tests whole columns against:
-# `issuperset(map(type, column))` runs the loop in C. An enum field's
-# column holds the values' strings.
+# The type of a value each kind of field takes as it is; an enum field's
+# values are strings. The column pass tests whole columns against a type
+# set: `issuperset(map(type, column))` runs the loop in C.
+_PLAIN_TYPES = {"ident": str, "number": float, "integer": int}
 _DICT = frozenset({dict})
-_COLUMN_TYPES = {"ident": frozenset({str}), "number": frozenset({float}),
-                 "integer": frozenset({int})}
-_NONE = frozenset({type(None)})
 
 
 # Rules on one field that are not about its type, by section name and
@@ -260,8 +258,9 @@ class _Reader:
         columns = {}
         for fl in sec.fields:
             column = list(map(get, raw, repeat(fl.json), repeat(fl.default)))
-            types = _COLUMN_TYPES.get(fl.kind, _COLUMN_TYPES["ident"])
-            if not (types | _NONE if fl.optional else types).issuperset(map(type, column)):
+            plain = _PLAIN_TYPES.get(fl.kind, str)
+            types = {plain, type(None)} if fl.optional else {plain}
+            if not types.issuperset(map(type, column)):
                 return None
             if fl.kind == "ident":
                 fresh = set(column).difference(self._idents)
@@ -302,7 +301,7 @@ def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
             read = _Reader.integer
         else:
             read = partial(_Reader.enum, members=_MEMBERS[fl.kind])
-        plain = {"ident": str, "number": float, "integer": int}.get(fl.kind)
+        plain = _PLAIN_TYPES.get(fl.kind)
         steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read,
                       rules.get(fl.json)))
     return slots, tuple(steps)
