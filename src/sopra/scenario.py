@@ -24,9 +24,14 @@ from ._gc import gc_paused
 from .errors import ScenarioError
 from .model import ROW_SECTIONS, ElementKind, Environment, Globals, RowSection, Scenario
 
-# The row sections' top-level keys ("competences" and "environment" hold
-# theirs), and the id lists and globals.
-_TOP_KEYS = {sec.name.partition(".")[0] for sec in ROW_SECTIONS} | {"values", "roots", "globals"}
+# The document's top-level keys, in the order `serialize_scenario` writes
+# them; "environment" and "competences" hold row sections of their own.
+_DOCUMENT_ORDER = (
+    "contextElements", "activities", "activityConnections", "values", "agents",
+    "habitualConnections", "valuePriorities", "valueConnections", "roots", "environment",
+    "globals", "affordances", "competences",
+)
+_TOP_KEYS = frozenset(_DOCUMENT_ORDER)
 
 # Each global's document key, which is its `Globals` field in camel case.
 _GLOBALS_KEYS = {re.sub("_([a-z])", lambda m: m[1].upper(), f.name): f.name
@@ -64,10 +69,13 @@ def _sorted_keys(keys) -> list:
 
 
 # A section of this many rows or more is read a column at a time
-# (`_Reader.columns`). The column pass pays a fixed twenty or so C-level
-# calls and saves about a tenth of the row reader's cost per row: on
-# CPython 3.11 the two broke even at about 50 rows.
-_COLUMN_MIN_ROWS = 64
+# (`_Reader.columns`). The column pass pays a fixed cost per field and
+# saves a quarter to a third of the row reader's cost per row. Timed on
+# CPython 3.11 with rows of the city workload, rules included, the two
+# broke even at 16 to 24 rows in every section (agents, contextElements,
+# habitualConnections, valueConnections); at 32 rows the column pass was
+# 10 to 30% faster in each.
+_COLUMN_MIN_ROWS = 32
 
 # The type of a value each kind of field takes as it is; an enum field's
 # values are strings. The column pass tests whole columns against a type
@@ -511,17 +519,18 @@ def _rows_out(s: Scenario, sec: RowSection) -> list[dict[str, Any]]:
 
 def serialize_scenario(s: Scenario) -> dict[str, Any]:
     """Inverse of `build_scenario`: emits the canonical document form."""
-    doc = {sec.name: _rows_out(s, sec) for sec in ROW_SECTIONS}
+    rows = {sec.name: _rows_out(s, sec) for sec in ROW_SECTIONS}
+    doc = {key: rows.get(key) for key in _DOCUMENT_ORDER}
     doc["values"] = list(s.values)
     doc["roots"] = list(s.roots)
     doc["environment"] = {
         "timepoints": list(s.environment.timepoints),
         "placements": {loc: list(res) for loc, res in s.environment.placements},
-        "relocations": doc.pop("environment.relocations"),
+        "relocations": rows["environment.relocations"],
     }
     doc["globals"] = {key: getattr(s.globals, attr) for key, attr in _GLOBALS_KEYS.items()}
     doc["competences"] = {
-        "levels": doc.pop("competences.levels"),
-        "requirements": doc.pop("competences.requirements"),
+        "levels": rows["competences.levels"],
+        "requirements": rows["competences.requirements"],
     }
     return doc

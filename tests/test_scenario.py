@@ -164,6 +164,23 @@ def test_bundled_round_trip(name):
     assert build_scenario(serialize_scenario(s)) == s
 
 
+def test_serialized_keys_keep_their_order():
+    # The canonical document form is also its JSON text: a digest of
+    # json.dumps(serialize_scenario(s)) depends on the order of its keys.
+    doc = serialize_scenario(build_scenario(bundled_document("extensions_demo")))
+    assert list(doc) == [
+        "contextElements", "activities", "activityConnections", "values", "agents",
+        "habitualConnections", "valuePriorities", "valueConnections", "roots", "environment",
+        "globals", "affordances", "competences",
+    ]
+    assert list(doc["environment"]) == ["timepoints", "placements", "relocations"]
+    assert list(doc["competences"]) == ["levels", "requirements"]
+    assert list(doc["agents"][0]) == [
+        "id", "habitRate", "attentionBudget", "attentionalResources", "location", "parent"]
+    assert list(doc["valueConnections"][0]) == [
+        "agent", "activity", "value", "strength", "personalView", "myCollectiveView"]
+
+
 def test_bundled_listing():
     assert set(list_bundled()) >= {"commuting", "cascade", "extensions_demo"}
 
