@@ -95,34 +95,46 @@ def _check_references(
 
     Returns the dangling references; the kind mismatches, for sites that
     must name an element of one kind; and the dangling references to the
-    empty id at sites the builder reads as identifiers. Each section's
-    references are first tested a column at a time against their pools;
-    only a section where one fails is walked row by row, in field order,
-    and its locations and messages are formatted only for a failing field.
+    empty id at sites the builder reads as identifiers. A reference hits
+    when it is in the set `pool` gives for its field. A field whose set
+    is the same for every row is first tested a column at a time; only
+    the fields that fail that test, or whose set depends on the row, are
+    walked row by row, in field order, and locations and messages are
+    formatted only for a reference that misses.
     """
-    pools: dict[str, set[str]] = {
+    named = {
         "element": set(kinds),
         "activity": {a.id for a in s.activities},
         "agent": {a.id for a in s.agents},
         "value": set(s.values),
     }
+    # The elements of each kind.
+    by_kind: dict[ElementKind, set[str]] = {kind: set() for kind in ElementKind}
+    for token, kind in kinds.items():
+        by_kind.setdefault(kind, set()).add(token)
     dangling: list[Violation] = []
     mismatched: list[Violation] = []
     rejected: list[Violation] = []
     seen: set[str] = set()
 
-    def need(token: str, pool: set[str] | dict, what: str, where: str,
-             kind: ElementKind | None = None, ident: bool = True) -> None:
-        """`token` must be in `pool` and, given `kind`, an element of that
-        kind. `ident`: the builder reads the token as an identifier."""
-        if token in pool:
-            if kind is not None and kinds[token] is not kind:
-                mismatched.append(
-                    Violation(
-                        ViolationKind.DISJOINTNESS,
-                        f"{where}: {token!r} is a {kinds[token].value}, expected {kind.value}",
-                    )
+    def pool(refs, row=None) -> set[str]:
+        """The ids a reference to `refs` may name; for "own kind", the
+        elements of `row`'s kind."""
+        if refs == "own kind":
+            return by_kind.get(row.kind, set())
+        return by_kind[refs] if isinstance(refs, ElementKind) else named[refs]
+
+    def miss(token, refs, where: str, ident: bool = True) -> None:
+        """Report `token`, which is not in `pool(refs)`, at `where`.
+        `ident`: the builder reads the token as an identifier."""
+        what = "element" if isinstance(refs, ElementKind) or refs == "own kind" else refs
+        if isinstance(refs, ElementKind) and token in kinds:
+            mismatched.append(
+                Violation(
+                    ViolationKind.DISJOINTNESS,
+                    f"{where}: {token!r} is a {kinds[token].value}, expected {refs.value}",
                 )
+            )
             return
         message = f"{where}: unknown {what} {token!r}"
         if message not in seen:
@@ -131,45 +143,42 @@ def _check_references(
             if ident and not token:
                 rejected.append(dangling[-1])
 
-    def resolves(rows, fl, get) -> bool:
-        """Whether every reference `fl` makes in `rows` names its pool."""
-        if fl.refs == "own kind":
-            return all(kinds.get(get(row)) is row.kind for row in rows if get(row) is not None)
-        tokens = map(get, rows)
-        if fl.optional:
-            tokens = [t for t in tokens if t is not None]
-        if isinstance(fl.refs, ElementKind):
-            return set(map(kinds.get, tokens)) <= {fl.refs}
-        return pools[fl.refs].issuperset(tokens)
+    def check(tokens, refs, where: str) -> None:
+        """Report each entry of an id list that misses its pool."""
+        ids = pool(refs)
+        for token in tokens:
+            if token not in ids:
+                miss(token, refs, where, ident=False)
 
     def walk(sec: RowSection) -> None:
         rows = _ROWS[sec.name](s)
-        refs = _REFS[sec.name]
-        if not rows or all(resolves(rows, fl, get) for fl, get in refs):
+        refs = []
+        for fl, get in _REFS[sec.name]:
+            if fl.refs != "own kind":
+                tokens = map(get, rows)
+                if fl.optional:  # None names nothing, so misses nothing
+                    tokens = set(tokens)
+                    tokens.discard(None)
+                if pool(fl.refs).issuperset(tokens):
+                    continue
+            refs.append((fl, get))
+        if not refs or not rows:
             return
         for row in rows:
             for fl, get in refs:
                 token = get(row)
-                if token is None and fl.optional:
+                if token is None and fl.optional or token in pool(fl.refs, row):
                     continue
-                pool = fl.refs
-                if pool == "own kind":
-                    if token not in kinds:
-                        need(token, kinds, "element", sec.name + sec.cite.format(row, fl.json))
-                    elif kinds[token] is not row.kind:
-                        mismatched.append(
-                            Violation(
-                                ViolationKind.DISJOINTNESS,
-                                f"{sec.name}[{row.id}]: {fl.json} {token!r} is a "
-                                f"{kinds[token].value}, expected {row.kind.value}",
-                            )
+                if fl.refs == "own kind" and token in kinds:
+                    mismatched.append(
+                        Violation(
+                            ViolationKind.DISJOINTNESS,
+                            f"{sec.name}[{row.id}]: {fl.json} {token!r} is a "
+                            f"{kinds[token].value}, expected {row.kind.value}",
                         )
-                elif isinstance(pool, ElementKind):
-                    if kinds.get(token) is not pool:
-                        need(token, kinds, "element", sec.name + sec.cite.format(row, fl.json),
-                             pool)
-                elif token not in pools[pool]:
-                    need(token, pools[pool], pool, sec.name + sec.cite.format(row, fl.json))
+                    )
+                else:
+                    miss(token, fl.refs, sec.name + sec.cite.format(row, fl.json))
 
     env = s.environment
     for name in _REFERENCE_ORDER:
@@ -178,18 +187,13 @@ def _check_references(
         # The id lists are plain id lists: the builder checks only that
         # each entry is a string.
         elif name == "roots":
-            for r in s.roots:
-                need(r, pools["activity"], "activity", "roots", ident=False)
+            check(s.roots, "activity", "roots")
         elif name == "environment.timepoints":
-            for t in env.timepoints:
-                need(t, kinds, "element", name, ElementKind.TIMEPOINT, ident=False)
+            check(env.timepoints, ElementKind.TIMEPOINT, name)
         else:
             for loc, resources in env.placements:
-                need(loc, kinds, "element", name, ElementKind.LOCATION, ident=False)
-                for res in resources:
-                    if kinds.get(res) is not ElementKind.RESOURCE:
-                        need(res, kinds, "element", f"{name}[{loc}]", ElementKind.RESOURCE,
-                             ident=False)
+                check((loc,), ElementKind.LOCATION, name)
+                check(resources, ElementKind.RESOURCE, f"{name}[{loc}]")
     return dangling, mismatched, rejected
 
 

@@ -55,9 +55,13 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "\n",
      ("tests/test_malformed_reports.py",)),
     ("a None reference skipped at a required site", "sopra/validate.py",
-     "                if token is None and fl.optional:\n",
-     "                if token is None:\n",
+     "if token is None and fl.optional or token in pool(fl.refs, row):",
+     "if token is None or token in pool(fl.refs, row):",
      ("tests/test_validate.py",)),
+    ("a parent of its own kind may be any element", "sopra/validate.py",
+     'return by_kind.get(row.kind, set())',
+     'return named["element"]',
+     ("tests/test_malformed_reports.py", "tests/test_validate.py")),
 ]
 
 
