@@ -26,12 +26,9 @@ from .model import ROW_SECTIONS, ElementKind, Environment, Globals, RowSection, 
 
 # The document's top-level keys, in the order `serialize_scenario` writes
 # them; "environment" and "competences" hold row sections of their own.
-_DOCUMENT_ORDER = (
-    "contextElements", "activities", "activityConnections", "values", "agents",
-    "habitualConnections", "valuePriorities", "valueConnections", "roots", "environment",
-    "globals", "affordances", "competences",
-)
-_TOP_KEYS = frozenset(_DOCUMENT_ORDER)
+_DOCUMENT_ORDER = ("contextElements", "activities", "activityConnections", "values", "agents",
+                   "habitualConnections", "valuePriorities", "valueConnections", "roots",
+                   "environment", "globals", "affordances", "competences")
 
 # Each global's document key, which is its `Globals` field in camel case.
 _GLOBALS_KEYS = {re.sub("_([a-z])", lambda m: m[1].upper(), f.name): f.name
@@ -69,12 +66,10 @@ def _sorted_keys(keys) -> list:
 
 
 # A section of this many rows or more is read a column at a time
-# (`_Reader.columns`). The column pass pays a fixed cost per field and
-# saves a quarter to a third of the row reader's cost per row. Timed on
-# CPython 3.11 with rows of the city workload, rules included, the two
-# broke even at 16 to 24 rows in every section (agents, contextElements,
-# habitualConnections, valueConnections); at 32 rows the column pass was
-# 10 to 30% faster in each.
+# (`_Reader.columns`). Timed on CPython 3.11 with the city workload's rows,
+# rules included, the column pass broke even with the row reader at 16 to
+# 24 rows in agents, contextElements and the view sections, and was 10 to
+# 30% faster in each at 32 rows.
 _COLUMN_MIN_ROWS = 32
 
 # The type of a value each kind of field takes as it is; an enum field's
@@ -437,7 +432,7 @@ def _build_scenario(document: Mapping[str, Any], check_refs: bool) -> Scenario:
         raise ScenarioError("scenario document must be an object")
     f = _Reader()
     errs = f.errs
-    unknown = set(document) - _TOP_KEYS
+    unknown = set(document).difference(_DOCUMENT_ORDER)
     if unknown:
         errs.append(f"unknown top-level keys: {_sorted_keys(unknown)}")
 

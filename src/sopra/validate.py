@@ -102,27 +102,20 @@ def _check_references(
     walked row by row, in field order, and locations and messages are
     formatted only for a reference that misses.
     """
-    named = {
-        "element": set(kinds),
-        "activity": {a.id for a in s.activities},
-        "agent": {a.id for a in s.agents},
-        "value": set(s.values),
-    }
-    # The elements of each kind.
-    by_kind: dict[ElementKind, set[str]] = {kind: set() for kind in ElementKind}
+    # The ids each pool holds; an `ElementKind` pool, the elements of that kind.
+    pools: dict = {kind: set() for kind in ElementKind}
     for token, kind in kinds.items():
-        by_kind.setdefault(kind, set()).add(token)
+        pools.setdefault(kind, set()).add(token)
+    pools.update(element=set(kinds), activity={a.id for a in s.activities},
+                 agent={a.id for a in s.agents}, value=set(s.values))
     dangling: list[Violation] = []
     mismatched: list[Violation] = []
     rejected: list[Violation] = []
     seen: set[str] = set()
 
     def pool(refs, row=None) -> set[str]:
-        """The ids a reference to `refs` may name; for "own kind", the
-        elements of `row`'s kind."""
-        if refs == "own kind":
-            return by_kind.get(row.kind, set())
-        return by_kind[refs] if isinstance(refs, ElementKind) else named[refs]
+        """The ids a reference to `refs` may name; "own kind": `row`'s kind."""
+        return pools.get(row.kind, set()) if refs == "own kind" else pools[refs]
 
     def miss(token, refs, where: str, ident: bool = True) -> None:
         """Report `token`, which is not in `pool(refs)`, at `where`.
@@ -153,7 +146,7 @@ def _check_references(
     def walk(sec: RowSection) -> None:
         rows = _ROWS[sec.name](s)
         refs = []
-        for fl, get in _REFS[sec.name]:
+        for fl, get in _REFS[sec.name] if rows else ():
             if fl.refs != "own kind":
                 tokens = map(get, rows)
                 if fl.optional:  # None names nothing, so misses nothing
@@ -162,9 +155,7 @@ def _check_references(
                 if pool(fl.refs).issuperset(tokens):
                     continue
             refs.append((fl, get))
-        if not refs or not rows:
-            return
-        for row in rows:
+        for row in rows if refs else ():
             for fl, get in refs:
                 token = get(row)
                 if token is None and fl.optional or token in pool(fl.refs, row):

@@ -59,8 +59,8 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "if token is None or token in pool(fl.refs, row):",
      ("tests/test_validate.py",)),
     ("a parent of its own kind may be any element", "sopra/validate.py",
-     'return by_kind.get(row.kind, set())',
-     'return named["element"]',
+     'return pools.get(row.kind, set()) if refs == "own kind"',
+     'return pools["element"] if refs == "own kind"',
      ("tests/test_malformed_reports.py", "tests/test_validate.py")),
 ]
 
