@@ -66,10 +66,10 @@ def _sorted_keys(keys) -> list:
 
 
 # A section of this many rows or more is read a column at a time
-# (`_Reader.columns`). Timed on CPython 3.11 with the city workload's rows,
+# (`_Reader.columns`). Timed on CPython 3.11 with the city workload's rows
+# of agents, contextElements, habitualConnections and valueConnections,
 # rules included, the column pass broke even with the row reader at 16 to
-# 24 rows in agents, contextElements and the view sections, and was 10 to
-# 30% faster in each at 32 rows.
+# 24 rows in each, and was 10 to 30% faster at 32 rows.
 _COLUMN_MIN_ROWS = 32
 
 # The type of a value each kind of field takes as it is; an enum field's
