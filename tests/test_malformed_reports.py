@@ -200,6 +200,22 @@ def _env(key: str, value: Any) -> Callable[[Doc], None]:
     return mutate
 
 
+# Each site that must name an element of one kind, naming an element of
+# another: the builder accepts it, and `validate_scenario` reports it as
+# `disjointness`.
+DISJOINT = {
+    "element_parent": _set("contextElements", 6, "parent", "Home"),
+    "activity_parent": _set("activities", 3, "parent", "Home"),
+    "agent_location": _set("agents", 0, "location", "car"),
+    "agent_parent": _set("agents", 1, "parent", "Morning"),
+    "relocation_location": lambda doc: doc["environment"]["relocations"].append(
+        {"tick": 1, "agent": "bob", "location": "car"}),
+    "timepoint": lambda doc: doc["environment"]["timepoints"].append("Home"),
+    "placement_location": lambda doc: doc["environment"]["placements"].update(Morning=["car"]),
+    "placement_resource": lambda doc: doc["environment"]["placements"].update(Home=["Office"]),
+}
+
+
 # Error branches of the loader: each section or container of the wrong
 # shape, and rows with several defects, whose reports keep field order.
 LOADER_CASES: dict[str, Callable[[Doc], None]] = {
@@ -304,6 +320,7 @@ CASES: dict[str, Callable[[Doc], None]] = {
     ),
     **{f"dangling_{name}": m for name, m in DANGLING.items()},
     "dangling_every_section": _all(*DANGLING.values()),
+    **{f"disjoint_{name}": m for name, m in DISJOINT.items()},
     "same_bad_id_twice": _all(
         _set("valueConnections", 0, "agent", "bob\n"),
         _set("valueConnections", 3, "agent", "bob\n"),
@@ -1047,6 +1064,62 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "valuePriorities[1100]: 'personalView' must be a number, got True",
         ],
         None,
+    ),
+    "disjoint_activity_parent": (
+        [],
+        [],
+        [
+            "disjointness: activities[take_train_to_school].parent: 'Home' is a Location, expected Activity",
+        ],
+    ),
+    "disjoint_agent_location": (
+        [],
+        [],
+        [
+            "disjointness: agents[bob].location: 'car' is a Resource, expected Location",
+        ],
+    ),
+    "disjoint_agent_parent": (
+        [],
+        [],
+        [
+            "disjointness: agents[alice].parent: 'Morning' is a Timepoint, expected Agent",
+        ],
+    ),
+    "disjoint_element_parent": (
+        [],
+        [],
+        [
+            "disjointness: contextElements[bobs_car]: parent 'Home' is a Location, expected Resource",
+        ],
+    ),
+    "disjoint_placement_location": (
+        [],
+        [],
+        [
+            "disjointness: environment.placements: 'Morning' is a Timepoint, expected Location",
+        ],
+    ),
+    "disjoint_placement_resource": (
+        [],
+        [],
+        [
+            "disjointness: environment.placements[Home]: 'Office' is a Location, expected Resource",
+        ],
+    ),
+    "disjoint_relocation_location": (
+        [],
+        [],
+        [
+            "disjointness: environment.relocations[tick=1]: 'car' is a Resource, expected Location",
+        ],
+    ),
+    "disjoint_timepoint": (
+        [],
+        [],
+        [
+            "disjointness: environment.timepoints: 'Home' is a Location, expected Timepoint",
+        ],
     ),
     "duplicate_relocation": (
         [],
