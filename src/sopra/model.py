@@ -217,7 +217,7 @@ class RowSection:
     fields: tuple[_Field, ...]
     cite: str
     key: tuple[str, ...]
-    duplicate: str | None = None  # multiplicity label; None: checked elsewhere or not at all
+    duplicate: str | None = None  # multiplicity label; None: ids, which the builder checks
     bounded: str | None = None
     unique: tuple[str, ...] = ()
 
@@ -230,7 +230,10 @@ class RowSection:
         return attrgetter(*(self.unique or self.key))
 
     def label(self, row) -> str:
-        return ":".join(str(getattr(row, f)) for f in self.unique or self.key)
+        # An enum by its value: `str()` of a `(str, Enum)` member differs
+        # across Python versions.
+        values = (getattr(row, f) for f in self.unique or self.key)
+        return ":".join(str(v.value if isinstance(v, Enum) else v) for v in values)
 
 
 # Fields that several sections share.
@@ -242,9 +245,9 @@ _ELEMENT = _Field("contextElement", "ident", "element")
 _COMPETENCE = _Field("competence", "ident")
 _LOCATION = _Field("location", "ident", ElementKind.LOCATION)
 
-# Element, activity and agent ids share one namespace, whose uniqueness
-# the builder checks; `validate_scenario` reports a repeated activity
-# connection with the activity graph's checks.
+# The row sections, in the order the builder reads them and the validator
+# walks their references. Element, activity and agent ids share one
+# namespace, whose uniqueness the builder checks.
 ROW_SECTIONS: tuple[RowSection, ...] = (
     RowSection("context_elements", "contextElements", ContextElement, (
         _ID, _Field("kind", ElementKind), _Field("parent", "ident", "own kind", optional=True),
@@ -256,7 +259,7 @@ ROW_SECTIONS: tuple[RowSection, ...] = (
     RowSection("activity_connections", "activityConnections", ActivityConnection, (
         _Field("child", "ident", "activity"), _Field("parent", "ident", "activity"),
         _Field("relation", RelationType),
-    ), "[{0.child}->{0.parent}]", ("child", "parent", "relation")),
+    ), "[{0.child}->{0.parent}]", ("child", "parent", "relation"), "activity connection"),
     RowSection("agents", "agents", AgentSpec, (
         _ID, _Field("habitRate", "number"), _Field("attentionBudget", "integer"),
         _Field("attentionalResources", "integer", optional=True), _LOCATION,

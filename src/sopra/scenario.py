@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import fields as dataclass_fields
 from enum import Enum
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any
 
@@ -140,20 +140,20 @@ class _Reader:
     def fail(self, section: str, i: int, problem: str) -> None:
         self.errs.append(f"{section}[{i}]: {problem}")
 
-    def rows(self, doc: Mapping[str, Any], key: str) -> Iterator[tuple[int, Mapping[str, Any]]]:
-        """(position in the list, row) for the section's object rows; every
-        other entry is reported. All entries are checked before any row
-        is read, so their reports come first. The pairs are streamed, not
-        collected: a section's rows are read once, as they are built."""
-        raw = doc.get(key, [])
+    def rows(self, raw: Any, name: str) -> Iterator[tuple[int, Mapping[str, Any]]]:
+        """(position in the list, row) for the object rows of section
+        `name`, held in `raw`; every other entry is reported. All entries
+        are checked before any row is read, so their reports come first.
+        The pairs are streamed, not collected: a section's rows are read
+        once, as they are built."""
         if not isinstance(raw, list):
-            self.errs.append(f"{key!r} must be a list")
+            self.errs.append(f"{name!r} must be a list")
             return iter(())
         bad = set()
         for i, row in enumerate(raw):
             # JSON rows are dicts; the exact-type test spares them the ABC check.
             if type(row) is not dict and not isinstance(row, Mapping):
-                self.errs.append(f"{key}[{i}] must be an object")
+                self.errs.append(f"{name}[{i}] must be an object")
                 bad.add(i)
         if not bad:
             return enumerate(raw)
@@ -191,38 +191,30 @@ class _Reader:
             return 0
         return v
 
-    def enum(self, obj: Mapping[str, Any], key: str, section: str, i: int,
-             members: Mapping[str, Enum]) -> Enum:
-        """The member of `obj[key]`'s value; `members` maps an enum's
-        values to its members, in declaration order."""
-        v = obj.get(key)
-        member = members.get(v) if isinstance(v, str) else None
-        if member is None:
-            self.fail(section, i, f"{key!r} must be one of {', '.join(members)}, got {v!r}")
-            return next(iter(members.values()))
-        return member
-
     def read(self, doc: Mapping[str, Any], name: str) -> list:
         """The rows of section `name`, which `doc` holds under the name's
         last part: a column at a time when `columns` can, else row by row."""
         sec = _SECTIONS[name]
-        key = name.rpartition(".")[2]
-        rows = self.columns(doc, key, sec)
+        raw = doc.get(name.rpartition(".")[2], [])
+        rows = self.columns(raw, sec)
         if rows is None:
-            rows = self.section(sec, self.rows(doc, key))
+            rows = self.section(sec, self.rows(raw, name))
         return rows
 
     def section(self, sec: RowSection, pairs: Iterable[tuple[int, Mapping[str, Any]]]) -> list:
         """The rows of `sec` from (position, object) `pairs`, each read
-        field by field in the declared order, with the section's rules.
-        A value of the field's plain type (an identifier already accepted,
-        a float, an int) is taken as is; any other goes to its reader."""
+        field by field in the declared order, with the section's rules,
+        after a report of any key that names no field. A value of the
+        field's plain type (an identifier already accepted, a float, an
+        int) is taken as is; any other goes to its reader."""
         name = sec.name
         errs = self.errs
         idents = self._idents
-        slots, steps = _PLANS[name]
+        slots, steps, known = _PLANS[name]
         out = []
         for i, obj in pairs:
+            if not known.issuperset(obj):
+                self.fail(name, i, f"unknown keys {_sorted_keys(set(obj).difference(known))}")
             args: list[Any] = [None] * len(slots)
             for slot, key, default, plain, optional, read, rule in steps:
                 v = obj.get(key, default)
@@ -242,19 +234,21 @@ class _Reader:
             out.append(sec.row(*args))
         return out
 
-    def columns(self, doc: Mapping[str, Any], key: str, sec: RowSection) -> list | None:
-        """The rows of `sec`, held in `doc[key]`, read a column at a time:
-        the row class is mapped over the columns, one per field.
+    def columns(self, raw: Any, sec: RowSection) -> list | None:
+        """The rows of `sec`, held in `raw`, read a column at a time: the
+        row class is mapped over the columns, one per field.
 
         Returns None, having reported nothing, when the section is shorter
-        than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds a value
-        that the row reader or a rule would report (a column of the wrong
-        type, an id that is not a plain identifier, an unknown enum value).
-        The caller then reads the section row by row, and the row reader
-        words every report, in document order."""
-        raw = doc.get(key)
+        than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds anything
+        that the row reader or a rule would report (a key that names no
+        field, a column of the wrong type, an id that is not a plain
+        identifier, an unknown enum value). The caller then reads the
+        section row by row, and the row reader words every report, in
+        document order."""
+        slots, _, known = _PLANS[sec.name]
         if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
-                or not _DICT.issuperset(map(type, raw))):
+                or not _DICT.issuperset(map(type, raw))
+                or not known.issuperset(chain.from_iterable(raw))):
             return None
         get = dict.get
         rules = _RULES.get(sec.name, {})
@@ -280,7 +274,7 @@ class _Reader:
                                         if v is not None):
                 return None
             columns[fl.attr] = column
-        return list(map(sec.row, *map(columns.__getitem__, _PLANS[sec.name][0])))
+        return list(map(sec.row, *map(columns.__getitem__, slots)))
 
 
 # Each enum field's values and their members, in declaration order.
@@ -288,10 +282,27 @@ _MEMBERS = {fl.kind: {m.value: m for m in fl.kind}
             for sec in ROW_SECTIONS for fl in sec.fields if isinstance(fl.kind, type)}
 
 
-def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
+def _enum_reader(enum: type[Enum]) -> Callable[..., Enum]:
+    """A field reader, called as `_Reader`'s are, that gives the member of
+    `enum` whose value the field holds."""
+    members = _MEMBERS[enum]
+    first = next(iter(members.values()))
+
+    def read(f: _Reader, obj: Mapping[str, Any], key: str, section: str, i: int) -> Enum:
+        v = obj.get(key)
+        member = members.get(v) if isinstance(v, str) else None
+        if member is None:
+            f.fail(section, i, f"{key!r} must be one of {', '.join(members)}, got {v!r}")
+            return first
+        return member
+    return read
+
+
+def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple, frozenset[str]]:
     """How `_Reader` reads `sec`: the row class's fields in its argument
-    order, and per declared field its argument position, document key,
-    default, plain type, optional flag, reader and rule."""
+    order; per declared field its argument position, document key,
+    default, plain type, optional flag, reader and rule; and the keys its
+    rows may hold."""
     slots = tuple(f.name for f in dataclass_fields(sec.row))
     rules = _RULES.get(sec.name, {})
     steps = []
@@ -303,11 +314,11 @@ def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple]:
         elif fl.kind == "integer":
             read = _Reader.integer
         else:
-            read = partial(_Reader.enum, members=_MEMBERS[fl.kind])
+            read = _enum_reader(fl.kind)
         plain = _PLAIN_TYPES.get(fl.kind)
         steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read,
                       rules.get(fl.json)))
-    return slots, tuple(steps)
+    return slots, tuple(steps), frozenset(fl.json for fl in sec.fields)
 
 
 _PLANS = {sec.name: _plan(sec) for sec in ROW_SECTIONS}
@@ -394,22 +405,8 @@ def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
                 continue
             placements.append((loc, tuple(res)))
 
-    rl = raw.get("relocations", [])
-    if not isinstance(rl, list):
-        errs.append("environment.relocations must be a list")
-        rl = []
-    relocations = f.section(_SECTIONS["environment.relocations"], _relocation_rows(rl, errs))
+    relocations = f.read(raw, "environment.relocations")
     return Environment(tuple(timepoints), tuple(placements), tuple(relocations))
-
-
-def _relocation_rows(rl: list, errs: list[str]) -> Iterator[tuple[int, Mapping[str, Any]]]:
-    """(position, row) for the object rows of `rl`; an entry that is not
-    an object is reported in its place among the rows' own problems."""
-    for i, row in enumerate(rl):
-        if isinstance(row, Mapping):
-            yield i, row
-        else:
-            errs.append(f"environment.relocations[{i}] must be an object")
 
 
 def build_scenario(document: Mapping[str, Any], *, check_refs: bool = True) -> Scenario:

@@ -69,38 +69,25 @@ def check_references(s: Scenario) -> list[Violation]:
     return [v for v in dangling if v not in rejected]
 
 
-# Reference reports come section by section in this order, with the id
-# lists (roots, timepoints, placements) between valueConnections and
-# relocations; the builder reads the sections in `ROW_SECTIONS` order.
-_REFERENCE_ORDER = (
-    "contextElements", "activities", "agents", "activityConnections", "habitualConnections",
-    "valuePriorities", "valueConnections", "roots", "environment.timepoints",
-    "environment.placements", "environment.relocations", "affordances", "competences.levels",
-    "competences.requirements",
-)
-_SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
-# Each section's reference fields with their getters, in report order: a
-# row's fields in declared order, except an agent's parent before its
-# location.
+# Each section's reference fields with their getters, in declared order.
 _REFS = {sec.name: tuple((fl, attrgetter(fl.attr)) for fl in sec.fields if fl.refs is not None)
          for sec in ROW_SECTIONS}
-_REFS["agents"] = _REFS["agents"][::-1]
-_ROWS = {sec.name: attrgetter(sec.attr) for sec in ROW_SECTIONS}
 
 
 def _check_references(
     s: Scenario, kinds: dict[str, ElementKind]
 ) -> tuple[list[Violation], list[Violation], list[Violation]]:
-    """Walk every reference site once, in report order.
+    """Walk every reference site once: the row sections in `ROW_SECTIONS`
+    order, then roots, timepoints and placements.
 
     Returns the dangling references; the kind mismatches, for sites that
     must name an element of one kind; and the dangling references to the
     empty id at sites the builder reads as identifiers. A reference hits
-    when it is in the set `pool` gives for its field. A field whose set
-    is the same for every row is first tested a column at a time; only
-    the fields that fail that test, or whose set depends on the row, are
-    walked row by row, in field order, and locations and messages are
-    formatted only for a reference that misses.
+    when it is in its pool's set. A field whose pool is the same for
+    every row is first tested a column at a time; only the fields that
+    fail that test, or whose pool is the row's own kind, are walked row by
+    row, in field order, and locations and messages are formatted only for
+    a reference that misses.
     """
     # The ids each pool holds; an `ElementKind` pool, the elements of that kind.
     pools: dict = {kind: set() for kind in ElementKind}
@@ -113,14 +100,9 @@ def _check_references(
     rejected: list[Violation] = []
     seen: set[str] = set()
 
-    def pool(refs, row=None) -> set[str]:
-        """The ids a reference to `refs` may name; "own kind": `row`'s kind."""
-        return pools.get(row.kind, set()) if refs == "own kind" else pools[refs]
-
     def miss(token, refs, where: str, ident: bool = True) -> None:
-        """Report `token`, which is not in `pool(refs)`, at `where`.
+        """Report `token`, which is not in `pools[refs]`, at `where`.
         `ident`: the builder reads the token as an identifier."""
-        what = "element" if isinstance(refs, ElementKind) or refs == "own kind" else refs
         if isinstance(refs, ElementKind) and token in kinds:
             mismatched.append(
                 Violation(
@@ -129,6 +111,7 @@ def _check_references(
                 )
             )
             return
+        what = "element" if isinstance(refs, ElementKind) else refs
         message = f"{where}: unknown {what} {token!r}"
         if message not in seen:
             seen.add(message)
@@ -138,13 +121,13 @@ def _check_references(
 
     def check(tokens, refs, where: str) -> None:
         """Report each entry of an id list that misses its pool."""
-        ids = pool(refs)
+        ids = pools[refs]
         for token in tokens:
             if token not in ids:
                 miss(token, refs, where, ident=False)
 
-    def walk(sec: RowSection) -> None:
-        rows = _ROWS[sec.name](s)
+    for sec in ROW_SECTIONS:
+        rows = attrgetter(sec.attr)(s)
         refs = []
         for fl, get in _REFS[sec.name] if rows else ():
             if fl.refs != "own kind":
@@ -152,39 +135,25 @@ def _check_references(
                 if fl.optional:  # None names nothing, so misses nothing
                     tokens = set(tokens)
                     tokens.discard(None)
-                if pool(fl.refs).issuperset(tokens):
+                if pools[fl.refs].issuperset(tokens):
                     continue
             refs.append((fl, get))
         for row in rows if refs else ():
             for fl, get in refs:
                 token = get(row)
-                if token is None and fl.optional or token in pool(fl.refs, row):
+                if token is None and fl.optional:
                     continue
-                if fl.refs == "own kind" and token in kinds:
-                    mismatched.append(
-                        Violation(
-                            ViolationKind.DISJOINTNESS,
-                            f"{sec.name}[{row.id}]: {fl.json} {token!r} is a "
-                            f"{kinds[token].value}, expected {row.kind.value}",
-                        )
-                    )
-                else:
-                    miss(token, fl.refs, sec.name + sec.cite.format(row, fl.json))
-
+                pool = row.kind if fl.refs == "own kind" else fl.refs
+                if token not in pools.get(pool, ()):
+                    miss(token, pool, sec.name + sec.cite.format(row, fl.json))
+    # The id lists are plain id lists: the builder checks only that each
+    # entry is a string.
     env = s.environment
-    for name in _REFERENCE_ORDER:
-        if name in _SECTIONS:
-            walk(_SECTIONS[name])
-        # The id lists are plain id lists: the builder checks only that
-        # each entry is a string.
-        elif name == "roots":
-            check(s.roots, "activity", "roots")
-        elif name == "environment.timepoints":
-            check(env.timepoints, ElementKind.TIMEPOINT, name)
-        else:
-            for loc, resources in env.placements:
-                check((loc,), ElementKind.LOCATION, name)
-                check(resources, ElementKind.RESOURCE, f"{name}[{loc}]")
+    check(s.roots, "activity", "roots")
+    check(env.timepoints, ElementKind.TIMEPOINT, "environment.timepoints")
+    for loc, resources in env.placements:
+        check((loc,), ElementKind.LOCATION, "environment.placements")
+        check(resources, ElementKind.RESOURCE, f"environment.placements[{loc}]")
     return dangling, mismatched, rejected
 
 
@@ -218,19 +187,9 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
     out: list[Violation] = []
     types = {a.id: a.type for a in s.activities}
     has_children: set[str] = set()
-    seen_edges: set[tuple[str, str, RelationType]] = set()
     parents: dict[str, list[str]] = {}
 
     for c in s.activity_connections:
-        edge = (c.child, c.parent, c.relation)
-        if edge in seen_edges:
-            out.append(
-                Violation(
-                    ViolationKind.MULTIPLICITY,
-                    f"duplicate activity connection {c.child!r} -{c.relation.value}-> {c.parent!r}",
-                )
-            )
-        seen_edges.add(edge)
         if c.child == c.parent:
             out.append(
                 Violation(ViolationKind.CYCLE, f"activity {c.child!r} connected to itself")

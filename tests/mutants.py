@@ -30,9 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (name, file under src/, snippet, replacement, test files that must fail)
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
-    ("no duplicate activity connection report", "sopra/validate.py",
-     "        if edge in seen_edges:\n",
-     "        if False:\n",
+    ("no duplicate activity connection report", "sopra/model.py",
+     '("child", "parent", "relation"), "activity connection")',
+     '("child", "parent", "relation"))',
      ("tests/test_validate.py",)),
     ("no sequential-takes-PartOf report", "sopra/validate.py",
      "        elif ptype is ActivityType.SEQUENTIAL and c.relation is not RelationType.PART_OF:\n",
@@ -50,18 +50,33 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      '(_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.agent}]"',
      '(_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.activity}]"',
      ("tests/test_malformed_reports.py",)),
-    ("an agent's location reported before its parent", "sopra/validate.py",
-     '_REFS["agents"] = _REFS["agents"][::-1]\n',
-     "\n",
+    ("reference fields walked against declared order (an agent's parent first)",
+     "sopra/validate.py",
+     "for fl in sec.fields if fl.refs is not None)\n",
+     "for fl in sec.fields if fl.refs is not None)[::-1]\n",
+     ("tests/test_malformed_reports.py",)),
+    ("row sections walked in reverse order", "sopra/validate.py",
+     "    for sec in ROW_SECTIONS:\n        rows = attrgetter(sec.attr)(s)\n"
+     "        refs = []\n",
+     "    for sec in ROW_SECTIONS[::-1]:\n        rows = attrgetter(sec.attr)(s)\n"
+     "        refs = []\n",
      ("tests/test_malformed_reports.py",)),
     ("a None reference skipped at a required site", "sopra/validate.py",
-     "if token is None and fl.optional or token in pool(fl.refs, row):",
-     "if token is None or token in pool(fl.refs, row):",
+     "if token is None and fl.optional:\n                    continue",
+     "if token is None:\n                    continue",
      ("tests/test_validate.py",)),
     ("a parent of its own kind may be any element", "sopra/validate.py",
-     'return pools.get(row.kind, set()) if refs == "own kind"',
-     'return pools["element"] if refs == "own kind"',
+     'pool = row.kind if fl.refs == "own kind" else fl.refs',
+     'pool = "element" if fl.refs == "own kind" else fl.refs',
      ("tests/test_malformed_reports.py", "tests/test_validate.py")),
+    ("the row reader takes unknown keys", "sopra/scenario.py",
+     "            if not known.issuperset(obj):\n",
+     "            if False:\n",
+     ("tests/test_malformed_reports.py",)),
+    ("the column reader takes unknown keys", "sopra/scenario.py",
+     "                or not known.issuperset(chain.from_iterable(raw))):",
+     "                or False):",
+     ("tests/test_malformed_reports.py",)),
 ]
 
 

@@ -229,8 +229,8 @@ LOADER_CASES: dict[str, Callable[[Doc], None]] = {
     "placement_not_a_list": lambda doc: doc["environment"]["placements"].update(
         Home="bobs_car", Office=["desk", 3]),
     "relocations_not_a_list": _env("relocations", {"tick": 1, "agent": "bob"}),
-    # A relocation entry that is not an object is reported in its place
-    # among the rows' own problems.
+    # Entries that are not objects are reported before the rows' own
+    # problems, as in every row section.
     "relocation_not_an_object": _env("relocations", [
         {"tick": -1, "agent": "bob", "location": "Office"},
         "not a row",
@@ -356,6 +356,22 @@ CASES: dict[str, Callable[[Doc], None]] = {
         for section in DEEP_ID_SITES
     },
     "deep_mixed": DEEP_MIXED,
+    # A key that names no field of its row section, misspelled or not,
+    # is reported before the row's own problems.
+    "unknown_row_keys": _all(
+        _set("agents", 0, "atentionalResources", 0),
+        _set("agents", 0, "habitRate", 1.5),
+        _set("valueConnections", 0, "personalview", 0.9),
+        _set("valueConnections", 0, "zz", 0),
+        _set("valueConnections", 0, 1, 0),
+        lambda doc: doc["environment"]["relocations"].append(
+            {"tick": 1, "agent": "bob", "location": "Office", "when": "noon"}),
+    ),
+    **{
+        f"deep_unknown_row_key_{section}": _all(_padded(section),
+                                                _set(section, DEEP_ROW, "strenght", 0.5))
+        for section in DEEP_ID_SITES
+    },
     **{f"loader_{name}": m for name, m in LOADER_CASES.items()},
     # One agent relocated twice at one tick; the location does not matter.
     "duplicate_relocation": lambda doc: doc["environment"]["relocations"].extend([
@@ -503,9 +519,9 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "unknown top-level keys: ['activityBeliefs']",
             "contextElements[Garage].parent: unknown element 'nowhere'",
             "activities[take_train_to_school].parent: unknown element 'ghost_group'",
+            "activityConnections[ghost_child->commuting]: unknown activity 'ghost_child'",
             "agents[alice].location: unknown element 'Mars'",
             "agents[bob].parent: unknown element 'ghost_team'",
-            "activityConnections[ghost_child->commuting]: unknown activity 'ghost_child'",
             "habitualConnections[carol]: unknown agent 'carol'",
             "habitualConnections[carol]: unknown activity 'fly'",
             "habitualConnections[carol]: unknown element 'Moon'",
@@ -513,16 +529,16 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "valueConnections[dave]: unknown agent 'dave'",
             "valueConnections[dave]: unknown activity 'teleport'",
             "valueConnections[dave]: unknown value 'speed'",
-            "roots: unknown activity 'ghost_root'",
-            "environment.timepoints: unknown element 'Noon'",
-            "environment.placements: unknown element 'Attic'",
-            "environment.placements[Attic]: unknown element 'ghost_res'",
-            "environment.relocations[tick=1]: unknown agent 'eve'",
-            "environment.relocations[tick=1]: unknown element 'Moon'",
             "affordances[fly]: unknown element 'Moon'",
             "affordances[fly]: unknown activity 'fly'",
             "competences.levels[driving]: unknown agent 'frank'",
             "competences.requirements[driving]: unknown activity 'fly'",
+            "environment.relocations[tick=1]: unknown agent 'eve'",
+            "environment.relocations[tick=1]: unknown element 'Moon'",
+            "roots: unknown activity 'ghost_root'",
+            "environment.timepoints: unknown element 'Noon'",
+            "environment.placements: unknown element 'Attic'",
+            "environment.placements[Attic]: unknown element 'ghost_res'",
         ],
         [
             "unknown top-level keys: ['activityBeliefs']",
@@ -1038,6 +1054,33 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
         None,
     ),
+    "deep_unknown_row_key_habitualConnections": (
+        [
+            "habitualConnections[1100]: unknown keys ['strenght']",
+        ],
+        [
+            "habitualConnections[1100]: unknown keys ['strenght']",
+        ],
+        None,
+    ),
+    "deep_unknown_row_key_valueConnections": (
+        [
+            "valueConnections[1100]: unknown keys ['strenght']",
+        ],
+        [
+            "valueConnections[1100]: unknown keys ['strenght']",
+        ],
+        None,
+    ),
+    "deep_unknown_row_key_valuePriorities": (
+        [
+            "valuePriorities[1100]: unknown keys ['strenght']",
+        ],
+        [
+            "valuePriorities[1100]: unknown keys ['strenght']",
+        ],
+        None,
+    ),
     "deep_view_habitualConnections": (
         [
             "habitualConnections[1100]: 'strength' must be a number, got '0.5'",
@@ -1090,7 +1133,7 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         [],
         [],
         [
-            "disjointness: contextElements[bobs_car]: parent 'Home' is a Location, expected Resource",
+            "disjointness: contextElements[bobs_car].parent: 'Home' is a Location, expected Resource",
         ],
     ),
     "disjoint_placement_location": (
@@ -2156,6 +2199,21 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         [],
         [],
     ),
+    "unknown_row_keys": (
+        [
+            "agents[0]: unknown keys ['atentionalResources']",
+            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
+            "valueConnections[0]: unknown keys ['personalview', 'zz', 1]",
+            "environment.relocations[0]: unknown keys ['when']",
+        ],
+        [
+            "agents[0]: unknown keys ['atentionalResources']",
+            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
+            "valueConnections[0]: unknown keys ['personalview', 'zz', 1]",
+            "environment.relocations[0]: unknown keys ['when']",
+        ],
+        None,
+    ),
     "views_all_out_of_range": (
         [],
         [],
@@ -2170,13 +2228,13 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     ),
     "loader_agent_parent_and_location_dangling": (
         [
-            "agents[bob].parent: unknown element 'ghost_team'",
             "agents[bob].location: unknown element 'Mars'",
+            "agents[bob].parent: unknown element 'ghost_team'",
         ],
         [],
         [
-            "dangling-reference: agents[bob].parent: unknown element 'ghost_team'",
             "dangling-reference: agents[bob].location: unknown element 'Mars'",
+            "dangling-reference: agents[bob].parent: unknown element 'ghost_team'",
         ],
     ),
     "loader_agent_row_defects": (
@@ -2198,12 +2256,12 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     ),
     "loader_competence_sections_malformed": (
         [
-            "'levels' must be a list",
-            'requirements[0] must be an object',
+            "'competences.levels' must be a list",
+            'competences.requirements[0] must be an object',
         ],
         [
-            "'levels' must be a list",
-            'requirements[0] must be an object',
+            "'competences.levels' must be a list",
+            'competences.requirements[0] must be an object',
         ],
         None,
     ),
@@ -2292,25 +2350,25 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     ),
     "loader_relocation_not_an_object": (
         [
-            "environment.relocations[0]: 'tick' must be non-negative",
             'environment.relocations[1] must be an object',
-            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
             'environment.relocations[3] must be an object',
+            "environment.relocations[0]: 'tick' must be non-negative",
+            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
         ],
         [
-            "environment.relocations[0]: 'tick' must be non-negative",
             'environment.relocations[1] must be an object',
-            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
             'environment.relocations[3] must be an object',
+            "environment.relocations[0]: 'tick' must be non-negative",
+            "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
         ],
         None,
     ),
     "loader_relocations_not_a_list": (
         [
-            'environment.relocations must be a list',
+            "'environment.relocations' must be a list",
         ],
         [
-            'environment.relocations must be a list',
+            "'environment.relocations' must be a list",
         ],
         None,
     ),

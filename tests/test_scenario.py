@@ -354,10 +354,8 @@ def test_schema_doc_lists_each_row_section_as_the_code_does():
         if sec.duplicate is not None:
             on = f" on {keys(sec, sec.unique)}" if sec.unique else ""
             duplicate = f"`duplicate {sec.duplicate}`{on}"
-        elif sec.key == ("id",):
+        else:
             duplicate = "`duplicate id` (load error)"
-        else:  # reported with the activity graph's checks
-            duplicate = "`duplicate activity connection`"
         bounded = ("" if sec.bounded is None
                    else "views" if sec.bounded == "views" else keys(sec, (sec.bounded,)))
         refs = "; ".join(f"`{fl.json}`: {_pool_phrase(fl.refs)}"
