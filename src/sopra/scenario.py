@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import fields as dataclass_fields
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import Any
 
@@ -248,7 +248,7 @@ class _Reader:
         slots, _, known = _PLANS[sec.name]
         if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
                 or not _DICT.issuperset(map(type, raw))
-                or not known.issuperset(chain.from_iterable(raw))):
+                or not known.issuperset(set().union(*raw))):
             return None
         get = dict.get
         rules = _RULES.get(sec.name, {})

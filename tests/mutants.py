@@ -74,7 +74,7 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "            if False:\n",
      ("tests/test_malformed_reports.py",)),
     ("the column reader takes unknown keys", "sopra/scenario.py",
-     "                or not known.issuperset(chain.from_iterable(raw))):",
+     "                or not known.issuperset(set().union(*raw))):",
      "                or False):",
      ("tests/test_malformed_reports.py",)),
 ]
