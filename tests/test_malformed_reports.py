@@ -216,6 +216,37 @@ DISJOINT = {
 }
 
 
+def _elements(*rows: tuple[str, str]) -> Callable[[Doc], None]:
+    return _all(*(_append("contextElements", {"id": c, "kind": "Resource", "parent": p})
+                  for c, p in rows))
+
+
+def _connections(*rows: tuple[str, str]) -> Callable[[Doc], None]:
+    return _all(*(_append("activityConnections", {"child": c, "parent": p, "relation": "IsA"})
+                  for c, p in rows))
+
+
+# Cycles in each hierarchy. A forest cycle is reported once, however many
+# elements lead into it; an activity cycle is reported each time the walk
+# closes one, and a self-connection is a cycle of one activity.
+CYCLES = {
+    "element_three": _elements(("key1", "key2"), ("key2", "key3"), ("key3", "key1")),
+    "element_own_parent": _set("contextElements", 5, "parent", "car"),
+    "element_two_starts": _elements(("key_a", "ring1"), ("key_b", "ring2"),
+                                    ("ring1", "ring2"), ("ring2", "ring1")),
+    "activity_shared_node": _all(
+        *(_append("activities", {"id": a, "type": "Abstract"})
+          for a in ("loop_a", "loop_b", "loop_c")),
+        _connections(("loop_a", "loop_b"), ("loop_b", "loop_a"),
+                     ("loop_b", "loop_c"), ("loop_c", "loop_b")),
+    ),
+    "activity_self_abstract": _connections(("go_to_work", "go_to_work")),
+    "activity_self_atomic": _connections(("walk_to_work", "walk_to_work")),
+    "activity_self_only_child": _all(_append("activities", {"id": "loner", "type": "Abstract"}),
+                                     _connections(("loner", "loner"))),
+}
+
+
 # Error branches of the loader: each section or container of the wrong
 # shape, and rows with several defects, whose reports keep field order.
 LOADER_CASES: dict[str, Callable[[Doc], None]] = {
@@ -321,6 +352,7 @@ CASES: dict[str, Callable[[Doc], None]] = {
     **{f"dangling_{name}": m for name, m in DANGLING.items()},
     "dangling_every_section": _all(*DANGLING.values()),
     **{f"disjoint_{name}": m for name, m in DISJOINT.items()},
+    **{f"cycle_{name}": m for name, m in CYCLES.items()},
     "same_bad_id_twice": _all(
         _set("valueConnections", 0, "agent", "bob\n"),
         _set("valueConnections", 3, "agent", "bob\n"),
@@ -435,6 +467,57 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
             "valueConnections[4]: 'agent' must be a plain identifier string, got ''",
         ],
         None,
+    ),
+    "cycle_activity_self_abstract": (
+        [],
+        [],
+        [
+            "cycle: activity 'go_to_work' connected to itself",
+        ],
+    ),
+    "cycle_activity_self_atomic": (
+        [],
+        [],
+        [
+            "cycle: activity 'walk_to_work' connected to itself",
+        ],
+    ),
+    "cycle_activity_self_only_child": (
+        [],
+        [],
+        [
+            "cycle: activity 'loner' connected to itself",
+            "typing: abstract activity 'loner' has no children",
+        ],
+    ),
+    "cycle_activity_shared_node": (
+        [],
+        [],
+        [
+            "cycle: activity connection cycle through 'loop_a'",
+            "cycle: activity connection cycle through 'loop_b'",
+        ],
+    ),
+    "cycle_element_own_parent": (
+        [],
+        [],
+        [
+            'cycle: context hierarchy cycle: car -> car',
+        ],
+    ),
+    "cycle_element_three": (
+        [],
+        [],
+        [
+            'cycle: context hierarchy cycle: key1 -> key2 -> key3 -> key1',
+        ],
+    ),
+    "cycle_element_two_starts": (
+        [],
+        [],
+        [
+            'cycle: context hierarchy cycle: ring1 -> ring2 -> ring1',
+        ],
     ),
     "dangling_activity_parent": (
         [
