@@ -3,25 +3,39 @@
 from __future__ import annotations
 
 from .errors import ScenarioError, UnknownIdError
-from .model import ActivityType, Scenario
+from .model import Scenario, ScenarioIndex
+
+
+def atomic_frontier(idx: ScenarioIndex, node: int) -> set[int]:
+    """The atomic activity ints reachable downward from activity int
+    `node` (itself when atomic), walked over `idx.options`. A reached
+    composite without children raises ScenarioError."""
+    options = idx.options
+    frontier: set[int] = set()
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        kids = options.get(node)
+        if kids is None:  # atomic
+            frontier.add(node)
+        elif not kids:
+            raise ScenarioError(
+                f"non-atomic activity {idx.activity_ids[node]!r} has no children")
+        else:
+            stack.extend(kids)
+    return frontier
 
 
 def atomic_leaves(activity: str, scenario: Scenario) -> set[str]:
     """The atomic activities reachable downward from `activity` (itself
     when atomic). An unknown activity raises UnknownIdError."""
     idx = scenario.index
-    atype = idx.activity_type
-    aidx = idx.aidx
-    if atype[idx.activity_index(activity)] is ActivityType.ATOMIC:
-        return {activity}
-    seen: set[str] = set()
-    stack = list(idx.children(activity))
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            stack.extend(idx.children(node))
-    return {a for a in seen if atype[aidx[a]] is ActivityType.ATOMIC}
+    ids = idx.activity_ids
+    return {ids[a] for a in atomic_frontier(idx, idx.activity_index(activity))}
 
 
 def propagate_value_connection(agent_id: str, value: str, activity: str,
@@ -40,24 +54,7 @@ def propagate_value_connection(agent_id: str, value: str, activity: str,
     if agent_id not in idx.agent_specs:
         raise UnknownIdError(f"unknown agent: {agent_id!r}")
     idx.value_index(value)
-    root = idx.activity_index(activity)
+    frontier = atomic_frontier(idx, idx.activity_index(activity))
     strength = {idx.aidx[vc.activity]: vc.strength
                 for vc in idx.connections_by_agent.get(agent_id, ()) if vc.value == value}
-    memo: dict[int, float] = {}
-
-    def walk(node: int) -> float:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        kids = idx.options.get(node)
-        if kids is None:  # atomic
-            result = strength.get(node, 0.0)
-        elif not kids:
-            raise ScenarioError(
-                f"non-atomic activity {idx.activity_ids[node]!r} has no children")
-        else:
-            result = min(walk(k) for k in kids)
-        memo[node] = result
-        return result
-
-    return walk(root)
+    return min(strength.get(a, 0.0) for a in frontier)

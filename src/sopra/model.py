@@ -317,6 +317,16 @@ class Globals:
     feasibility_threshold: float = 0.0
 
 
+def _canonical(rows, key) -> tuple:
+    """`rows` sorted by `key`, or in their given order when their keys do
+    not compare (a key field holding None in a scenario made in code),
+    for `validate_scenario` to report."""
+    try:
+        return tuple(sorted(rows, key=key))
+    except TypeError:
+        return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete, declarative world description.
@@ -348,7 +358,7 @@ class Scenario:
     competence_requirements: tuple[CompetenceRequirement, ...] = ()
 
     def __post_init__(self) -> None:
-        canonical = {sec.attr: tuple(sorted(attrgetter(sec.attr)(self), key=sec.order))
+        canonical = {sec.attr: _canonical(attrgetter(sec.attr)(self), sec.order)
                      for sec in ROW_SECTIONS}
         env = self.environment
         canonical["environment"] = Environment(

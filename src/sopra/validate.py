@@ -44,16 +44,17 @@ class InvalidScenarioError(ScenarioError):
         super().__init__([f"{v.kind.value}: {v.message}" for v in report])
 
 
-def _elements(s: Scenario) -> tuple[dict[str, ElementKind], dict[str, str | None]]:
-    """Each element id's kind and hierarchy parent, read in one pass."""
+def _elements(s: Scenario) -> tuple[dict[str, ElementKind], dict[str, tuple[str, ...]]]:
+    """Each element id's kind and hierarchy parents (none or one), read in
+    one pass."""
     kinds: dict[str, ElementKind] = {}
-    parent: dict[str, str | None] = {}
+    parents: dict[str, tuple[str, ...]] = {}
     for rows, kind in ((s.context_elements, None), (s.activities, ElementKind.ACTIVITY),
                        (s.agents, ElementKind.AGENT)):
         for row in rows:
             kinds[row.id] = kind or row.kind
-            parent[row.id] = row.parent
-    return kinds, parent
+            parents[row.id] = () if row.parent is None else (row.parent,)
+    return kinds, parents
 
 
 def check_references(s: Scenario) -> list[Violation]:
@@ -157,30 +158,40 @@ def _check_references(
     return dangling, mismatched, rejected
 
 
-def _check_parent_forests(parent: dict[str, str | None]) -> list[Violation]:
-    out = []
+def _cycles(what: str, starts, parents) -> list[Violation]:
+    """Report each cycle a depth-first walk over child -> parent edges
+    closes, as `what` and the cycle's path from child to parent back to
+    where it began. The walk starts
+    from each of `starts` that no earlier start reached, and follows
+    `parents[node]`, the node's parents in order, where a node without an
+    entry has none. A node that is its own parent closes a cycle of one."""
+    cycles: list[Violation] = []
     done: set[str] = set()
-    for start in sorted(parent):
+    for start in starts:
         if start in done:
             continue
-        path: list[str] = []
-        on_path: set[str] = set()
-        node: str | None = start
-        while node is not None and node in parent and node not in done:
-            if node in on_path:
-                cycle = path[path.index(node) :]
-                out.append(
-                    Violation(
-                        ViolationKind.CYCLE,
-                        "context hierarchy cycle: " + " -> ".join(cycle + [node]),
-                    )
-                )
-                break
-            on_path.add(node)
-            path.append(node)
-            node = parent[node]
-        done.update(path)
-    return out
+        path = {start: None}  # the walk's current path, in order
+        todo = [iter(parents.get(start, ()))]
+        while todo:
+            for node in todo[-1]:
+                if node in path:
+                    trail = list(path)
+                    cycle = trail[trail.index(node):] + [node]
+                    cycles.append(Violation(ViolationKind.CYCLE,
+                                            f"{what} cycle: " + " -> ".join(cycle)))
+                elif node not in done:
+                    path[node] = None
+                    todo.append(iter(parents.get(node, ())))
+                    break
+            else:
+                todo.pop()
+                done.add(path.popitem()[0])
+    return cycles
+
+
+# The relation a composite activity's children take.
+_CHILD_RELATION = {ActivityType.ABSTRACT: RelationType.IS_A,
+                   ActivityType.SEQUENTIAL: RelationType.PART_OF}
 
 
 def _check_activity_graph(s: Scenario) -> list[Violation]:
@@ -190,11 +201,6 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
     parents: dict[str, list[str]] = {}
 
     for c in s.activity_connections:
-        if c.child == c.parent:
-            out.append(
-                Violation(ViolationKind.CYCLE, f"activity {c.child!r} connected to itself")
-            )
-            continue
         parents.setdefault(c.child, []).append(c.parent)
         ptype = types.get(c.parent)
         if ptype is None:
@@ -207,19 +213,12 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
                     f"atomic activity {c.parent!r} has child {c.child!r}",
                 )
             )
-        elif ptype is ActivityType.ABSTRACT and c.relation is not RelationType.IS_A:
+        elif c.relation is not _CHILD_RELATION[ptype]:
             out.append(
                 Violation(
                     ViolationKind.TYPING,
-                    f"abstract activity {c.parent!r} takes IsA children, got "
-                    f"{c.relation.value} from {c.child!r}",
-                )
-            )
-        elif ptype is ActivityType.SEQUENTIAL and c.relation is not RelationType.PART_OF:
-            out.append(
-                Violation(
-                    ViolationKind.TYPING,
-                    f"sequential activity {c.parent!r} takes PartOf children, got "
+                    f"{ptype.value.lower()} activity {c.parent!r} takes "
+                    f"{_CHILD_RELATION[ptype].value} children, got "
                     f"{c.relation.value} from {c.child!r}",
                 )
             )
@@ -233,34 +232,8 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
                 )
             )
 
-    # Child->parent edges must form a DAG; iterative DFS with colors.
-    color: dict[str, int] = {}
-    for start in sorted(types):
-        if color.get(start):
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            node, i = stack.pop()
-            if i == 0:
-                if color.get(node) == 2:
-                    continue
-                color[node] = 1
-            nxt = parents.get(node, ())
-            if i < len(nxt):
-                stack.append((node, i + 1))
-                child = nxt[i]
-                state = color.get(child, 0)
-                if state == 1:
-                    out.append(
-                        Violation(
-                            ViolationKind.CYCLE,
-                            f"activity connection cycle through {child!r}",
-                        )
-                    )
-                elif state == 0:
-                    stack.append((child, 0))
-            else:
-                color[node] = 2
+    # Child->parent edges must form a DAG.
+    out.extend(_cycles("activity connection", sorted(types), parents))
     return out
 
 
@@ -338,10 +311,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     what it allocates is returned or freed by reference counting, so a
     pass here would only re-scan the scenario."""
     with gc_paused():
-        kinds, parent = _elements(s)
+        kinds, parents = _elements(s)
         dangling, mismatched, _ = _check_references(s, kinds)
         report = dangling + mismatched
-        report.extend(_check_parent_forests(parent))
+        report.extend(_cycles("context hierarchy", sorted(parents), parents))
         report.extend(_check_activity_graph(s))
         report.extend(_check_rows(s))
         return report

@@ -72,6 +72,23 @@ def make_doc(**overrides: Any) -> dict[str, Any]:
     return doc
 
 
+def nested_chain_doc(depth: int) -> dict[str, Any]:
+    """`make_doc` with `depth` abstract activities nested in a chain under
+    `act_root`, the deepest of them over one atomic leaf, `leaf`, which
+    ag1 connects to thrift at strength 0.5."""
+    chain = [f"nest{i:04d}" for i in range(depth)]
+    doc = make_doc()
+    doc["activities"] += [{"id": a, "type": "Abstract"} for a in chain]
+    doc["activities"].append({"id": "leaf", "type": "Atomic"})
+    doc["activityConnections"] += [
+        {"child": child, "parent": parent, "relation": "IsA"}
+        for parent, child in zip(["act_root", *chain], [*chain, "leaf"])
+    ]
+    doc["valueConnections"].append({"agent": "ag1", "activity": "leaf", "value": "thrift",
+                                    "strength": 0.5, "personalView": 0.5})
+    return doc
+
+
 def habit_formation_doc(*, timepoints: list[str], relocations: list[dict] | None = None,
                         habit_rate: float = 0.1) -> dict[str, Any]:
     """One agent choosing between two transports; drive_car wins on values

@@ -35,9 +35,17 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      '("child", "parent", "relation"))',
      ("tests/test_validate.py",)),
     ("no sequential-takes-PartOf report", "sopra/validate.py",
-     "        elif ptype is ActivityType.SEQUENTIAL and c.relation is not RelationType.PART_OF:\n",
-     "        elif False:\n",
+     "        elif c.relation is not _CHILD_RELATION[ptype]:\n",
+     "        elif ptype is ActivityType.ABSTRACT and c.relation is not _CHILD_RELATION[ptype]:\n",
      ("tests/test_validate.py",)),
+    ("a cycle's path not closed", "sopra/validate.py",
+     "cycle = trail[trail.index(node):] + [node]",
+     "cycle = trail[trail.index(node):]",
+     ("tests/test_malformed_reports.py",)),
+    ("the frontier walk passes over a childless composite", "sopra/hierarchy.py",
+     "        elif not kids:\n            raise ScenarioError(",
+     "        elif not kids:\n            continue\n            raise ScenarioError(",
+     ("tests/test_hierarchy.py",)),
     ("values name no pool", "sopra/model.py",
      '_VALUE = _Field("value", "ident", "value")',
      '_VALUE = _Field("value", "ident")',

@@ -12,7 +12,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from helpers import mutation_fixtures
+from helpers import mutation_fixtures, nested_chain_doc
 from test_golden_logs import _generated_document
 
 import sopra
@@ -292,6 +292,14 @@ def test_infer_propagate(scenario_file, capsys):
                  "--activity", "bring_kids_to_school", "--value", "boring",
                  "--agent", "bob"]) == 0
     assert capsys.readouterr().out.strip() == "bring_kids_to_school boring 0.600000"
+
+
+def test_infer_propagate_down_a_deep_chain(tmp_path, capsys):
+    path = _write(tmp_path, nested_chain_doc(400))
+    assert main(["validate", path]) == 0
+    assert main(["infer", "--scenario", path, "--op", "propagate",
+                 "--activity", "act_root", "--value", "thrift", "--agent", "ag1"]) == 0
+    assert capsys.readouterr().out == "OK\nact_root thrift 0.500000\n"
 
 
 def test_infer_propagate_needs_value_and_agent(scenario_file, capsys):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from helpers import entry, make_doc
+from helpers import entry, make_doc, nested_chain_doc
 
 from sopra import (
     ActivityType,
@@ -15,6 +15,7 @@ from sopra import (
     build_scenario,
     init_agent_state,
     propagate_value_connection,
+    validate_scenario,
 )
 from sopra.scenarios import list_bundled, load_bundled
 from sopra.testing import random_scenario_document
@@ -193,6 +194,33 @@ def test_propagate_matches_bruteforce_on_random_trees():
                     got = propagate_value_connection(agent, value, a, s)
                     want = brute_propagate(doc, agent, value, a)
                     assert got == want, (agent, value, a)
+
+
+def test_a_deep_chain_of_abstract_activities():
+    # Deeper than the interpreter's recursion limit allows a recursive
+    # walk to go: the frontier below every node of the chain is the leaf.
+    s = build_scenario(nested_chain_doc(400))
+    assert validate_scenario(s) == []
+    for activity in ("nest0000", "nest0399"):
+        assert propagate_value_connection("ag1", "thrift", activity, s) == 0.5
+        assert atomic_leaves(activity, s) == {"leaf"}
+
+
+def test_a_reached_composite_without_children_raises():
+    # Only a scenario that skipped validation has one; the walk stops at
+    # it, whether it asks for leaves or a propagated strength.
+    doc = make_doc()
+    doc["activities"].append({"id": "ghost", "type": "Sequential"})
+    doc["activityConnections"].append({"child": "ghost", "parent": "act_root",
+                                       "relation": "IsA"})
+    s = build_scenario(doc, check_refs=False)
+    message = "non-atomic activity 'ghost' has no children"
+    for activity in ("act_root", "ghost"):
+        with pytest.raises(ScenarioError, match=message):
+            atomic_leaves(activity, s)
+        with pytest.raises(ScenarioError, match=message):
+            propagate_value_connection("ag1", "thrift", activity, s)
+    assert atomic_leaves("opt_a", s) == {"opt_a"}
 
 
 def test_project_collective_defaults_to_personal(commuting):

@@ -472,30 +472,30 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         [],
         [],
         [
-            "cycle: activity 'go_to_work' connected to itself",
+            'cycle: activity connection cycle: go_to_work -> go_to_work',
         ],
     ),
     "cycle_activity_self_atomic": (
         [],
         [],
         [
-            "cycle: activity 'walk_to_work' connected to itself",
+            "atomic-with-children: atomic activity 'walk_to_work' has child 'walk_to_work'",
+            'cycle: activity connection cycle: walk_to_work -> walk_to_work',
         ],
     ),
     "cycle_activity_self_only_child": (
         [],
         [],
         [
-            "cycle: activity 'loner' connected to itself",
-            "typing: abstract activity 'loner' has no children",
+            'cycle: activity connection cycle: loner -> loner',
         ],
     ),
     "cycle_activity_shared_node": (
         [],
         [],
         [
-            "cycle: activity connection cycle through 'loop_a'",
-            "cycle: activity connection cycle through 'loop_b'",
+            'cycle: activity connection cycle: loop_a -> loop_b -> loop_a',
+            'cycle: activity connection cycle: loop_b -> loop_c -> loop_b',
         ],
     ),
     "cycle_element_own_parent": (

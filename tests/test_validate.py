@@ -64,6 +64,17 @@ def test_none_at_a_required_reference_in_a_scenario_built_in_code_is_dangling():
         f"dangling-reference: agents[{agent.id}].location: unknown element None"]
 
 
+def test_a_key_field_that_does_not_compare_in_a_scenario_built_in_code_is_reported():
+    # None does not sort with the ids, so the section keeps its given order.
+    s = load_bundled("commuting")
+    rows = s.habitual_connections
+    s = dataclasses.replace(
+        s, habitual_connections=(dataclasses.replace(rows[0], agent=None), *rows[1:]))
+    assert s.habitual_connections[0].agent is None
+    assert [f"{v.kind.value}: {v.message}" for v in validate_scenario(s)] == [
+        "dangling-reference: habitualConnections[None]: unknown agent None"]
+
+
 def test_duplicate_habitual_triple():
     doc = make_doc()
     row = {"agent": "ag1", "activity": "opt_a", "contextElement": "Home",
