@@ -161,10 +161,10 @@ def _check_references(
 def _cycles(what: str, starts, parents) -> list[Violation]:
     """Report each cycle a depth-first walk over child -> parent edges
     closes, as `what` and the cycle's path from child to parent back to
-    where it began. The walk starts
-    from each of `starts` that no earlier start reached, and follows
-    `parents[node]`, the node's parents in order, where a node without an
-    entry has none. A node that is its own parent closes a cycle of one."""
+    where it began. The walk starts from each of `starts` that no earlier
+    start reached, and follows `parents[node]`, the node's parents in
+    order, where a node without an entry has none. A node that is its own
+    parent closes a cycle of one."""
     cycles: list[Violation] = []
     done: set[str] = set()
     for start in starts:

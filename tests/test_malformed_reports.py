@@ -244,6 +244,8 @@ CYCLES = {
     "activity_self_atomic": _connections(("walk_to_work", "walk_to_work")),
     "activity_self_only_child": _all(_append("activities", {"id": "loner", "type": "Abstract"}),
                                      _connections(("loner", "loner"))),
+    # The walk starts from the declared activities only.
+    "activity_self_undeclared": _connections(("ghost_act", "ghost_act")),
 }
 
 
@@ -488,6 +490,15 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         [],
         [
             'cycle: activity connection cycle: loner -> loner',
+        ],
+    ),
+    "cycle_activity_self_undeclared": (
+        [
+            "activityConnections[ghost_act->ghost_act]: unknown activity 'ghost_act'",
+        ],
+        [],
+        [
+            "dangling-reference: activityConnections[ghost_act->ghost_act]: unknown activity 'ghost_act'",
         ],
     ),
     "cycle_activity_shared_node": (
