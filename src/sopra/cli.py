@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or I/O problems (including malformed
-documents and bad overrides), 2 scenario validation failures.
+documents and overrides that are malformed or of the wrong kind), 2
+scenario validation failures (an override out of its range included).
 """
 
 from __future__ import annotations

@@ -167,20 +167,22 @@ class _Field:
     `json` is its key in documents; `attr`, the row attribute that holds
     it, is that key in snake case. `kind` says how the builder reads it:
     ``"ident"`` (a plain identifier string), ``"number"``, ``"integer"``,
-    or the `Enum` class whose values it takes. An `optional` field reads
-    an absent or null value as None; a number with a `default` reads an
-    absent one as that. `refs` is the pool a reference must name:
-    ``"element"`` (any element), an `ElementKind` (an element of that
-    kind), ``"own kind"`` (an element of the row's own `kind`),
-    ``"activity"``, ``"agent"`` or ``"value"``; None when the field names
-    nothing.
+    ``"boolean"``, the `Enum` class whose values it takes, or the tuple of
+    words it takes. An `optional` field reads an absent or null value as
+    None; a number with a `default` reads an absent one as that. `refs`
+    is the pool a reference must name: ``"element"`` (any element), an
+    `ElementKind` (an element of that kind), ``"own kind"`` (an element of
+    the row's own `kind`), ``"activity"``, ``"agent"`` or ``"value"``; None
+    when the field names nothing. `within` is the interval a number must
+    lie in, as the docs write it: ``"(0, 1]"``, ``"[0, inf)"``.
     """
 
     json: str
-    kind: str | type
+    kind: str | type | tuple[str, ...]
     refs: str | ElementKind | None = None
     optional: bool = False
     default: float | None = None
+    within: str | None = None
     attr: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -189,9 +191,9 @@ class _Field:
 
 # A view row's strength, personal view and collective view.
 _VIEWS = (
-    _Field("strength", "number", default=0.0),
-    _Field("personalView", "number", default=0.0),
-    _Field("myCollectiveView", "number", optional=True),
+    _Field("strength", "number", default=0.0, within="[0, 1]"),
+    _Field("personalView", "number", default=0.0, within="[0, 1]"),
+    _Field("myCollectiveView", "number", optional=True, within="[0, 1]"),
 )
 
 
@@ -206,9 +208,7 @@ class RowSection:
     `key` names the fields that order the section's rows canonically.
     `unique` names the fields no two rows of a section with a `duplicate`
     label may share; left empty, it is the whole key. A report names a
-    row by those fields, as ``name[a:b]``. `bounded` is the field whose
-    number must lie in [0, 1]; ``"views"`` means the row's `strength` and
-    `personal_view`, and its `my_collective_view` unless that is None.
+    row by those fields, as ``name[a:b]``.
     """
 
     attr: str  # Scenario attribute; "environment.relocations" is the environment's
@@ -218,7 +218,6 @@ class RowSection:
     cite: str
     key: tuple[str, ...]
     duplicate: str | None = None  # multiplicity label; None: ids, which the builder checks
-    bounded: str | None = None
     unique: tuple[str, ...] = ()
 
     @property
@@ -261,32 +260,34 @@ ROW_SECTIONS: tuple[RowSection, ...] = (
         _Field("relation", RelationType),
     ), "[{0.child}->{0.parent}]", ("child", "parent", "relation"), "activity connection"),
     RowSection("agents", "agents", AgentSpec, (
-        _ID, _Field("habitRate", "number"), _Field("attentionBudget", "integer"),
-        _Field("attentionalResources", "integer", optional=True), _LOCATION,
+        _ID, _Field("habitRate", "number", within="(0, 1]"),
+        _Field("attentionBudget", "integer", within="[0, inf)"),
+        _Field("attentionalResources", "integer", optional=True, within="[0, inf)"), _LOCATION,
         _Field("parent", "ident", ElementKind.AGENT, optional=True),
     ), "[{0.id}].{1}", ("id",)),
     RowSection("habitual_connections", "habitualConnections", HabitualConnection,
                (_AGENT, _ACTIVITY, _ELEMENT, *_VIEWS), "[{0.agent}]",
-               ("agent", "activity", "context_element"), "habitual connection", "views"),
+               ("agent", "activity", "context_element"), "habitual connection"),
     RowSection("value_priorities", "valuePriorities", ValuePriority,
                (_AGENT, _VALUE, *_VIEWS), "[{0.agent}]",
-               ("agent", "value"), "value priority", "views"),
+               ("agent", "value"), "value priority"),
     RowSection("value_connections", "valueConnections", ValueConnection,
                (_AGENT, _ACTIVITY, _VALUE, *_VIEWS), "[{0.agent}]",
-               ("agent", "activity", "value"), "value connection", "views"),
+               ("agent", "activity", "value"), "value connection"),
     RowSection("affordances", "affordances", AffordanceConnection,
-               (_ELEMENT, _ACTIVITY, _Field("strength", "number")), "[{0.activity}]",
-               ("context_element", "activity"), "affordance", "strength"),
+               (_ELEMENT, _ACTIVITY, _Field("strength", "number", within="[0, 1]")),
+               "[{0.activity}]", ("context_element", "activity"), "affordance"),
     RowSection("competence_levels", "competences.levels", CompetenceLevel,
-               (_AGENT, _COMPETENCE, _Field("level", "number")), "[{0.competence}]",
-               ("agent", "competence"), "competence level", "level"),
+               (_AGENT, _COMPETENCE, _Field("level", "number", within="[0, 1]")),
+               "[{0.competence}]", ("agent", "competence"), "competence level"),
     RowSection("competence_requirements", "competences.requirements", CompetenceRequirement,
-               (_ACTIVITY, _COMPETENCE, _Field("required", "number")), "[{0.competence}]",
-               ("activity", "competence"), "competence requirement", "required"),
+               (_ACTIVITY, _COMPETENCE, _Field("required", "number", within="[0, 1]")),
+               "[{0.competence}]", ("activity", "competence"), "competence requirement"),
     # One agent moves at most once per tick; `location` only completes
     # the order, so any two documents with the same rows build equal.
     RowSection("environment.relocations", "environment.relocations", Relocation,
-               (_Field("tick", "integer"), _AGENT, _LOCATION), "[tick={0.tick}]",
+               (_Field("tick", "integer", within="[0, inf)"), _AGENT, _LOCATION),
+               "[tick={0.tick}]",
                ("tick", "agent", "location"), "relocation", unique=("tick", "agent")),
 )
 
@@ -310,11 +311,28 @@ class Globals:
     awareness_rate: float = 0.5
     attenuation: float = 0.5
     deliberation_cost: int = 1
-    pressure_aggregation: str = "mean"  # mean | max | sum
+    pressure_aggregation: str = "mean"
     decay_all: bool = False
-    tie_break: str = "lexicographic"  # lexicographic | uniform
+    tie_break: str = "lexicographic"
     extensions_enabled: bool = False
     feasibility_threshold: float = 0.0
+
+
+# Each global's document key, kind, and interval or words, in `Globals`
+# field order; its attribute is its key in snake case.
+GLOBAL_FIELDS: tuple[_Field, ...] = (
+    _Field("habitThreshold", "number", within="[0, 1]"),
+    _Field("decayRate", "number", within="[0, 1)"),
+    _Field("socialLearningRate", "number", within="(0, 1]"),
+    _Field("awarenessRate", "number", within="(0, 1]"),
+    _Field("attenuation", "number", within="[0, 1]"),
+    _Field("deliberationCost", "integer", within="[0, inf)"),
+    _Field("pressureAggregation", ("mean", "max", "sum")),
+    _Field("decayAll", "boolean"),
+    _Field("tieBreak", ("lexicographic", "uniform")),
+    _Field("extensionsEnabled", "boolean"),
+    _Field("feasibilityThreshold", "number", within="[0, 1]"),
+)
 
 
 def _canonical(rows, key) -> tuple:

@@ -3,9 +3,10 @@
 `build_scenario` turns a plain JSON-style mapping into a `Scenario`,
 collecting every malformed field before raising; `Scenario` puts the
 collections into canonical order, so equal content builds equal values.
-Out-of-range view numbers are deliberately NOT rejected here; they build
-fine and surface as `validate_scenario` violations, which keeps the
-builder usable on documents you want to diagnose rather than refuse.
+The builder checks each value's kind only: a number outside its interval,
+or any other broken rule on a value, builds fine and surfaces as a
+`validate_scenario` violation, which keeps the builder usable on
+documents you want to diagnose rather than refuse.
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from typing import Any
 
 from ._gc import gc_paused
 from .errors import ScenarioError
-from .model import ROW_SECTIONS, ElementKind, Environment, Globals, RowSection, Scenario
+from .model import GLOBAL_FIELDS, ROW_SECTIONS, Environment, Globals, RowSection, Scenario
 
 # The document's top-level keys, in the order `serialize_scenario` writes
 # them; "environment" and "competences" hold row sections of their own.
 _DOCUMENT_ORDER = ("contextElements", "activities", "activityConnections", "values", "agents",
                    "habitualConnections", "valuePriorities", "valueConnections", "roots",
                    "environment", "globals", "affordances", "competences")
-
-# Each global's document key, which is its `Globals` field in camel case.
-_GLOBALS_KEYS = {re.sub("_([a-z])", lambda m: m[1].upper(), f.name): f.name
-                 for f in dataclass_fields(Globals)}
-
 
 # Characters no identifier may hold: a comma, a line break or a carriage
 # return would split a CSV row, a double quote would open a quoted CSV
@@ -77,46 +73,6 @@ _COLUMN_MIN_ROWS = 32
 # set: `issuperset(map(type, column))` runs the loop in C.
 _PLAIN_TYPES = {"ident": str, "number": float, "integer": int}
 _DICT = frozenset({dict})
-
-
-# Rules on one field that are not about its type, by section name and
-# field. Each runs right after its field is read, and only when that read
-# reported nothing: a failed read leaves a placeholder, which no rule
-# judges. It gets the value and the document's row, and returns the
-# problem or None.
-def _element_kind(kind: ElementKind, row: Mapping[str, Any]) -> str | None:
-    if kind in (ElementKind.ACTIVITY, ElementKind.AGENT):
-        return f"declare {kind.value} tokens under their own section"
-    return None
-
-
-def _habit_rate(rate: float, row: Mapping[str, Any]) -> str | None:
-    return None if 0.0 < rate <= 1.0 else f"'habitRate' must be in (0, 1], got {rate!r}"
-
-
-def _attention_budget(budget: int, row: Mapping[str, Any]) -> str | None:
-    return "'attentionBudget' must be non-negative" if budget < 0 else None
-
-
-def _attentional_resources(resources: int, row: Mapping[str, Any]) -> str | None:
-    budget = row.get("attentionBudget")
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        return None  # `_Reader.integer` reported the budget
-    if not 0 <= resources <= budget:
-        return "'attentionalResources' must lie in [0, attentionBudget]"
-    return None
-
-
-def _tick(tick: int, row: Mapping[str, Any]) -> str | None:
-    return "'tick' must be non-negative" if tick < 0 else None
-
-
-_RULES: dict[str, dict[str, Callable[[Any, Mapping[str, Any]], str | None]]] = {
-    "contextElements": {"kind": _element_kind},
-    "agents": {"habitRate": _habit_rate, "attentionBudget": _attention_budget,
-               "attentionalResources": _attentional_resources},
-    "environment.relocations": {"tick": _tick},
-}
 
 _SECTIONS = {sec.name: sec for sec in ROW_SECTIONS}
 
@@ -203,12 +159,11 @@ class _Reader:
 
     def section(self, sec: RowSection, pairs: Iterable[tuple[int, Mapping[str, Any]]]) -> list:
         """The rows of `sec` from (position, object) `pairs`, each read
-        field by field in the declared order, with the section's rules,
-        after a report of any key that names no field. A value of the
-        field's plain type (an identifier already accepted, a float, an
-        int) is taken as is; any other goes to its reader."""
+        field by field in the declared order, after a report of any key
+        that names no field. A value of the field's plain type (an
+        identifier already accepted, a float, an int) is taken as is; any
+        other goes to its reader."""
         name = sec.name
-        errs = self.errs
         idents = self._idents
         slots, steps, known = _PLANS[name]
         out = []
@@ -216,21 +171,13 @@ class _Reader:
             if not known.issuperset(obj):
                 self.fail(name, i, f"unknown keys {_sorted_keys(set(obj).difference(known))}")
             args: list[Any] = [None] * len(slots)
-            for slot, key, default, plain, optional, read, rule in steps:
+            for slot, key, default, plain, optional, read in steps:
                 v = obj.get(key, default)
                 if type(v) is not plain or plain is str and v not in idents:
                     if v is None and optional:
                         continue
-                    n = len(errs)
                     v = read(self, obj, key, name, i)
-                    if len(errs) > n:
-                        args[slot] = v
-                        continue
                 args[slot] = v
-                if rule is not None:
-                    problem = rule(v, obj)
-                    if problem is not None:
-                        self.fail(name, i, problem)
             out.append(sec.row(*args))
         return out
 
@@ -240,18 +187,16 @@ class _Reader:
 
         Returns None, having reported nothing, when the section is shorter
         than `_COLUMN_MIN_ROWS`, is not a list of dicts, or holds anything
-        that the row reader or a rule would report (a key that names no
-        field, a column of the wrong type, an id that is not a plain
-        identifier, an unknown enum value). The caller then reads the
-        section row by row, and the row reader words every report, in
-        document order."""
+        that the row reader would report (a key that names no field, a
+        column of the wrong type, an id that is not a plain identifier, an
+        unknown enum value). The caller then reads the section row by row,
+        and the row reader words every report, in document order."""
         slots, _, known = _PLANS[sec.name]
         if (type(raw) is not list or len(raw) < _COLUMN_MIN_ROWS
                 or not _DICT.issuperset(map(type, raw))
                 or not known.issuperset(set().union(*raw))):
             return None
         get = dict.get
-        rules = _RULES.get(sec.name, {})
         columns = {}
         for fl in sec.fields:
             column = list(map(get, raw, repeat(fl.json), repeat(fl.default)))
@@ -269,10 +214,6 @@ class _Reader:
                 column = list(map(_MEMBERS[fl.kind].get, column))
                 if None in column:
                     return None
-            rule = rules.get(fl.json)
-            if rule is not None and any(rule(v, obj) for v, obj in zip(column, raw)
-                                        if v is not None):
-                return None
             columns[fl.attr] = column
         return list(map(sec.row, *map(columns.__getitem__, slots)))
 
@@ -301,10 +242,9 @@ def _enum_reader(enum: type[Enum]) -> Callable[..., Enum]:
 def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple, frozenset[str]]:
     """How `_Reader` reads `sec`: the row class's fields in its argument
     order; per declared field its argument position, document key,
-    default, plain type, optional flag, reader and rule; and the keys its
-    rows may hold."""
+    default, plain type, optional flag and reader; and the keys its rows
+    may hold."""
     slots = tuple(f.name for f in dataclass_fields(sec.row))
-    rules = _RULES.get(sec.name, {})
     steps = []
     for fl in sec.fields:
         if fl.kind == "ident":
@@ -316,8 +256,7 @@ def _plan(sec: RowSection) -> tuple[tuple[str, ...], tuple, frozenset[str]]:
         else:
             read = _enum_reader(fl.kind)
         plain = _PLAIN_TYPES.get(fl.kind)
-        steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read,
-                      rules.get(fl.json)))
+        steps.append((slots.index(fl.attr), fl.json, fl.default, plain, fl.optional, read))
     return slots, tuple(steps), frozenset(fl.json for fl in sec.fields)
 
 
@@ -325,56 +264,34 @@ _PLANS = {sec.name: _plan(sec) for sec in ROW_SECTIONS}
 
 
 def _parse_globals(doc: Mapping[str, Any], errs: list[str]) -> Globals:
+    """The document's globals, each checked only for its kind: a number,
+    an integer, a boolean, or one of its words. `validate_scenario` judges
+    the numbers against their intervals."""
     raw = doc.get("globals", {})
     if not isinstance(raw, Mapping):
         errs.append("'globals' must be an object")
         return Globals()
-    unknown = set(raw) - set(_GLOBALS_KEYS)
+    unknown = set(raw).difference(fl.json for fl in GLOBAL_FIELDS)
     if unknown:
         errs.append(f"globals: unknown keys {_sorted_keys(unknown)}")
     kwargs: dict[str, Any] = {}
-    for json_key, attr in _GLOBALS_KEYS.items():
-        if json_key not in raw:
+    for fl in GLOBAL_FIELDS:
+        if fl.json not in raw:
             continue
-        v = raw[json_key]
-        if attr in ("decay_all", "extensions_enabled"):
-            if not isinstance(v, bool):
-                errs.append(f"globals: {json_key!r} must be a boolean")
-                continue
-        elif attr == "deliberation_cost":
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                errs.append(f"globals: {json_key!r} must be a non-negative integer")
-                continue
-        elif attr == "pressure_aggregation":
-            if v not in ("mean", "max", "sum"):
-                errs.append(f"globals: {json_key!r} must be mean, max or sum")
-                continue
-        elif attr == "tie_break":
-            if v not in ("lexicographic", "uniform"):
-                errs.append(f"globals: {json_key!r} must be lexicographic or uniform")
-                continue
+        v = raw[fl.json]
+        if isinstance(fl.kind, tuple):
+            ok, takes = v in fl.kind, f"{', '.join(fl.kind[:-1])} or {fl.kind[-1]}"
+        elif fl.kind == "boolean":
+            ok, takes = isinstance(v, bool), "a boolean"
+        elif fl.kind == "integer":
+            ok, takes = isinstance(v, int) and not isinstance(v, bool), "an integer"
         else:
-            if not _is_number(v):
-                errs.append(f"globals: {json_key!r} must be a number")
-                continue
-            v = float(v)
-            lo, hi = _GLOBAL_RANGES[attr]
-            if not (lo[1] <= v if lo[0] else lo[1] < v) or not (v <= hi[1] if hi[0] else v < hi[1]):
-                errs.append(f"globals: {json_key!r} out of range: {v!r}")
-                continue
-        kwargs[attr] = v
+            ok, takes = _is_number(v), "a number"
+        if not ok:
+            errs.append(f"globals: {fl.json!r} must be {takes}")
+            continue
+        kwargs[fl.attr] = float(v) if fl.kind == "number" else v
     return Globals(**kwargs)
-
-
-# attr -> ((closed, low), (closed, high))
-_GLOBAL_RANGES: dict[str, tuple[tuple[bool, float], tuple[bool, float]]] = {
-    "habit_threshold": ((True, 0.0), (True, 1.0)),
-    "decay_rate": ((True, 0.0), (False, 1.0)),
-    "social_learning_rate": ((False, 0.0), (True, 1.0)),
-    "awareness_rate": ((False, 0.0), (True, 1.0)),
-    "attenuation": ((True, 0.0), (True, 1.0)),
-    "feasibility_threshold": ((True, 0.0), (True, 1.0)),
-}
 
 
 def _parse_environment(doc: Mapping[str, Any], f: _Reader) -> Environment:
@@ -520,7 +437,7 @@ def serialize_scenario(s: Scenario) -> dict[str, Any]:
         "placements": {loc: list(res) for loc, res in s.environment.placements},
         "relocations": rows["environment.relocations"],
     }
-    doc["globals"] = {key: getattr(s.globals, attr) for key, attr in _GLOBALS_KEYS.items()}
+    doc["globals"] = {fl.json: getattr(s.globals, fl.attr) for fl in GLOBAL_FIELDS}
     doc["competences"] = {
         "levels": rows["competences.levels"],
         "requirements": rows["competences.requirements"],

@@ -10,14 +10,15 @@ involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
 from ._gc import gc_paused
 from .errors import ScenarioError
-from .model import _VIEWS, ROW_SECTIONS, ActivityType, ElementKind, RelationType, RowSection
-from .model import Scenario
+from .model import _VIEWS, GLOBAL_FIELDS, ROW_SECTIONS, ActivityType, ElementKind, RelationType
+from .model import RowSection, Scenario, _Field
 
 
 class ViolationKind(str, Enum):
@@ -105,12 +106,10 @@ def _check_references(
         """Report `token`, which is not in `pools[refs]`, at `where`.
         `ident`: the builder reads the token as an identifier."""
         if isinstance(refs, ElementKind) and token in kinds:
-            mismatched.append(
-                Violation(
+            if isinstance(kinds[token], ElementKind):  # else `_check_fields` reports the kind
+                mismatched.append(Violation(
                     ViolationKind.DISJOINTNESS,
-                    f"{where}: {token!r} is a {kinds[token].value}, expected {refs.value}",
-                )
-            )
+                    f"{where}: {token!r} is a {kinds[token].value}, expected {refs.value}"))
             return
         what = "element" if isinstance(refs, ElementKind) else refs
         message = f"{where}: unknown {what} {token!r}"
@@ -161,13 +160,14 @@ def _check_references(
 def _cycles(what: str, starts, parents) -> list[Violation]:
     """Report each cycle a depth-first walk over child -> parent edges
     closes, as `what` and the cycle's path from child to parent back to
-    where it began. The walk starts from each of `starts` that no earlier
-    start reached, and follows `parents[node]`, the node's parents in
-    order, where a node without an entry has none. A node that is its own
-    parent closes a cycle of one."""
+    where it began. The walk starts from each string among `starts`, in
+    sorted order, that no earlier start reached (`_check_fields` reports
+    an id that is no string), and follows `parents[node]`, the node's
+    parents in order, where a node without an entry has none. A node that
+    is its own parent closes a cycle of one."""
     cycles: list[Violation] = []
     done: set[str] = set()
-    for start in starts:
+    for start in sorted(start for start in starts if isinstance(start, str)):
         if start in done:
             continue
         path = {start: None}  # the walk's current path, in order
@@ -196,7 +196,8 @@ _CHILD_RELATION = {ActivityType.ABSTRACT: RelationType.IS_A,
 
 def _check_activity_graph(s: Scenario) -> list[Violation]:
     out: list[Violation] = []
-    types = {a.id: a.type for a in s.activities}
+    # Any other type is `_check_fields`' report.
+    types = {a.id: a.type for a in s.activities if isinstance(a.type, ActivityType)}
     has_children: set[str] = set()
     parents: dict[str, list[str]] = {}
 
@@ -213,81 +214,132 @@ def _check_activity_graph(s: Scenario) -> list[Violation]:
                     f"atomic activity {c.parent!r} has child {c.child!r}",
                 )
             )
+        elif not isinstance(c.relation, RelationType):
+            continue  # `_check_fields` reports it
         elif c.relation is not _CHILD_RELATION[ptype]:
-            out.append(
-                Violation(
-                    ViolationKind.TYPING,
-                    f"{ptype.value.lower()} activity {c.parent!r} takes "
-                    f"{_CHILD_RELATION[ptype].value} children, got "
-                    f"{c.relation.value} from {c.child!r}",
-                )
-            )
+            out.append(Violation(ViolationKind.TYPING,
+                                 f"{ptype.value.lower()} activity {c.parent!r} takes "
+                                 f"{_CHILD_RELATION[ptype].value} children, got "
+                                 f"{c.relation.value} from {c.child!r}"))
 
-    for a in s.activities:
-        if a.type is not ActivityType.ATOMIC and a.id not in has_children:
-            out.append(
-                Violation(
-                    ViolationKind.TYPING,
-                    f"{a.type.value.lower()} activity {a.id!r} has no children",
-                )
-            )
+    for a, atype in types.items():
+        if atype is not ActivityType.ATOMIC and a not in has_children:
+            out.append(Violation(ViolationKind.TYPING,
+                                 f"{atype.value.lower()} activity {a!r} has no children"))
 
     # Child->parent edges must form a DAG.
-    out.extend(_cycles("activity connection", sorted(types), parents))
+    out.extend(_cycles("activity connection", types, parents))
     return out
 
 
-# A view row's bounded fields: each one's name in reports, and its attribute.
-_VIEW_FIELDS = tuple((fl.json, fl.attr) for fl in _VIEWS)
+def _bounds(within: str) -> tuple[float, float]:
+    """`lo` and `hi` such that ``lo <= x <= hi`` tests a number against
+    `within`, an interval as the docs write it (``"(0, 1]"``): an open end
+    moves to the next float inward, exactly for floats and for the ints a
+    float can hold."""
+    lo, hi = map(float, within[1:-1].split(","))
+    if within[0] == "(":
+        lo = math.nextafter(lo, math.inf)
+    if within[-1] == ")":
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi
 
 
-def _check_ranges(rows, sec: RowSection, out: list[Violation]) -> None:
-    """Flag every bounded field that is not a number in [0, 1] (NaN
-    included); a view row's `my_collective_view` may also be None. A row
-    of in-range floats passes the first test, and only a row that fails
-    has its location formatted."""
-    if sec.bounded == "views":
-        fields = _VIEW_FIELDS
-        for row in rows:
-            s, p, c = row.strength, row.personal_view, row.my_collective_view
-            if (type(s) is float and type(p) is float and 0.0 <= s <= 1.0 and 0.0 <= p <= 1.0
-                    and (c is None or type(c) is float and 0.0 <= c <= 1.0)):
-                continue
-            _report_ranges(row, sec, fields, out)
+# What a value of each plain kind must be, as reported, and its types.
+_KINDS = {"number": ("a number", (int, float)), "integer": ("an integer", (int,)),
+          "ident": ("a string", (str,)), "boolean": ("a boolean", (bool,))}
+
+
+def _judge(fl: _Field, x, at: str) -> Violation | None:
+    """What is wrong with `x` as the value of `fl` at `at`, or None:
+    `view-range` for a number outside its interval or a bounded value that
+    is no number, `typing` for any other value not of the field's kind."""
+    if x is None and fl.optional:
+        return None
+    kind = fl.kind
+    if isinstance(kind, type):  # an enum
+        ok, takes = isinstance(x, kind), "one of " + ", ".join(m.value for m in kind)
+    elif isinstance(kind, tuple):  # a global's words
+        ok, takes = isinstance(x, str) and x in kind, "one of " + ", ".join(kind)
     else:
-        fields = ((sec.bounded, sec.bounded),)
-        for row in rows:
-            x = getattr(row, sec.bounded)
-            if type(x) is float and 0.0 <= x <= 1.0:
-                continue
-            _report_ranges(row, sec, fields, out)
+        takes, types = _KINDS[kind]
+        ok = isinstance(x, types) and (kind == "boolean" or not isinstance(x, bool))
+    if not ok:
+        return Violation(ViolationKind.TYPING if fl.within is None else ViolationKind.VIEW_RANGE,
+                         f"{at}: {fl.json} must be {takes}, got {x!r}")
+    if fl.within is not None:
+        lo, hi = _bounds(fl.within)
+        if not lo <= x <= hi:
+            return Violation(ViolationKind.VIEW_RANGE, f"{at}: {fl.json} {x!r} outside {fl.within}")
+    return None
 
 
-def _report_ranges(row, sec: RowSection, fields, out: list[Violation]) -> None:
-    """Append a violation for each of `fields` of `row` that fails."""
+# Each section's judged fields: every field with an interval, and every
+# field that names no pool (the reference walk judges the others).
+_JUDGED = {sec.name: tuple(fl for fl in sec.fields if fl.within is not None or fl.refs is None)
+           for sec in ROW_SECTIONS}
+
+
+def _fast_test(fl: _Field) -> tuple:
+    """`fl`'s getter, the exact types that pass it as they are, and its
+    interval's bounds (None, None without one)."""
+    types = _KINDS[fl.kind][1] if fl.kind in _KINDS else (fl.kind,)
+    bounds = _bounds(fl.within) if fl.within else (None, None)
+    return (attrgetter(fl.attr), types + ((type(None),) if fl.optional else ()), *bounds)
+
+
+_FAST = {name: tuple(map(_fast_test, fields)) for name, fields in _JUDGED.items()}
+# The views share one interval, which their one-pass test reads.
+((_VIEW_LO, _VIEW_HI),) = {_bounds(fl.within) for fl in _VIEWS}
+
+
+def _report_fields(row, sec: RowSection, out: list[Violation]) -> None:
+    """Append what `_judge` finds in each judged field of `row`."""
     at = f"{sec.name}[{sec.label(row)}]"
-    for label, attr in fields:
-        x = getattr(row, attr)
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            if x is not None or attr != "my_collective_view":
-                out.append(Violation(ViolationKind.VIEW_RANGE,
-                                     f"{at}: {label} must be a number, got {x!r}"))
-        elif not 0.0 <= x <= 1.0:
-            out.append(Violation(ViolationKind.VIEW_RANGE, f"{at}: {label} {x!r} outside [0, 1]"))
+    out.extend(filter(None, (_judge(fl, getattr(row, fl.attr), at) for fl in _JUDGED[sec.name])))
+
+
+def _check_fields(s: Scenario) -> list[Violation]:
+    """Every judged field, section by section and row by row, then each
+    agent's resources against its budget, then the globals. Only a row
+    that fails a fast test, by type and interval, is judged by `_judge`."""
+    out: list[Violation] = []
+    for sec in ROW_SECTIONS:
+        rows = attrgetter(sec.attr)(s)
+        if _JUDGED[sec.name] == _VIEWS:
+            lo, hi = _VIEW_LO, _VIEW_HI
+            for row in rows:
+                st, p, c = row.strength, row.personal_view, row.my_collective_view
+                if (type(st) is float and type(p) is float and lo <= st <= hi and lo <= p <= hi
+                        and (c is None or type(c) is float and lo <= c <= hi)):
+                    continue
+                _report_fields(row, sec, out)
+            continue
+        tests = _FAST[sec.name]
+        for row in rows:
+            for get, types, lo, hi in tests:
+                x = get(row)
+                if type(x) not in types or lo is not None and x is not None and not lo <= x <= hi:
+                    _report_fields(row, sec, out)
+                    break
+    for a in s.agents:
+        resources, budget = a.attentional_resources, a.attention_budget
+        if type(resources) is int and type(budget) is int and resources > budget:
+            out.append(Violation(ViolationKind.VIEW_RANGE, f"agents[{a.id}]: attentionalResources "
+                                 f"{resources!r} exceeds attentionBudget {budget!r}"))
+    out.extend(filter(None, (_judge(fl, getattr(s.globals, fl.attr), "globals")
+                             for fl in GLOBAL_FIELDS)))
+    return out
 
 
 def _check_rows(s: Scenario) -> list[Violation]:
-    """The checks `ROW_SECTIONS` declares, section by section: bounded
-    fields that are not numbers in [0, 1], then, after every range
-    finding, duplicate keys."""
-    ranges: list[Violation] = []
+    """Duplicate keys, section by section, where `ROW_SECTIONS` names a
+    duplicate report."""
     duplicates: list[Violation] = []
     for sec in ROW_SECTIONS:
-        rows = attrgetter(sec.attr)(s)
-        if sec.bounded is not None:
-            _check_ranges(rows, sec, ranges)
         if sec.duplicate is None:
             continue
+        rows = attrgetter(sec.attr)(s)
         keys = list(map(sec.identity, rows))
         if len(set(keys)) == len(keys):
             continue
@@ -301,7 +353,7 @@ def _check_rows(s: Scenario) -> list[Violation]:
                               f"duplicate {sec.duplicate} {sec.label(row)!r}")
                 )
             seen.add(k)
-    return ranges + duplicates
+    return duplicates
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -313,8 +365,14 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     with gc_paused():
         kinds, parents = _elements(s)
         dangling, mismatched, _ = _check_references(s, kinds)
-        report = dangling + mismatched
-        report.extend(_cycles("context hierarchy", sorted(parents), parents))
+        # Activities and agents are declared under their own sections.
+        misplaced = [Violation(ViolationKind.DISJOINTNESS, f"contextElements[{e.id}].kind: "
+                               f"declare {e.kind.value} tokens under their own section")
+                     for e in s.context_elements
+                     if e.kind is ElementKind.ACTIVITY or e.kind is ElementKind.AGENT]
+        report = dangling + misplaced + mismatched
+        report.extend(_cycles("context hierarchy", parents, parents))
         report.extend(_check_activity_graph(s))
+        report.extend(_check_fields(s))
         report.extend(_check_rows(s))
         return report

@@ -85,6 +85,18 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "                or not known.issuperset(set().union(*raw))):",
      "                or False):",
      ("tests/test_malformed_reports.py",)),
+    ("decayRate's interval [0, 1) read as [0, 1]", "sopra/model.py",
+     '_Field("decayRate", "number", within="[0, 1)")',
+     '_Field("decayRate", "number", within="[0, 1]")',
+     ("tests/test_validate.py",)),
+    ("an open low end read as closed", "sopra/validate.py",
+     "lo = math.nextafter(lo, math.inf)",
+     "lo = lo",
+     ("tests/test_validate.py",)),
+    ("no resources-over-budget report", "sopra/validate.py",
+     "if type(resources) is int and type(budget) is int and resources > budget:",
+     "if False:",
+     ("tests/test_validate.py",)),
 ]
 
 

@@ -196,10 +196,12 @@ def test_run_override_changes_behavior(scenario_file, tmp_path):
 
 
 def test_run_rejects_out_of_range_override(scenario_file, tmp_path, capsys):
+    # The override builds; the validator reports it, and nothing is written.
     assert main(["run", "--scenario", scenario_file, "--ticks", "2",
                  "--out", str(tmp_path / "x"),
-                 "--override", "habitThreshold=1.1"]) == 1
-    assert "habitThreshold" in capsys.readouterr().err
+                 "--override", "habitThreshold=1.1"]) == 2
+    assert capsys.readouterr().out == "view-range: globals: habitThreshold 1.1 outside [0, 1]\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_rejects_malformed_override(scenario_file, tmp_path, capsys):
@@ -487,8 +489,8 @@ def test_sweep_validates_every_run_before_simulating(scenario_file, tmp_path, ca
     # not even the first run's outputs.
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", scenario_file, "--ticks", "2",
-                 "--out", str(out), "--param", "decayRate=0.0,1.5"]) == 1
-    assert "decayRate" in capsys.readouterr().err
+                 "--out", str(out), "--param", "decayRate=0.0,1.5"]) == 2
+    assert capsys.readouterr().out == "view-range: globals: decayRate 1.5 outside [0, 1)\n"
     assert not out.exists()
 
 

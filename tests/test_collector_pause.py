@@ -44,7 +44,7 @@ def collector():
 
 def _bad_document():
     doc = bundled_document("commuting")
-    doc["agents"][0]["habitRate"] = 2.0
+    doc["agents"][0]["habitRate"] = "fast"
     return doc
 
 

@@ -249,6 +249,24 @@ CYCLES = {
 }
 
 
+# Values of the right kind that break a rule on the value: the builder
+# accepts them, and `validate_scenario` reports each, in field order.
+VALUE_RULES = {
+    "agent_fields": _all(
+        _set("agents", 0, "habitRate", 0.0),
+        _set("agents", 0, "attentionBudget", -1),
+        _set("agents", 0, "attentionalResources", -2),
+    ),
+    "resources_over_budget": _set("agents", 1, "attentionalResources", 3),
+    "relocation_tick": lambda doc: doc["environment"]["relocations"].append(
+        {"tick": -1, "agent": "bob", "location": "Office"}),
+    "element_kinds": _all(_append("contextElements", {"id": "chores", "kind": "Activity"}),
+                          _append("contextElements", {"id": "crew", "kind": "Agent"})),
+    "globals": lambda doc: doc["globals"].update(
+        decayRate=1.0, socialLearningRate=0, deliberationCost=-1, feasibilityThreshold=1.5),
+}
+
+
 # Error branches of the loader: each section or container of the wrong
 # shape, and rows with several defects, whose reports keep field order.
 LOADER_CASES: dict[str, Callable[[Doc], None]] = {
@@ -288,8 +306,8 @@ LOADER_CASES: dict[str, Callable[[Doc], None]] = {
         _set("agents", 0, "location", ""),
         _set("agents", 0, "parent", " team"),
     ),
-    # A rule on a field whose read failed would see only the reader's
-    # placeholder, so it reports nothing.
+    # The budget that is not an integer is the only report: the resources
+    # are judged against the budget by `validate_scenario`, after a build.
     "budget_not_an_integer_beside_resources": _all(
         _set("agents", 0, "attentionBudget", "two"),
         _set("agents", 0, "attentionalResources", 1),
@@ -355,6 +373,7 @@ CASES: dict[str, Callable[[Doc], None]] = {
     "dangling_every_section": _all(*DANGLING.values()),
     **{f"disjoint_{name}": m for name, m in DISJOINT.items()},
     **{f"cycle_{name}": m for name, m in CYCLES.items()},
+    **{f"value_rule_{name}": m for name, m in VALUE_RULES.items()},
     "same_bad_id_twice": _all(
         _set("valueConnections", 0, "agent", "bob\n"),
         _set("valueConnections", 3, "agent", "bob\n"),
@@ -1947,24 +1966,20 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "mixed_defects": (
         [
             "activities[2]: 'type' must be one of Atomic, Sequential, Abstract, got 'Composite'",
-            "agents[1]: 'attentionBudget' must be non-negative",
             "valuePriorities[2]: 'myCollectiveView' must be a number, got False",
             "valueConnections[9]: 'activity' must be a plain identifier string, got ''",
             "valueConnections[9]: 'strength' must be a number, got 'high'",
             "'roots' must be a list of activity ids",
-            "globals: 'decayRate' out of range: 2.0",
             "agents[alice].location: unknown element 'Home'",
             "agents[bob].location: unknown element 'Home'",
             "environment.placements: unknown element 'Home'",
         ],
         [
             "activities[2]: 'type' must be one of Atomic, Sequential, Abstract, got 'Composite'",
-            "agents[1]: 'attentionBudget' must be non-negative",
             "valuePriorities[2]: 'myCollectiveView' must be a number, got False",
             "valueConnections[9]: 'activity' must be a plain identifier string, got ''",
             "valueConnections[9]: 'strength' must be a number, got 'high'",
             "'roots' must be a list of activity ids",
-            "globals: 'decayRate' out of range: 2.0",
         ],
         None,
     ),
@@ -1991,13 +2006,11 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
     ),
     "number_above_one_habit_rate": (
+        [],
+        [],
         [
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
+            'view-range: agents[bob]: habitRate 1.5 outside (0, 1]',
         ],
-        [
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
-        ],
-        None,
     ),
     "number_above_one_vc_collective": (
         [],
@@ -2119,13 +2132,11 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         ],
     ),
     "number_nan_habit_rate": (
+        [],
+        [],
         [
-            "agents[0]: 'habitRate' must be in (0, 1], got nan",
+            'view-range: agents[bob]: habitRate nan outside (0, 1]',
         ],
-        [
-            "agents[0]: 'habitRate' must be in (0, 1], got nan",
-        ],
-        None,
     ),
     "number_nan_vc_collective": (
         [],
@@ -2296,17 +2307,56 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     "unknown_row_keys": (
         [
             "agents[0]: unknown keys ['atentionalResources']",
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
             "valueConnections[0]: unknown keys ['personalview', 'zz', 1]",
             "environment.relocations[0]: unknown keys ['when']",
         ],
         [
             "agents[0]: unknown keys ['atentionalResources']",
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
             "valueConnections[0]: unknown keys ['personalview', 'zz', 1]",
             "environment.relocations[0]: unknown keys ['when']",
         ],
         None,
+    ),
+    "value_rule_agent_fields": (
+        [],
+        [],
+        [
+            'view-range: agents[bob]: habitRate 0.0 outside (0, 1]',
+            'view-range: agents[bob]: attentionBudget -1 outside [0, inf)',
+            'view-range: agents[bob]: attentionalResources -2 outside [0, inf)',
+        ],
+    ),
+    "value_rule_element_kinds": (
+        [],
+        [],
+        [
+            'disjointness: contextElements[chores].kind: declare Activity tokens under their own section',
+            'disjointness: contextElements[crew].kind: declare Agent tokens under their own section',
+        ],
+    ),
+    "value_rule_globals": (
+        [],
+        [],
+        [
+            'view-range: globals: decayRate 1.0 outside [0, 1)',
+            'view-range: globals: socialLearningRate 0.0 outside (0, 1]',
+            'view-range: globals: deliberationCost -1 outside [0, inf)',
+            'view-range: globals: feasibilityThreshold 1.5 outside [0, 1]',
+        ],
+    ),
+    "value_rule_relocation_tick": (
+        [],
+        [],
+        [
+            'view-range: environment.relocations[-1:bob]: tick -1 outside [0, inf)',
+        ],
+    ),
+    "value_rule_resources_over_budget": (
+        [],
+        [],
+        [
+            'view-range: agents[alice]: attentionalResources 3 exceeds attentionBudget 2',
+        ],
     ),
     "views_all_out_of_range": (
         [],
@@ -2333,16 +2383,10 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
     ),
     "loader_agent_row_defects": (
         [
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
-            "agents[0]: 'attentionBudget' must be non-negative",
-            "agents[0]: 'attentionalResources' must lie in [0, attentionBudget]",
             "agents[0]: 'location' must be a plain identifier string, got ''",
             "agents[0]: 'parent' must be a plain identifier string, got ' team'",
         ],
         [
-            "agents[0]: 'habitRate' must be in (0, 1], got 1.5",
-            "agents[0]: 'attentionBudget' must be non-negative",
-            "agents[0]: 'attentionalResources' must lie in [0, attentionBudget]",
             "agents[0]: 'location' must be a plain identifier string, got ''",
             "agents[0]: 'parent' must be a plain identifier string, got ' team'",
         ],
@@ -2446,13 +2490,11 @@ EXPECTED: dict[str, tuple[Any, Any, Any]] = {
         [
             'environment.relocations[1] must be an object',
             'environment.relocations[3] must be an object',
-            "environment.relocations[0]: 'tick' must be non-negative",
             "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
         ],
         [
             'environment.relocations[1] must be an object',
             'environment.relocations[3] must be an object',
-            "environment.relocations[0]: 'tick' must be non-negative",
             "environment.relocations[2]: 'tick' must be an integer, got 'soon'",
         ],
         None,

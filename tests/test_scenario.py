@@ -23,7 +23,7 @@ from sopra import (
     serialize_scenario,
     validate_scenario,
 )
-from sopra.model import ROW_SECTIONS
+from sopra.model import _VIEWS, GLOBAL_FIELDS, ROW_SECTIONS, Globals
 from sopra.scenario import _COLUMN_MIN_ROWS
 from sopra.scenarios import bundled_document, list_bundled
 from sopra.testing import random_scenario_document
@@ -72,6 +72,10 @@ def test_unknown_top_level_key_rejected():
         build_scenario(make_doc(extras=[]))
 
 
+def _report(s):
+    return [f"{v.kind.value}: {v.message}" for v in validate_scenario(s)]
+
+
 @pytest.mark.parametrize(
     "field,value,fragment",
     [
@@ -82,31 +86,51 @@ def test_unknown_top_level_key_rejected():
     ],
 )
 def test_agent_field_ranges(field, value, fragment):
+    # A number of the right kind builds; the validator judges its range.
     doc = make_doc()
     doc["agents"][0][field] = value
-    with pytest.raises(ScenarioError, match=fragment):
-        build_scenario(doc)
+    report = _report(build_scenario(doc))
+    assert len(report) == 1
+    assert report[0].startswith(f"view-range: agents[ag1]: {fragment} {value!r} ")
+
+
+def _global(key, value, problem):
+    return pytest.param(key, value, problem, id=f"{key}-{value}")
 
 
 @pytest.mark.parametrize(
-    "key,value",
+    "key,value,problem",
     [
-        ("habitThreshold", 1.1),
-        ("habitThreshold", -0.1),
-        ("decayRate", 1.0),
-        ("socialLearningRate", 0.0),
-        ("awarenessRate", 1.2),
-        ("attenuation", -0.5),
-        ("deliberationCost", -1),
-        ("pressureAggregation", "median"),
-        ("tieBreak", "random"),
-        ("decayAll", "yes"),
-        ("nonsense", 1),
+        # A number out of its interval builds, and the validator reports it.
+        _global("habitThreshold", 1.1, "view-range: globals: habitThreshold 1.1 outside [0, 1]"),
+        _global("habitThreshold", -0.1,
+                "view-range: globals: habitThreshold -0.1 outside [0, 1]"),
+        _global("decayRate", 1.0, "view-range: globals: decayRate 1.0 outside [0, 1)"),
+        _global("socialLearningRate", 0.0,
+                "view-range: globals: socialLearningRate 0.0 outside (0, 1]"),
+        _global("awarenessRate", 1.2, "view-range: globals: awarenessRate 1.2 outside (0, 1]"),
+        _global("attenuation", -0.5, "view-range: globals: attenuation -0.5 outside [0, 1]"),
+        _global("deliberationCost", -1,
+                "view-range: globals: deliberationCost -1 outside [0, inf)"),
+        # A value of the wrong kind, a word not in its list, or an unknown
+        # key fails the load.
+        _global("deliberationCost", 1.0, "globals: 'deliberationCost' must be an integer"),
+        _global("habitThreshold", "0.5", "globals: 'habitThreshold' must be a number"),
+        _global("pressureAggregation", "median",
+                "globals: 'pressureAggregation' must be mean, max or sum"),
+        _global("tieBreak", "random", "globals: 'tieBreak' must be lexicographic or uniform"),
+        _global("decayAll", "yes", "globals: 'decayAll' must be a boolean"),
+        _global("nonsense", 1, "globals: unknown keys ['nonsense']"),
     ],
 )
-def test_globals_rejected(key, value):
-    with pytest.raises(ScenarioError, match="globals"):
-        build_scenario(make_doc(globals={key: value}))
+def test_globals_rejected(key, value, problem):
+    doc = make_doc(globals={key: value})
+    if problem.startswith("view-range: "):
+        assert _report(build_scenario(doc)) == [problem]
+        return
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc)
+    assert exc.value.problems == [problem]
 
 
 def test_bad_enum_values_rejected():
@@ -143,19 +167,19 @@ def test_identifier_hygiene():
 def test_negative_relocation_tick_rejected():
     doc = make_doc()
     doc["environment"]["relocations"] = [{"tick": -3, "agent": "ag1", "location": "Away"}]
-    with pytest.raises(ScenarioError, match="non-negative"):
-        build_scenario(doc)
+    assert _report(build_scenario(doc)) == [
+        "view-range: environment.relocations[-3:ag1]: tick -3 outside [0, inf)"]
 
 
 def test_error_report_is_cumulative():
+    doc = make_doc(globals={"habitThreshold": "high"})
+    doc["agents"][0]["habitRate"] = "fast"
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc)
+    assert len(exc.value.problems) == 2
     doc = make_doc(globals={"habitThreshold": 7})
     doc["agents"][0]["habitRate"] = -1
-    try:
-        build_scenario(doc)
-    except ScenarioError as exc:
-        assert len(exc.problems) >= 2
-    else:
-        pytest.fail("expected ScenarioError")
+    assert len(validate_scenario(build_scenario(doc))) == 2
 
 
 @pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
@@ -339,10 +363,23 @@ def _pool_phrase(refs):
     return f"{'an' if refs.value[0] in 'AEIOU' else 'a'} {refs.value} element"
 
 
-def test_schema_doc_lists_each_row_section_as_the_code_does():
+def _doc_tables():
+    """The schema doc's tables of fields: each row as a list of cells,
+    by the heading the table sits under."""
     text = (Path(__file__).resolve().parents[1] / "docs" / "scenario-schema.md").read_text()
-    table = [[cell.strip() for cell in line.split("|")[1:-1]]
-             for line in text.splitlines() if line.startswith("| `")]
+    tables: dict[str, list[list[str]]] = {}
+    heading = ""
+    for line in text.splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("# ")
+        elif line.startswith("| `"):
+            tables.setdefault(heading, []).append(
+                [cell.strip() for cell in line.split("|")[1:-1]])
+    return tables
+
+
+def test_schema_doc_lists_each_row_section_as_the_code_does():
+    table = _doc_tables()["Sections at a glance"]
     table = [row for row in table if len(row) == 5]
 
     def keys(sec, attrs):
@@ -356,12 +393,25 @@ def test_schema_doc_lists_each_row_section_as_the_code_does():
             duplicate = f"`duplicate {sec.duplicate}`{on}"
         else:
             duplicate = "`duplicate id` (load error)"
-        bounded = ("" if sec.bounded is None
-                   else "views" if sec.bounded == "views" else keys(sec, (sec.bounded,)))
+        within = "; ".join(f"`{fl.json}`: {fl.within}" for fl in sec.fields if fl.within)
         refs = "; ".join(f"`{fl.json}`: {_pool_phrase(fl.refs)}"
                          for fl in sec.fields if fl.refs is not None)
-        expected.append([f"`{sec.name}`", keys(sec, sec.key), duplicate, bounded, refs])
+        expected.append([f"`{sec.name}`", keys(sec, sec.key), duplicate, within, refs])
     assert table == expected
+
+
+def test_schema_doc_lists_each_global_as_the_code_does():
+    def takes(fl):
+        if isinstance(fl.kind, tuple):
+            words = [f"`{w}`" for w in fl.kind]
+            return f"{', '.join(words[:-1])} or {words[-1]}"
+        if fl.kind == "boolean":
+            return "a boolean"
+        return f"{'an integer' if fl.kind == 'integer' else 'a number'} in {fl.within}"
+
+    assert [fl.attr for fl in GLOBAL_FIELDS] == [f.name for f in dataclasses.fields(Globals)]
+    assert [row[:2] for row in _doc_tables()["globals"]] == [
+        [f"`{fl.json}`", takes(fl)] for fl in GLOBAL_FIELDS]
 
 
 _EMPTY_ID_SITES = {
@@ -408,7 +458,7 @@ def test_rows_built_without_views_do_not_share_one():
         assert a == b and a.strength == 0.0
 
 
-_VIEW_SECTIONS = [sec for sec in ROW_SECTIONS if sec.bounded == "views"]
+_VIEW_SECTIONS = [sec for sec in ROW_SECTIONS if sec.fields[-len(_VIEWS):] == _VIEWS]
 
 
 @pytest.mark.parametrize("source", ["generated", "commuting"])

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import random
 import re
+
+from operator import attrgetter
 
 import pytest
 from helpers import make_doc, mutation_fixtures
@@ -17,7 +20,8 @@ from sopra import (
     build_scenario,
     validate_scenario,
 )
-from sopra.model import ROW_SECTIONS
+from sopra.model import _VIEWS, GLOBAL_FIELDS, ROW_SECTIONS, ContextElement, ElementKind
+from sopra.model import Relocation
 from sopra.scenarios import load_bundled
 from sopra.testing import random_scenario_document
 
@@ -73,6 +77,90 @@ def test_a_key_field_that_does_not_compare_in_a_scenario_built_in_code_is_report
     assert s.habitual_connections[0].agent is None
     assert [f"{v.kind.value}: {v.message}" for v in validate_scenario(s)] == [
         "dangling-reference: habitualConnections[None]: unknown agent None"]
+
+
+def _commuting_with(**globals_):
+    """Bundled commuting with `globals_` set, as a scenario made in code."""
+    s = load_bundled("commuting")
+    return dataclasses.replace(s, globals=dataclasses.replace(s.globals, **globals_))
+
+
+def _agents(**fields):
+    s = load_bundled("commuting")
+    return dataclasses.replace(
+        s, agents=tuple(dataclasses.replace(a, **fields) for a in s.agents))
+
+
+def _relocated(tick):
+    s = load_bundled("commuting")
+    move = Relocation(tick, "bob", "Office")
+    return dataclasses.replace(s, environment=dataclasses.replace(s.environment,
+                                                                   relocations=(move,)))
+
+
+def _with_element(kind):
+    s = load_bundled("commuting")
+    return dataclasses.replace(
+        s, context_elements=(*s.context_elements, ContextElement("chores", kind)))
+
+
+# Rules on a value, broken in a scenario made in code: each is reported,
+# and the world refuses the scenario.
+_CODE_BUILT = {
+    "habit_rate": (lambda: _agents(habit_rate=1.5), [
+        "view-range: agents[alice]: habitRate 1.5 outside (0, 1]",
+        "view-range: agents[bob]: habitRate 1.5 outside (0, 1]"]),
+    "decay_rate": (lambda: _commuting_with(decay_rate=1.5), [
+        "view-range: globals: decayRate 1.5 outside [0, 1)"]),
+    "attention_budget": (lambda: _agents(attention_budget=-2), [
+        "view-range: agents[alice]: attentionBudget -2 outside [0, inf)",
+        "view-range: agents[bob]: attentionBudget -2 outside [0, inf)"]),
+    "attentional_resources": (lambda: _agents(attentional_resources=9), [
+        "view-range: agents[alice]: attentionalResources 9 exceeds attentionBudget 2",
+        "view-range: agents[bob]: attentionalResources 9 exceeds attentionBudget 2"]),
+    "deliberation_cost": (lambda: _commuting_with(deliberation_cost=-1), [
+        "view-range: globals: deliberationCost -1 outside [0, inf)"]),
+    "relocation_tick": (lambda: _relocated(-1), [
+        "view-range: environment.relocations[-1:bob]: tick -1 outside [0, inf)"]),
+    "element_kind": (lambda: _with_element(ElementKind.ACTIVITY), [
+        "disjointness: contextElements[chores].kind: "
+        "declare Activity tokens under their own section"]),
+    "pressure_aggregation": (lambda: _commuting_with(pressure_aggregation="median"), [
+        "typing: globals: pressureAggregation must be one of mean, max, sum, got 'median'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CODE_BUILT))
+def test_a_rule_on_a_value_holds_in_a_scenario_made_in_code(case):
+    make, expected = _CODE_BUILT[case]
+    s = make()
+    assert [f"{v.kind.value}: {v.message}" for v in validate_scenario(s)] == expected
+    with pytest.raises(InvalidScenarioError):
+        World(s, 0)
+
+
+@pytest.mark.parametrize("name", ["commuting", "extensions_demo"])
+@pytest.mark.parametrize("bad", [None, 7], ids=["none", "int"])
+def test_a_field_of_the_wrong_kind_in_a_scenario_made_in_code_is_reported(name, bad):
+    # Each key field of a section's last row, and each field that names no
+    # pool, replaced: the validator reports it and raises nothing. A field
+    # that names no pool (an id, a competence, an enum) is `typing`, by
+    # name. Numbers are the bounded fields' test.
+    s = load_bundled(name)
+    for sec in ROW_SECTIONS:
+        if not attrgetter(sec.attr)(s):
+            continue
+        for fl in sec.fields:
+            if fl.within is not None or fl.refs is not None and fl.attr not in sec.key:
+                continue
+            edited, row = _edit_last_row(s, sec, **{fl.attr: bad})
+            report = [f"{v.kind.value}: {v.message}" for v in validate_scenario(edited)]
+            assert report, (sec.name, fl.json)
+            if fl.refs is None:
+                assert f"typing: {sec.name}[{sec.label(row)}]: {fl.json} must be " in "\n".join(
+                    report), (sec.name, fl.json, report)
+            with pytest.raises(InvalidScenarioError):
+                World(edited, 0)
 
 
 def test_duplicate_habitual_triple():
@@ -186,44 +274,117 @@ def test_two_relocations_of_one_agent_at_one_tick_are_reported_in_either_order()
         ]
 
 
-_BOUNDED = [sec for sec in ROW_SECTIONS if sec.bounded is not None]
-_VIEW_ATTRS = ("strength", "personal_view", "my_collective_view")
+_BOUNDED = [sec for sec in ROW_SECTIONS if any(fl.within for fl in sec.fields)]
 
 
 def _camel(attr):
     return re.sub(r"_(\w)", lambda m: m.group(1).upper(), attr)
 
 
+def _is_view_section(sec):
+    return sec.fields[-len(_VIEWS):] == _VIEWS
+
+
+def _edit_row(s, sec, i, **fields):
+    """`s` with row `i` of `sec` edited, and the edited row."""
+    rows = list(attrgetter(sec.attr)(s))
+    row = rows[i] = dataclasses.replace(rows[i], **fields)
+    holder, _, attr = sec.attr.rpartition(".")  # "environment.relocations"
+    if holder:
+        inner = dataclasses.replace(getattr(s, holder), **{attr: tuple(rows)})
+        return dataclasses.replace(s, **{holder: inner}), row
+    return dataclasses.replace(s, **{attr: tuple(rows)}), row
+
+
+def _edit_first_row(s, sec, **fields):
+    return _edit_row(s, sec, 0, **fields)
+
+
+def _edit_last_row(s, sec, **fields):
+    return _edit_row(s, sec, -1, **fields)
+
+
 @pytest.mark.parametrize("sec", _BOUNDED, ids=[sec.name for sec in _BOUNDED])
 def test_a_bounded_field_that_is_not_a_number_is_a_view_range(sec):
-    # The builder makes every bounded field a float, but a row edited in
-    # code can hold anything. Each non-number is listed, with the field's
-    # document name; the world refuses the scenario.
-    s = load_bundled("commuting" if sec.bounded == "views" else "extensions_demo")
-    rows = getattr(s, sec.attr)
-    row = rows[0]
-
-    def edit(**fields):
-        edited = dataclasses.replace(row, **fields)
-        return dataclasses.replace(s, **{sec.attr: (edited, *rows[1:])})
-
-    for attr in _VIEW_ATTRS if sec.bounded == "views" else (sec.bounded,):
-        for bad in (None, "0.5", True):
-            if bad is None and attr == "my_collective_view":
+    # The builder makes every bounded field a number of its kind, but a
+    # row edited in code can hold anything. Each value of the wrong kind
+    # is listed, with the field's document name; the world refuses the
+    # scenario.
+    s = load_bundled("commuting" if _is_view_section(sec) else "extensions_demo")
+    for fl in sec.fields:
+        if fl.within is None:
+            continue
+        integer = fl.kind == "integer"
+        for bad in (None, "0.5", True, *((0.5,) if integer else ())):
+            if bad is None and fl.optional:
                 continue
-            assert validate_scenario(edit(**{attr: bad})) == [Violation(
+            edited, row = _edit_first_row(s, sec, **{fl.attr: bad})
+            takes = "an integer" if integer else "a number"
+            assert validate_scenario(edited) == [Violation(
                 ViolationKind.VIEW_RANGE,
-                f"{sec.name}[{sec.label(row)}]: {_camel(attr)} must be a number, got {bad!r}",
-            )], (attr, bad)
+                f"{sec.name}[{sec.label(row)}]: {fl.json} must be {takes}, got {bad!r}",
+            )], (fl.json, bad)
             with pytest.raises(InvalidScenarioError):
-                World(edit(**{attr: bad}), 0)
-        # An int in range is a number in [0, 1]; one out of range keeps
-        # the numeric wording.
-        assert validate_scenario(edit(**{attr: 1})) == []
-        assert [v.message for v in validate_scenario(edit(**{attr: 2}))] == [
-            f"{sec.name}[{sec.label(row)}]: {_camel(attr)} 2 outside [0, 1]"]
-    if sec.bounded == "views":
-        assert validate_scenario(edit(my_collective_view=None)) == []
+                World(edited, 0)
+        # An int in range is a number in its interval; one out of range
+        # keeps the numeric wording.
+        assert validate_scenario(_edit_first_row(s, sec, **{fl.attr: 1})[0]) == []
+        edited, row = _edit_first_row(s, sec, **{fl.attr: -1})
+        assert [v.message for v in validate_scenario(edited)] == [
+            f"{sec.name}[{sec.label(row)}]: {fl.json} -1 outside {fl.within}"]
+        if fl.optional:
+            assert validate_scenario(_edit_first_row(s, sec, **{fl.attr: None})[0]) == []
+
+
+def _boundary_values(fl):
+    """(inside, outside) for `fl`'s interval: its closed ends and the next
+    value inward from an open end are inside; its open ends, the next
+    value past each end (the next float, or for an integer field the next
+    integer) and, for a number field, NaN are outside. An infinite end
+    has none."""
+    def step(x, direction):
+        if fl.kind == "integer":
+            return x + direction
+        return math.nextafter(x, direction * math.inf)
+
+    lo, hi = (float(x) for x in fl.within[1:-1].split(","))
+    inside, outside = [], []
+    for end, closed, away in ((lo, fl.within[0] == "[", -1), (hi, fl.within[-1] == "]", 1)):
+        if math.isinf(end):
+            continue
+        if closed:
+            inside.append(end)
+        else:
+            outside.append(end)
+            inside.append(step(end, -away))
+        outside.append(step(end, away))
+    if fl.kind == "integer":
+        return [int(x) for x in inside], [int(x) for x in outside]
+    return inside, outside + [math.nan]
+
+
+def test_each_declared_interval_takes_its_closed_ends_and_nothing_outside():
+    # Rows and globals alike.
+    bundled = {name: load_bundled(name) for name in ("commuting", "extensions_demo")}
+    sites = [(sec, fl) for sec in ROW_SECTIONS for fl in sec.fields if fl.within]
+    sites += [(None, fl) for fl in GLOBAL_FIELDS if fl.within]
+    for sec, fl in sites:
+        s = bundled["commuting" if sec is None or _is_view_section(sec) else "extensions_demo"]
+        inside, outside = _boundary_values(fl)
+        assert outside, fl.json
+        for x in inside + outside:
+            if sec is None:
+                edited = dataclasses.replace(s, globals=dataclasses.replace(s.globals, **{fl.attr: x}))
+                where = "globals"
+            else:
+                edited, row = _edit_first_row(s, sec, **{fl.attr: x})
+                where = f"{sec.name}[{sec.label(row)}]"
+            report = [f"{v.kind.value}: {v.message}" for v in validate_scenario(edited)]
+            if x in inside:
+                assert report == [], (fl.json, x)
+            else:
+                assert report == [f"view-range: {where}: {fl.json} {x!r} outside {fl.within}"], (
+                    fl.json, x)
 
 
 def _doc_rows(doc, sec):
@@ -271,7 +432,7 @@ def test_a_second_row_for_an_occupied_slot_is_reported(seed):
             continue  # the key is the whole row (activity connections)
         row = _doc_rows(base, sec)[0]
         others = set(row) - {_camel(f) for f in sec.unique or sec.key}
-        if sec.bounded == "views":
+        if _is_view_section(sec):
             others |= {"strength", "personalView", "myCollectiveView"}
         assert others, sec.name
         for key in sorted(others):
