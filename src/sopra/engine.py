@@ -6,12 +6,15 @@ Each tick runs in five phases over agents in ascending id order:
 2. run every decision cycle against those snapshots,
 3. apply strength dynamics and personal-view tracking,
 4. deliver each performance to every co-located agent,
-5. log events, replenish attention, record last activities, apply
-   scheduled relocations, and advance the clock.
+5. log events and the tick's metrics row, replenish attention, record
+   last activities, apply scheduled relocations, and advance the clock.
 
 Because phases never read state another agent mutated in the same phase
 sweep, and all iteration is over sorted ids, identical scenario + seed
-gives byte-identical logs in any process.
+gives byte-identical logs in any process. Each tick's metrics row is
+built from that tick's events and its end-of-tick store totals, so a
+world stepped in any number of calls logs what one run of as many ticks
+logs.
 
 Phases 1 and 4 read one co-location layout: which agents share each
 location, each location's base context (its agents and its cues) and
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import fsum
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from ._gc import gc_paused
 from .cognition import decision_cycle
@@ -64,16 +67,6 @@ class Event:
     score: float
     location: str
     timepoint: str | None
-
-
-@dataclass(slots=True)
-class StrengthSample:
-    """End-of-tick aggregate over all stored connections of all agents."""
-
-    connections: int
-    strength_total: float
-    personal_total: float
-    collective_total: float
 
 
 @dataclass(slots=True)
@@ -162,7 +155,9 @@ class World:
         self.rng = random.Random(seed)
         self.tick = 0
         self.events: list[Event] = []
-        self.samples: list[StrengthSample] = []
+        self.metrics: list[MetricsRow] = []
+        # The count column of each atomic activity, by its logged id.
+        self._columns = {a: i for i, a in enumerate(scenario.index.atomic_ids)}
         self.observation_count = 0
         self.states = _agent_states(scenario)
         # The agents' locations the co-location layout was built for, and
@@ -220,16 +215,8 @@ class World:
             state.last_activity = activity_elements[step.chosen]
             state.resources = spec.attention_budget
         self.events.extend(new_events)
-
-        # Correctly rounded totals, so no order of agents or entries is
-        # part of the logs (docs/model.md, Logs).
-        totals = [state.habits.sums() for state in states]
-        self.samples.append(StrengthSample(
-            sum([t[0] for t in totals]),
-            fsum([t[1] for t in totals]),
-            fsum([t[2] for t in totals]),
-            fsum([t[3] for t in totals]),
-        ))
+        self.metrics.append(collect_metrics(
+            tick, new_events, [state.habits.sums() for state in states], self._columns))
 
         for i, location in idx.relocations_by_tick.get(tick, ()):
             states[i].location = location
@@ -237,8 +224,8 @@ class World:
         return new_events
 
     def run(self, ticks: int) -> tuple[list[Event], list[MetricsRow]]:
-        """Advance `ticks` ticks; return every event logged so far and the
-        per-tick metrics over them.
+        """Advance `ticks` ticks; return every event and every tick's
+        metrics row logged so far.
 
         Runs with the cyclic collector paused: the logs and habit stores
         the ticks grow live as long as the world, and nothing a tick
@@ -246,8 +233,7 @@ class World:
         with gc_paused():
             for _ in range(ticks):
                 self.step()
-            return self.events, collect_metrics(self.events, self.samples,
-                                                self.scenario.index.atomic_ids)
+        return self.events, self.metrics
 
 
 def run(scenario: Scenario, ticks: int, seed: int = 0) -> tuple[list[Event], list[MetricsRow]]:
@@ -260,36 +246,29 @@ def run(scenario: Scenario, ticks: int, seed: int = 0) -> tuple[list[Event], lis
 _HABITUAL = DecisionMode.HABITUAL
 
 
-def collect_metrics(events: Sequence[Event], samples: Sequence[StrengthSample],
-                    atomic_ids: Sequence[str]) -> list[MetricsRow]:
-    """Per-tick aggregates: habitual fraction, activity counts, and mean
-    views over stored connections (0.0 when nothing is stored)."""
-    by_tick: dict[int, list[Event]] = {}
+def collect_metrics(tick: int, events: Sequence[Event],
+                    totals: Sequence[tuple[int, float, float, float]],
+                    columns: Mapping[str, int]) -> MetricsRow:
+    """The metrics row of tick `tick`: the habitual fraction of its
+    `events` and how many of them performed each atomic activity
+    (`columns` maps each atomic id to its count column), and the mean
+    views over all stored connections, from each habit store's `sums()`
+    at the end of the tick (0.0 where there is nothing to average)."""
+    counts = [0] * len(columns)
+    habitual = 0
     for e in events:
-        by_tick.setdefault(e.tick, []).append(e)
-    rows = []
-    positions = {a: i for i, a in enumerate(atomic_ids)}
-    for tick_i, sample in enumerate(samples):
-        tick_events = by_tick.get(tick_i, [])
-        counts = [0] * len(atomic_ids)
-        habitual = 0
-        for e in tick_events:
-            counts[positions[e.activity]] += 1
-            if e.mode is _HABITUAL:
-                habitual += 1
-        n_agents = len(tick_events)
-        n_conn = sample.connections
-        rows.append(
-            MetricsRow(
-                tick=tick_i,
-                habitual_fraction=habitual / n_agents if n_agents else 0.0,
-                counts=tuple(counts),
-                mean_strength=sample.strength_total / n_conn if n_conn else 0.0,
-                mean_personal_view=sample.personal_total / n_conn if n_conn else 0.0,
-                mean_collective_view=sample.collective_total / n_conn if n_conn else 0.0,
-            )
-        )
-    return rows
+        counts[columns[e.activity]] += 1
+        if e.mode is _HABITUAL:
+            habitual += 1
+    fraction = habitual / len(events) if events else 0.0
+    # Correctly rounded totals, so no order of agents or entries is
+    # part of the logs (docs/model.md, Logs).
+    conns, strengths, personal, collective = zip(*totals) if totals else ((),) * 4
+    n_conn = sum(conns)
+    if not n_conn:
+        return MetricsRow(tick, fraction, tuple(counts), 0.0, 0.0, 0.0)
+    return MetricsRow(tick, fraction, tuple(counts), fsum(strengths) / n_conn,
+                      fsum(personal) / n_conn, fsum(collective) / n_conn)
 
 
 # Each mode's log text, read by one dict lookup per row rather than the

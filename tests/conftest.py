@@ -9,10 +9,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import sopra._kernel
 from sopra import build_scenario
 from sopra.scenarios import bundled_document, load_bundled
+
+
+# tests/mutants.py runs its test files under this profile: a mutant is
+# killed by any failing example, so the gate neither shrinks one nor
+# replays one that an earlier run saved.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate], database=None)
 
 
 def pytest_sessionstart(session):

@@ -5,10 +5,11 @@ Run from anywhere in a checkout::
     python tests/mutants.py
 
 Each mutant names a file under `src/`, an exact source snippet, its
-replacement, and the test files expected to kill it. For each one, a
-fresh copy of `src/` is made in a temporary directory, the snippet is
-replaced there (never in the tree), and the named test files run with
-`-x` against that copy. The gate exits 1 if a snippet does not occur
+replacement, and the test files or test ids expected to kill it. For
+each one, a fresh copy of `src/` is made in a temporary directory, the
+snippet is replaced there (never in the tree), and the named tests run
+with `-x` against that copy, under the `mutants` hypothesis profile of
+`tests/conftest.py`. The gate exits 1 if a snippet does not occur
 exactly once in its file, or if the tests pass on a mutant (it
 survives). A test said to fail without a check adds its mutant here.
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (name, file under src/, snippet, replacement, test files that must fail)
+# (name, file under src/, snippet, replacement, tests that must fail)
 MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
     ("no duplicate activity connection report", "sopra/model.py",
      '("child", "parent", "relation"), "activity connection")',
@@ -97,6 +98,48 @@ MUTANTS: list[tuple[str, str, str, str, tuple[str, ...]]] = [
      "if type(resources) is int and type(budget) is int and resources > budget:",
      "if False:",
      ("tests/test_validate.py",)),
+    # The tick.
+    ("a pressure that reaches the threshold is not habitual", "sopra/cognition.py",
+     "if top >= g.habit_threshold or",
+     "if top > g.habit_threshold or",
+     ("tests/test_cognition.py",)),
+    ("ties take the largest id", "sopra/cognition.py",
+     "    pick = values.index(best)\n",
+     "    pick = len(values) - 1 - values[::-1].index(best)\n",
+     ("tests/test_cognition.py",)),
+    ("a uniform tie is never drawn", "sopra/cognition.py",
+     "        if len(tied) > 1:\n",
+     "        if False:\n",
+     ("tests/test_cognition.py",)),
+    ("no deliberation when attention equals the cost", "sopra/cognition.py",
+     "state.resources < g.deliberation_cost:",
+     "state.resources <= g.deliberation_cost:",
+     ("tests/test_cognition.py",)),
+    ("actors observed in reverse order", "sopra/engine.py",
+     "for i, names in zip(at, observers):",
+     "for i, names in reversed(list(zip(at, observers))):",
+     ("tests/test_engine.py",)),
+    ("no negative observation updates", "sopra/learning.py",
+     "competing = sorted(set(candidates) - {acted})",
+     "competing = []",
+     ("tests/test_engine.py",)),
+    ("attention not replenished", "sopra/engine.py",
+     "            state.resources = spec.attention_budget\n",
+     "",
+     ("tests/test_engine.py",)),
+    ("relocations land one tick late", "sopra/engine.py",
+     "idx.relocations_by_tick.get(tick, ())",
+     "idx.relocations_by_tick.get(tick - 1, ())",
+     ("tests/test_engine.py",)),
+    ("the metrics row counts deliberate decisions as habitual", "sopra/engine.py",
+     "if e.mode is _HABITUAL:",
+     "if e.mode is not _HABITUAL:",
+     ("tests/test_engine.py",)),
+    ("a location's base context holds the first agent wherever it is", "sopra/engine.py",
+     "base[location] = (*map(agent_elements.__getitem__, at), *cues[location])",
+     "base[location] = (agent_elements[0], *map(agent_elements.__getitem__, at),"
+     " *cues[location])",
+     ("tests/test_properties.py::test_a_disjoint_copy_leaves_each_agents_rows_unchanged",)),
 ]
 
 
@@ -112,7 +155,8 @@ def run_mutant(source: str, rel: str, tests: tuple[str, ...]) -> tuple[bool, str
         if not Path(where.stdout.strip()).is_relative_to(src):
             raise RuntimeError(f"the mutant copy is shadowed by {where.stdout.strip()}")
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *tests],
             env=env, cwd=ROOT, capture_output=True, text=True)
     out = run.stdout + run.stderr
     # Exit code 1 is "tests failed"; any other non-zero code is an error.

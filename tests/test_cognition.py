@@ -18,10 +18,13 @@ from sopra import (
     candidate_set,
     decide_step,
     decision_cycle,
+    events_csv,
     habitual_pressure,
     init_agent_state,
+    run,
     validate_scenario,
 )
+from sopra._kernel import available_backends
 from sopra.cognition import _pick
 from sopra.testing import random_scenario_document
 
@@ -261,6 +264,22 @@ def test_decide_step_habitual_when_attention_exhausted(commuting, bob):
     # Pressures over {Home, Morning}: drive_car (0 + 0.4) / 2, rest 0.
     assert _chosen(step, commuting) == "drive_car_to_work"
     assert step.pressure == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_a_pressure_that_reaches_the_threshold_is_habitual(backend, commuting_doc, monkeypatch):
+    # docs/model.md, The decision cycle: a step is habitual when the
+    # maximum pressure reaches habitThreshold. After one tick of decay
+    # bob's bobs_car connection holds 0.8 * (1 - 0.01), which is the
+    # float 0.792; under "max" that is drive_car_to_work's pressure at
+    # tick 1, so a threshold of 0.792 is met exactly.
+    monkeypatch.setenv("SOPRA_KERNEL", backend)
+    commuting_doc["globals"].update(habitThreshold=0.792, pressureAggregation="max")
+    events, _ = run(build_scenario(commuting_doc), 2, seed=0)
+    (bob,) = [e for e in events if e.tick == 1 and e.agent == "bob"]
+    assert bob.pressure == 0.792
+    assert events_csv([bob]).splitlines()[1] == (
+        "1,bob,drive_car_to_work,Habitual,0.792000,0.166667,Home,Evening")
 
 
 def test_decide_step_lexicographic_ties():

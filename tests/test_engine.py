@@ -8,6 +8,7 @@ from helpers import entry, make_doc, mutation_fixtures, snapshot_of
 from sopra import (
     DecisionMode,
     InvalidScenarioError,
+    MetricsRow,
     UnknownIdError,
     World,
     build_scenario,
@@ -321,8 +322,23 @@ def test_module_run_equals_world_run(commuting):
     assert a == b
 
 
+@pytest.mark.parametrize("name, k, n", [("commuting", 0, 30), ("commuting", 7, 23),
+                                         ("cascade", 41, 60), ("cascade", 95, 1)])
+def test_steps_then_a_run_log_what_one_run_logs(name, k, n):
+    # Each tick logs its own metrics row, so how the ticks are split
+    # between step() and run() calls is not part of the logs.
+    scenario = build_scenario(bundled_document(name))
+    world = World(scenario, seed=4)
+    for _ in range(k):
+        world.step()
+    events, metrics = world.run(n)
+    assert [r.tick for r in metrics] == list(range(k + n))
+    assert (events, metrics) == World(scenario, seed=4).run(k + n)
+
+
 def test_collect_metrics_on_empty():
-    assert collect_metrics([], [], ["x"]) == []
+    # A tick with no agents and nothing stored: 0.0 everywhere.
+    assert collect_metrics(0, [], [], {"x": 0}) == MetricsRow(0, 0.0, (0,), 0.0, 0.0, 0.0)
 
 
 def test_cascade_breaks_and_reforms_habits(cascade):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from unittest import mock
 
+import pytest
 from helpers import ReferenceHabitStore, equilibrium_strength
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +13,14 @@ from sopra import (
     World,
     atomic_leaves,
     build_scenario,
+    events_csv,
     run,
     serialize_scenario,
     snapshot_context,
     validate_scenario,
 )
 from sopra._kernel import AGG_MAX, AGG_MEAN, AGG_SUM, get_backend
+from sopra.scenarios import bundled_document
 from sopra.testing import random_scenario_document, scale_value_priorities
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -267,3 +270,74 @@ def test_snapshot_is_the_documented_context(world_and_seed):
         for r in env.relocations:
             if r.tick == t:
                 location[r.agent] = r.location
+
+
+def _disjoint_union(doc: dict, prefix: str) -> dict:
+    """`doc` plus a copy of its agents, locations and resources whose ids
+    carry `prefix`, with every row that names one of them. Activities,
+    values, roots and timepoints are shared. A prefixed id that is
+    already taken makes the union fail validation."""
+    own = {a["id"] for a in doc["agents"]}
+    own.update(e["id"] for e in doc["contextElements"] if e["kind"] in ("Location", "Resource"))
+
+    def rename(x):
+        if isinstance(x, str):
+            return prefix + x if x in own else x
+        if isinstance(x, list):
+            return [rename(v) for v in x]
+        if isinstance(x, dict):
+            return {rename(k): rename(v) for k, v in x.items()}
+        return x
+
+    def union(x):
+        if isinstance(x, list):
+            return x + [r for r in map(rename, x) if r not in x]
+        if isinstance(x, dict):
+            if any(k in own for k in x):  # keyed by location, as placements are
+                return {**x, **rename(x)}
+            return {k: union(v) for k, v in x.items()}
+        return x
+
+    return union(doc)
+
+
+def _rows_by_agent(events) -> dict[str, list[str]]:
+    rows: dict[str, list[str]] = {}
+    for line in events_csv(events).splitlines()[1:]:
+        rows.setdefault(line.split(",")[1], []).append(line)
+    return rows
+
+
+def _check_disjoint_union(doc: dict, prefix: str, ticks: int, seed: int) -> None:
+    """docs/model.md, The context snapshot and Observation: an agent
+    perceives and observes only its own location, so agents that never
+    share one cannot change each other's logs."""
+    alone = _rows_by_agent(run(build_scenario(doc), ticks, seed=seed)[0])
+    both = _rows_by_agent(run(build_scenario(_disjoint_union(doc, prefix)), ticks, seed=seed)[0])
+    assert set(both) == {*alone, *(prefix + a for a in alone)}
+    for agent, rows in alone.items():
+        assert both[agent] == rows
+        copied = [line.split(",") for line in both[prefix + agent]]
+        for f in copied:
+            assert f[1].startswith(prefix) and f[6].startswith(prefix)
+            f[1] = f[1][len(prefix):]
+            f[6] = f[6][len(prefix):]
+        assert [",".join(f) for f in copied] == rows
+
+
+# "A" sorts the copy before every id of the scenario, the others after.
+_PREFIXES = ["zz_", "A", "copy."]
+
+
+@given(relocating_worlds(), st.sampled_from(_PREFIXES))
+@settings(max_examples=40, deadline=None)
+def test_a_disjoint_copy_leaves_each_agents_rows_unchanged(world_and_seed, prefix):
+    scenario, seed = world_and_seed
+    _check_disjoint_union(serialize_scenario(scenario), prefix, 10, seed)
+
+
+@pytest.mark.parametrize("prefix", _PREFIXES)
+@pytest.mark.parametrize("name", ["commuting", "cascade", "extensions_demo"])
+def test_a_disjoint_copy_of_a_bundled_scenario_leaves_its_rows_unchanged(name, prefix):
+    # 120 ticks take in both of cascade's relocations.
+    _check_disjoint_union(bundled_document(name), prefix, 120, 0)
